@@ -17,6 +17,7 @@ the timing field.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from typing import Optional, Sequence
@@ -234,11 +235,8 @@ def cmd_lim(args: argparse.Namespace) -> tuple[dict, int]:
         exists = dual_mean is not None
     else:
         agree = (direct_mean is None) == (dual_mean is None)
-        if agree and direct_mean is not None and dual_mean is not None:
-            agree = (
-                verify_left_invariant_mean(direct_mean, shg).passed
-                and verify_left_invariant_mean(dual_mean, shg).passed
-            )
+        if agree and direct_mean is not None:
+            agree = payload["direct"]["verified"] and payload["dual"]["verified"]
         payload["oracles_agree"] = agree
         if not agree:
             payload["verdict"] = "disagree"
@@ -250,6 +248,13 @@ def cmd_lim(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def cmd_fixpoint(args: argparse.Namespace) -> tuple[dict, int]:
+    if args.iterate:
+        try:
+            tol, max_iter = float(args.iterate[0]), int(args.iterate[1])
+        except ValueError:
+            raise FileFormatError("--iterate needs a float tolerance and an int limit")
+        if not (math.isfinite(tol) and tol > 0) or max_iter < 1:
+            raise FileFormatError("--iterate needs a finite tolerance > 0 and a limit >= 1")
     shg = parse_structure(_read(args.structure))
     action = parse_affine_action(_read(args.action), shg)
     payload: dict = {
@@ -278,11 +283,6 @@ def cmd_fixpoint(args: argparse.Namespace) -> tuple[dict, int]:
         return payload, EXIT_FAIL
 
     if args.iterate:
-        try:
-            tol = float(args.iterate[0])
-            max_iter = int(args.iterate[1])
-        except ValueError:
-            raise FileFormatError("--iterate needs a float tolerance and an int limit")
         result = iterate_fixed_point(
             action.maps, action.carrier, tol=tol, max_iter=max_iter
         )

@@ -2,9 +2,11 @@
 
 Sources: semigroup/group multiplication tables, the parametrized 3-point
 family, left coset spaces and double coset spaces of a finite group modulo a
-subgroup, and orbit spaces of a finite group action.  Every factory runs the
-probability and associativity checks before returning and refuses to hand
-back an unverified structure.
+subgroup, and orbit spaces of a finite group action.  Every factory refuses
+to hand back an unverified structure.  `from_semigroup` checks associativity
+on the integer table, which for point masses is the same fact; the other
+factories run the exact probability and associativity checks on the
+convolution table before returning.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import (
     CheckReport,
@@ -203,18 +205,22 @@ def _finish(space: PointSpace, rows: dict[tuple[int, int], Measure], name: str) 
 
 
 def from_semigroup(table: CayleyTable, name: Optional[str] = None) -> Semihypergroup:
-    """Semihypergroup with point-mass convolution p_x * p_y = p_{x.y}."""
+    """Semihypergroup with point-mass convolution p_x * p_y = p_{x.y}.
+
+    Only the integer table is checked for associativity: point masses are
+    probability measures, and the convolution of point masses is associative
+    exactly when the table is.
+    """
     witness = table.associativity_witness()
     if witness is not None:
         x, y, z = (table.labels[i] for i in witness)
         raise ConstraintViolation([f"input table is not associative at ({x}, {y}, {z})"])
     space = PointSpace(table.labels)
-    rows = {
-        (x, y): point_mass(space, table.product[x][y])
-        for x in range(table.n)
-        for y in range(table.n)
-    }
-    return _finish(space, rows, name or "semigroup")
+    masses = [point_mass(space, z) for z in range(table.n)]
+    conv = ConvolutionTable(
+        space, tuple(tuple(masses[z] for z in row) for row in table.product)
+    )
+    return Semihypergroup(space=space, table=conv, name=name or "semigroup")
 
 
 def triple_constraint_violations(
@@ -296,11 +302,52 @@ def _require_subgroup(g: CayleyTable, members: Iterable[PointRef]) -> list[int]:
     return idx
 
 
-def _partition_space(
-    g: CayleyTable, classes: list[frozenset[int]], label_of: dict[frozenset[int], str]
-) -> tuple[PointSpace, dict[frozenset[int], int]]:
-    space = PointSpace(tuple(label_of[c] for c in classes))
-    return space, {c: k for k, c in enumerate(classes)}
+def _classes(n: int, class_of: Callable[[int], frozenset[int]]) -> list[frozenset[int]]:
+    """The distinct classes class_of(x), x = 0..n-1, in first-seen order."""
+    return list(dict.fromkeys(class_of(x) for x in range(n)))
+
+
+def _quotient(
+    g: CayleyTable,
+    classes: list[frozenset[int]],
+    label: Callable[[frozenset[int]], str],
+    samples: Callable[[int, int], list[int]],
+    name: str,
+) -> Semihypergroup:
+    """Quotient of G's points by a partition, with averaged convolution.
+
+    Entry (A, B) is the uniform average of the point masses at the classes of
+    the elements samples(x, y), for any x in A and y in B.  The class counts
+    are recomputed in integers for every representative pair; a mismatch
+    would be an implementation bug and raises RepresentativeDependenceError.
+    """
+    k = len(classes)
+    cls = [0] * g.n
+    for i, c in enumerate(classes):
+        for x in c:
+            cls[x] = i
+    labels = [label(c) for c in classes]
+    space = PointSpace(tuple(labels))
+    members = [sorted(c) for c in classes]
+
+    def counts(x: int, y: int) -> list[int]:
+        out = [0] * k
+        for z in samples(x, y):
+            out[cls[z]] += 1
+        return out
+
+    rows: dict[tuple[int, int], Measure] = {}
+    for a, b in product(range(k), repeat=2):
+        pairs = product(members[a], members[b])
+        reference = counts(*next(pairs))
+        for x, y in pairs:
+            if counts(x, y) != reference:
+                raise RepresentativeDependenceError(
+                    f"entry ({labels[a]}, {labels[b]}) depends on representatives"
+                )
+        total = sum(reference)
+        rows[(a, b)] = Measure(space, tuple(Fraction(c, total) for c in reference))
+    return _finish(space, rows, name)
 
 
 def coset_space(
@@ -309,127 +356,55 @@ def coset_space(
     """Left coset space G/H with Haar-averaged convolution.
 
     Entry (xH, yH) is the average over t in H of the point mass at (x.t.y)H.
-    Cosets are enumerated in first-seen order over G's element order and
-    labeled "<rep>H" by their earliest-listed member.  Every entry is
-    recomputed for every representative choice; a mismatch would be an
-    implementation bug and raises RepresentativeDependenceError.
+    Cosets are listed in first-seen order over G's element order and labeled
+    "<rep>H" by their earliest-listed member.
     """
     h = _require_subgroup(g, subgroup)
-
-    def coset_of(x: int) -> frozenset[int]:
-        return frozenset(g.product[x][t] for t in h)
-
-    classes: list[frozenset[int]] = []
-    for x in range(g.n):
-        c = coset_of(x)
-        if c not in classes:
-            classes.append(c)
-    labels = {c: f"{g.labels[min(c)]}H" for c in classes}
-    space, index_of = _partition_space(g, classes, labels)
-
-    def entry(x: int, y: int) -> Measure:
-        w = [Fraction(0)] * space.n
-        for t in h:
-            w[index_of[coset_of(g.product[g.product[x][t]][y])]] += Fraction(1, len(h))
-        return Measure(space, tuple(w))
-
-    rows: dict[tuple[int, int], Measure] = {}
-    for ca, cb in product(classes, repeat=2):
-        reference = None
-        for x, y in product(sorted(ca), sorted(cb)):
-            m = entry(x, y)
-            if reference is None:
-                reference = m
-            elif m.weights != reference.weights:
-                raise RepresentativeDependenceError(
-                    f"entry ({labels[ca]}, {labels[cb]}) depends on representatives"
-                )
-        rows[(index_of[ca], index_of[cb])] = reference  # type: ignore[assignment]
-    return _finish(space, rows, name or "coset-space")
+    p = g.product
+    classes = _classes(g.n, lambda x: frozenset(p[x][t] for t in h))
+    return _quotient(
+        g, classes, lambda c: f"{g.labels[min(c)]}H",
+        lambda x, y: [p[p[x][t]][y] for t in h], name or "coset-space",
+    )
 
 
 def double_coset_space(
     g: CayleyTable, subgroup: Iterable[PointRef], name: Optional[str] = None
 ) -> Semihypergroup:
-    """Double coset space G//H; entries average point masses at H(x.t.y)H."""
+    """Double coset space G//H with Haar-averaged convolution.
+
+    Entry (HxH, HyH) is the average over t in H of the point mass at
+    H(x.t.y)H.  Double cosets are listed in first-seen order over G's element
+    order and labeled "H<rep>H" by their earliest-listed member.
+    """
     h = _require_subgroup(g, subgroup)
-
-    def dcoset_of(x: int) -> frozenset[int]:
-        return frozenset(g.product[g.product[s][x]][t] for s in h for t in h)
-
-    classes: list[frozenset[int]] = []
-    for x in range(g.n):
-        c = dcoset_of(x)
-        if c not in classes:
-            classes.append(c)
-    labels = {c: f"H{g.labels[min(c)]}H" for c in classes}
-    space, index_of = _partition_space(g, classes, labels)
-
-    def entry(x: int, y: int) -> Measure:
-        w = [Fraction(0)] * space.n
-        for t in h:
-            w[index_of[dcoset_of(g.product[g.product[x][t]][y])]] += Fraction(1, len(h))
-        return Measure(space, tuple(w))
-
-    rows: dict[tuple[int, int], Measure] = {}
-    for ca, cb in product(classes, repeat=2):
-        reference = None
-        for x, y in product(sorted(ca), sorted(cb)):
-            m = entry(x, y)
-            if reference is None:
-                reference = m
-            elif m.weights != reference.weights:
-                raise RepresentativeDependenceError(
-                    f"entry ({labels[ca]}, {labels[cb]}) depends on representatives"
-                )
-        rows[(index_of[ca], index_of[cb])] = reference  # type: ignore[assignment]
-    return _finish(space, rows, name or "double-coset-space")
+    p = g.product
+    classes = _classes(g.n, lambda x: frozenset(p[p[s][x]][t] for s in h for t in h))
+    return _quotient(
+        g, classes, lambda c: f"H{g.labels[min(c)]}H",
+        lambda x, y: [p[p[x][t]][y] for t in h], name or "double-coset-space",
+    )
 
 
 def orbit_space(action: GroupAction, name: Optional[str] = None) -> Semihypergroup:
     """Orbit space of a group action on a group, with double-averaged products.
 
     Entry (x^H, y^H) averages the point mass at (act(s,x).act(t,y))^H over all
-    s, t in H.  Orbits are labeled by the sorted list of member labels, e.g.
+    s, t in H.  Orbits are listed in first-seen order over the carrier's
+    element order and labeled by the sorted list of member labels, e.g.
     "{1,3}".  Associativity genuinely can fail when the action is not by
     automorphisms; the failure is reported with its witness triple.
     """
     g = action.carrier
     if not g.is_group():
         raise InvalidActionError("orbit construction needs a group as carrier")
-    nh = action.group.n
-
-    orbits: list[frozenset[int]] = []
-    for x in range(g.n):
-        o = action.orbit(x)
-        if o not in orbits:
-            orbits.append(o)
-    labels = {
-        o: "{" + ",".join(sorted(g.labels[i] for i in o)) + "}" for o in orbits
-    }
-    space, index_of = _partition_space(g, orbits, labels)
-
-    def entry(x: int, y: int) -> Measure:
-        w = [Fraction(0)] * space.n
-        for s in range(nh):
-            for t in range(nh):
-                z = g.product[action.act[s][x]][action.act[t][y]]
-                w[index_of[action.orbit(z)]] += Fraction(1, nh * nh)
-        return Measure(space, tuple(w))
-
-    rows: dict[tuple[int, int], Measure] = {}
-    for oa, ob in product(orbits, repeat=2):
-        reference = None
-        for x, y in product(sorted(oa), sorted(ob)):
-            m = entry(x, y)
-            if reference is None:
-                reference = m
-            elif m.weights != reference.weights:
-                raise RepresentativeDependenceError(
-                    f"entry ({labels[oa]}, {labels[ob]}) depends on representatives"
-                )
-        rows[(index_of[oa], index_of[ob])] = reference  # type: ignore[assignment]
-    return _finish(space, rows, name or "orbit-space")
+    p, act = g.product, action.act
+    return _quotient(
+        g, _classes(g.n, action.orbit),
+        lambda c: "{" + ",".join(sorted(g.labels[i] for i in c)) + "}",
+        lambda x, y: [p[r[x]][q[y]] for r in act for q in act],
+        name or "orbit-space",
+    )
 
 
 # ---------------------------------------------------------------------------

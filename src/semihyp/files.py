@@ -185,6 +185,10 @@ def parse_group(text: str) -> CayleyTable:
     table = doc["table"]
     if not isinstance(labels, list) or any(not isinstance(l, str) for l in labels):
         raise FileFormatError("labels must be a list of strings")
+    bad = [l for l in labels if "|" in l]
+    if bad:
+        # structure files key the convolution by "x|y"
+        raise FileFormatError(f"group label {bad[0]!r} contains '|'")
     if not isinstance(table, list) or any(not isinstance(row, list) for row in table):
         raise FileFormatError("table must be a list of index rows")
     n = len(labels)

@@ -200,3 +200,93 @@ def oracle_feasible(rows, rhs, n: int) -> bool:
         ):
             return True
     return False
+
+
+def oracle_quotient(n: int, class_of, samples):
+    """Brute-force quotient of points 0..n-1 by the classes class_of(x).
+
+    Classes are frozensets listed in first-seen order.  Entry (a, b) sums
+    Fraction(1, |samples|) at the class of each z in samples(x, y), for every
+    representative pair (x, y) of classes a and b.  Returns (classes, table)
+    in the `table_of` layout, or None when some entry depends on the
+    representatives.
+    """
+    classes: list[frozenset] = []
+    for x in range(n):
+        c = frozenset(class_of(x))
+        if c not in classes:
+            classes.append(c)
+    table: Table = {}
+    for a, ca in enumerate(classes):
+        for b, cb in enumerate(classes):
+            seen = set()
+            for x in ca:
+                for y in cb:
+                    zs = list(samples(x, y))
+                    w = [Fraction(0)] * len(classes)
+                    for z in zs:
+                        w[next(k for k, c in enumerate(classes) if z in c)] += Fraction(
+                            1, len(zs)
+                        )
+                    seen.add(tuple(w))
+            if len(seen) != 1:
+                return None
+            table[(a, b)] = seen.pop()
+    return classes, table
+
+
+def oracle_coset_space(prod, h):
+    """Left cosets xH; entry (xH, yH) averages (x.t.y)H over t in H."""
+    return oracle_quotient(
+        len(prod),
+        lambda x: {prod[x][t] for t in h},
+        lambda x, y: [prod[prod[x][t]][y] for t in h],
+    )
+
+
+def oracle_double_coset_space(prod, h):
+    """Double cosets HxH; entry (HxH, HyH) averages H(x.t.y)H over t in H."""
+    return oracle_quotient(
+        len(prod),
+        lambda x: {prod[prod[s][x]][t] for s in h for t in h},
+        lambda x, y: [prod[prod[x][t]][y] for t in h],
+    )
+
+
+def oracle_orbit_space(prod, act):
+    """Orbits of act; entry averages the orbit of act[s][x].act[t][y]."""
+    return oracle_quotient(
+        len(prod),
+        lambda x: {row[x] for row in act},
+        lambda x, y: [prod[r[x]][q[y]] for r in act for q in act],
+    )
+
+
+def oracle_subgroups(prod, e: int):
+    """Every subgroup of a finite group, as sorted index tuples.
+
+    Starts from {e} and closes each found subgroup plus one more element
+    until nothing new appears.  Every subgroup K is reached: adding its
+    elements one at a time gives a chain of closures inside K ending at K.
+    """
+    def close(gens):
+        h = {e} | set(gens)
+        while True:
+            more = h | {prod[a][b] for a in h for b in h}
+            if more == h:
+                return frozenset(h)
+            h = more
+
+    found = {close(())}
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for x in range(len(prod)):
+                if x not in h:
+                    k = close(h | {x})
+                    if k not in found:
+                        found.add(k)
+                        nxt.append(k)
+        frontier = nxt
+    return sorted(tuple(sorted(h)) for h in found)

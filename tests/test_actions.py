@@ -33,7 +33,13 @@ from semihyp.actions import (
     operator_seminorm,
     uniform_seminorms,
 )
-from semihyp.algebra import PreconditionError
+from semihyp.algebra import (
+    ConvolutionTable,
+    Measure,
+    PointSpace,
+    PreconditionError,
+    Semihypergroup,
+)
 from semihyp.amenability import (
     find_left_invariant_mean,
     verify_left_invariant_mean,
@@ -90,6 +96,17 @@ def test_canonical_action_axiom_passes(corpus):
         action = canonical_means_action(shg)
         assert action.axiom_report.passed, name
         assert action.invariance_report.passed, name
+        assert dual_action(shg).action_report.passed, name
+
+
+def test_canonical_action_requires_probability_rows():
+    # p*p = 2p is associative ((p*p)*p = 4p = p*(p*p)) but not a probability
+    space = PointSpace(("p",))
+    table = ConvolutionTable(space, ((Measure(space, (F(2),)),),))
+    doubled = Semihypergroup(space=space, table=table, name="doubled")
+    assert doubled.is_associative
+    with pytest.raises(PreconditionError, match="probability"):
+        canonical_means_action(doubled)
 
 
 def test_constant_action_passes_without_identity(lz2):

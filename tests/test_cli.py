@@ -124,3 +124,54 @@ def test_construct_write_failure_exit_2(tmp_path, capsys):
 
 def test_help_exits_zero():
     assert cli.main(["--help"]) == 0
+
+
+@pytest.mark.parametrize(
+    "tol, max_iter",
+    [
+        ("0", "10"),
+        ("-0.5", "10"),
+        ("nan", "10"),
+        ("inf", "10"),
+        ("1e-9", "0"),
+        ("1e-9", "-5"),
+        ("abc", "10"),
+        ("1e-9", "1.5"),
+    ],
+)
+def test_fixpoint_iterate_out_of_range_exit_2(tol, max_iter, capsys):
+    code = cli.main(
+        [
+            "fixpoint",
+            str(FIXTURES / "z2.json"),
+            str(FIXTURES / "z2-canonical-action.json"),
+            "--iterate",
+            tol,
+            max_iter,
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+def test_group_label_with_pipe_exit_2(tmp_path, capsys):
+    # structure files key the convolution by "x|y", so such a label could
+    # be written but never read back
+    group = tmp_path / "g.json"
+    group.write_text(json.dumps({"labels": ["e", "a|b"], "table": [[0, 1], [1, 0]]}))
+    out = tmp_path / "out.json"
+    code = cli.main(["construct", "semigroup", "--group", str(group), "--out", str(out)])
+    assert code == 2
+    assert "'|'" in capsys.readouterr().err
+    assert not out.exists()
+
+    doc = json.loads((FIXTURES / "z3-inversion.json").read_text())
+    doc["carrier"]["labels"][1] = "1|"
+    action = tmp_path / "act.json"
+    action.write_text(json.dumps(doc))
+    code = cli.main(["construct", "orbit", "--action", str(action), "--out", str(out)])
+    assert code == 2
+    assert "'|'" in capsys.readouterr().err
+    assert not out.exists()

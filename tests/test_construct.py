@@ -15,6 +15,9 @@ from semihyp.construct import (
     InvalidActionError,
     NotAssociativeError,
     NotASubgroupError,
+    RepresentativeDependenceError,
+    _classes,
+    _quotient,
     coset_space,
     cyclic_group,
     double_coset_space,
@@ -27,7 +30,14 @@ from semihyp.construct import (
 )
 
 from conftest import random_triple_params
-from oracles import oracle_associativity_witness, table_of
+from oracles import (
+    oracle_associativity_witness,
+    oracle_coset_space,
+    oracle_double_coset_space,
+    oracle_orbit_space,
+    oracle_subgroups,
+    table_of,
+)
 
 F = Fraction
 
@@ -358,3 +368,57 @@ def test_every_constructor_output_verified(corpus):
     for name, shg in corpus:
         assert shg.probability_report.passed, name
         assert shg.associativity_report.passed, name
+
+
+# ---------------------------------------------------------------------------
+# the shared quotient builder against the brute-force referee
+
+
+def _assert_matches_oracle(shg, oracle, label):
+    assert oracle is not None
+    classes, table = oracle
+    assert shg.space.labels == tuple(label(c) for c in classes)
+    assert table_of(shg) == (table, len(classes))
+
+
+def test_coset_spaces_of_s4_match_oracle():
+    s4 = symmetric_group(4)
+    subgroups = oracle_subgroups(s4.product, s4.identity())
+    assert len(subgroups) == 30
+    rep = lambda c: s4.labels[min(c)]
+    for h in (h for h in subgroups if len(h) > 1):
+        members = [s4.labels[i] for i in h]
+        _assert_matches_oracle(
+            coset_space(s4, members), oracle_coset_space(s4.product, h),
+            lambda c: f"{rep(c)}H",
+        )
+        _assert_matches_oracle(
+            double_coset_space(s4, members), oracle_double_coset_space(s4.product, h),
+            lambda c: f"H{rep(c)}H",
+        )
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_orbit_space_inversion_matches_oracle(n):
+    action = inversion_action(cyclic_group(n))
+    g = action.carrier
+    _assert_matches_oracle(
+        orbit_space(action), oracle_orbit_space(g.product, action.act),
+        lambda c: "{" + ",".join(sorted(g.labels[i] for i in c)) + "}",
+    )
+
+
+def test_quotient_rejects_representative_dependent_rule(s3_group):
+    # xH -> (x.y)H is not well defined for the non-normal H = {e, (12)}
+    p = s3_group.product
+    h = [s3_group.index("e"), s3_group.index("(12)")]
+    classes = _classes(s3_group.n, lambda x: frozenset(p[x][t] for t in h))
+    with pytest.raises(RepresentativeDependenceError, match="depends on representatives"):
+        _quotient(s3_group, classes, lambda c: str(min(c)), lambda x, y: [p[x][y]], "bad")
+
+
+def test_from_semigroup_checks_the_integer_table_only(s3_group):
+    # associativity of the convolution is left to be computed on demand
+    shg = from_semigroup(s3_group)
+    assert "associativity_report" not in vars(shg)
+    assert shg.associativity_report.passed
