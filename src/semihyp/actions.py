@@ -516,7 +516,6 @@ def common_fixed_point_solution(
     solution = solve_lp_feasibility(common_fixed_point_problem(action))
     if not solution.feasible:
         return solution, None
-    assert solution.witness is not None
     if isinstance(action.carrier, Simplex):
         return solution, solution.witness
     vertices = action.carrier.points
@@ -754,7 +753,6 @@ def mean_via_dual_action(
     solution = solve_lp_feasibility(problem)
     if not solution.feasible:
         return None
-    assert solution.witness is not None
     beta = solution.witness[:k]
     result = list(base_mean)
     for l in range(k):

@@ -161,8 +161,9 @@ class GroupAction:
         object.__setattr__(
             self, "act", tuple(tuple(int(v) for v in row) for row in self.act)
         )
-        if not self.group.is_group():
-            raise InvalidActionError("acting table is not a group")
+        for role, table in (("acting", self.group), ("carrier", self.carrier)):
+            if not table.is_group():
+                raise InvalidActionError(f"{role} table is not a group")
         nh, ng = self.group.n, self.carrier.n
         if len(self.act) != nh or any(len(row) != ng for row in self.act):
             raise InvalidActionError("action table must be |H|-by-|G|")
@@ -171,8 +172,7 @@ class GroupAction:
                 if not 0 <= v < ng:
                     raise InvalidActionError(f"action image {v} is not a carrier point")
         e = self.group.identity()
-        assert e is not None
-        if self.act[e] != tuple(range(ng)):
+        if e is None or self.act[e] != tuple(range(ng)):
             raise InvalidActionError("group identity must act as the identity map")
         for h1 in range(nh):
             for h2 in range(nh):
@@ -396,8 +396,6 @@ def orbit_space(action: GroupAction, name: Optional[str] = None) -> Semihypergro
     automorphisms; the failure is reported with its witness triple.
     """
     g = action.carrier
-    if not g.is_group():
-        raise InvalidActionError("orbit construction needs a group as carrier")
     p, act = g.product, action.act
     return _quotient(
         g, _classes(g.n, action.orbit),

@@ -185,10 +185,11 @@ def parse_group(text: str) -> CayleyTable:
     table = doc["table"]
     if not isinstance(labels, list) or any(not isinstance(l, str) for l in labels):
         raise FileFormatError("labels must be a list of strings")
-    bad = [l for l in labels if "|" in l]
+    bad = [(l, c) for l in labels for c in "|," if c in l]
     if bad:
-        # structure files key the convolution by "x|y"
-        raise FileFormatError(f"group label {bad[0]!r} contains '|'")
+        # structure files key the convolution by "x|y"; orbit labels and
+        # --subgroup lists join group labels with ","
+        raise FileFormatError(f"group label {bad[0][0]!r} contains {bad[0][1]!r}")
     if not isinstance(table, list) or any(not isinstance(row, list) for row in table):
         raise FileFormatError("table must be a list of index rows")
     n = len(labels)
@@ -200,14 +201,6 @@ def parse_group(text: str) -> CayleyTable:
         return CayleyTable(labels=tuple(labels), product=tuple(map(tuple, table)))
     except ValueError as exc:
         raise FileFormatError(str(exc)) from None
-
-
-def group_to_document(table: CayleyTable) -> dict:
-    return {"labels": list(table.labels), "table": [list(r) for r in table.product]}
-
-
-def canonical_group_json(table: CayleyTable) -> str:
-    return json.dumps(group_to_document(table), indent=2, sort_keys=True) + "\n"
 
 
 def parse_group_action(text: str) -> GroupAction:

@@ -61,13 +61,17 @@ class LPSolution:
     `witness` satisfies the constraints exactly when status is "feasible";
     `certificate` is a Farkas vector over the original rows when status is
     "infeasible".  Both are re-verified against the input before this object
-    is built.
+    is built, and construction fails if the status's evidence is missing.
     """
 
     status: str
     witness: Optional[Row] = None
     certificate: Optional[Row] = None
     pivots: int = 0
+
+    def __post_init__(self) -> None:
+        if (self.witness if self.feasible else self.certificate) is None:
+            raise ValueError(f"{self.status} LP solution without its evidence")
 
     @property
     def feasible(self) -> bool:
@@ -76,7 +80,7 @@ class LPSolution:
 
 def _verify_witness(problem: LPProblem, x: Sequence[Fraction]) -> None:
     for row, b in zip(problem.matrix, problem.rhs):
-        if sum((a * v for a, v in zip(row, x)), Fraction(0)) != b:
+        if sum((a * v for a, v in zip(row, x) if a), Fraction(0)) != b:
             raise AssertionError("witness does not satisfy an equality row")
     for v, flag in zip(x, problem.nonneg):
         if flag and v < 0:
@@ -86,8 +90,9 @@ def _verify_witness(problem: LPProblem, x: Sequence[Fraction]) -> None:
 def _verify_certificate(problem: LPProblem, y: Sequence[Fraction]) -> None:
     if sum((yi * b for yi, b in zip(y, problem.rhs)), Fraction(0)) <= 0:
         raise AssertionError("certificate does not separate the right-hand side")
+    used = [(yi, row) for yi, row in zip(y, problem.matrix) if yi]
     for j in range(problem.n_vars):
-        g = sum((y[i] * problem.matrix[i][j] for i in range(problem.n_rows)), Fraction(0))
+        g = sum((yi * row[j] for yi, row in used), Fraction(0))
         if problem.nonneg[j]:
             if g > 0:
                 raise AssertionError("certificate fails on a nonnegative column")
@@ -96,52 +101,62 @@ def _verify_certificate(problem: LPProblem, y: Sequence[Fraction]) -> None:
 
 
 def _row_reduce(problem: LPProblem):
-    """Incremental reduction of [A | b] with per-row combination tracking.
+    """Incremental reduction of [A | b] with sparse combination tracking.
 
     Returns either ("infeasible", certificate) when a row reduces to
     0 = nonzero, or ("reduced", rows, rhs, combos, pivot_cols) with the
-    surviving independent rows; combos[i] expresses reduced row i as a
-    combination of original rows.
+    surviving independent rows; combos[i] maps original row indices to the
+    coefficients expressing reduced row i.  A combination involves only kept
+    rows and the row being reduced (<= rank + 1 entries), so the pass costs
+    O(m * rank * (n + rank)) rather than O(m^2 * rank) for dense length-m
+    combinations; only an outgoing certificate is expanded to length m.
     """
-    m, n = problem.n_rows, problem.n_vars
+    n = problem.n_vars
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
-    combos: list[list[Fraction]] = []
+    combos: list[dict[int, Fraction]] = []
     pivot_cols: list[int] = []
 
-    for i in range(m):
-        v = list(problem.matrix[i])
-        r = problem.rhs[i]
-        combo = [Fraction(0)] * m
-        combo[i] = Fraction(1)
+    for i, (v, r) in enumerate(zip(problem.matrix, problem.rhs)):
+        combo = {i: Fraction(1)}
         for k, pc in enumerate(pivot_cols):
             f = v[pc]
             if f != 0:
-                v = [a - f * bk for a, bk in zip(v, rows[k])]
+                v = [a - f * bk if bk else a for a, bk in zip(v, rows[k])]
                 r -= f * rhs[k]
-                combo = [a - f * bk for a, bk in zip(combo, combos[k])]
+                for j, c in combos[k].items():
+                    combo[j] = combo.get(j, 0) - f * c
         pc = next((j for j in range(n) if v[j] != 0), None)
         if pc is None:
             if r != 0:
-                y = combo if r > 0 else [-c for c in combo]
-                return ("infeasible", tuple(y))
+                return ("infeasible", _dense(problem, [(1 if r > 0 else -1, combo)]))
             continue  # redundant row
         inv = v[pc]
         v = [a / inv for a in v]
         r = r / inv
-        combo = [a / inv for a in combo]
+        combo = {j: c / inv for j, c in combo.items()}
         # keep earlier rows reduced as well (full reduced echelon form)
         for k in range(len(rows)):
             f = rows[k][pc]
             if f != 0:
-                rows[k] = [a - f * bk for a, bk in zip(rows[k], v)]
+                rows[k] = [a - f * bk if bk else a for a, bk in zip(rows[k], v)]
                 rhs[k] -= f * r
-                combos[k] = [a - f * bk for a, bk in zip(combos[k], combo)]
+                for j, c in combo.items():
+                    combos[k][j] = combos[k].get(j, 0) - f * c
         rows.append(v)
         rhs.append(r)
         combos.append(combo)
         pivot_cols.append(pc)
     return ("reduced", rows, rhs, combos, pivot_cols)
+
+
+def _dense(problem: LPProblem, terms) -> Row:
+    # sum of coef * combo over (coef, combo) terms, as a length-m row vector
+    out = [Fraction(0)] * problem.n_rows
+    for coef, combo in terms:
+        for j, c in combo.items():
+            out[j] += coef * c
+    return tuple(out)
 
 
 def solve_lp_feasibility(problem: LPProblem) -> LPSolution:
@@ -168,7 +183,7 @@ def solve_lp_feasibility(problem: LPProblem) -> LPSolution:
         if rhs[i] < 0:
             rows[i] = [-a for a in rows[i]]
             rhs[i] = -rhs[i]
-            combos[i] = [-a for a in combos[i]]
+            combos[i] = {j: -a for j, a in combos[i].items()}
 
     if k == 0:
         witness = tuple(Fraction(0) for _ in range(n))
@@ -209,10 +224,8 @@ def solve_lp_feasibility(problem: LPProblem) -> LPSolution:
 
     objective = -cost[-1]
     if objective > 0:
-        y_reduced = [Fraction(1) - cost[ns + i] for i in range(k)]
-        certificate = tuple(
-            sum((y_reduced[i] * combos[i][r] for i in range(k)), Fraction(0))
-            for r in range(problem.n_rows)
+        certificate = _dense(
+            problem, [(Fraction(1) - cost[ns + i], combos[i]) for i in range(k)]
         )
         _verify_certificate(problem, certificate)
         return LPSolution(status="infeasible", certificate=certificate, pivots=pivots)
@@ -221,7 +234,8 @@ def solve_lp_feasibility(problem: LPProblem) -> LPSolution:
     for i in range(k):
         if basis[i] >= ns:
             enter = next((c for c in range(ns) if tableau[i][c] != 0), None)
-            assert enter is not None, "reduced rows should be independent"
+            if enter is None:
+                raise AssertionError("reduced rows should be independent")
             _pivot(tableau, cost, basis, i, enter)
             pivots += 1
 

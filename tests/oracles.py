@@ -57,6 +57,25 @@ def oracle_associativity_witness(table: Table, n: int):
     return None
 
 
+def oracle_left_invariance_failure(table: Table, n: int, mean: Weights):
+    """First (s, p, m(L_s 1_p), m(1_p)) where the two differ, or None.
+
+    Translates each indicator 1_p by (L_s f)(y) = sum_z (p_s p_y)(z) f(z)
+    and integrates both sides against the candidate mean.
+    """
+    for s, p in product(range(n), repeat=2):
+        f = oracle_point(p, n)
+        translated = [
+            sum((table[(s, y)][z] * f[z] for z in range(n)), Fraction(0))
+            for y in range(n)
+        ]
+        lhs = sum((mean[y] * translated[y] for y in range(n)), Fraction(0))
+        rhs = sum((mean[y] * f[y] for y in range(n)), Fraction(0))
+        if lhs != rhs:
+            return (s, p, lhs, rhs)
+    return None
+
+
 def oracle_gauss_solve(rows, rhs):
     """Unique-solution Gaussian solve; None if inconsistent or undetermined."""
     a = [list(r) for r in rows]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semihyp.algebra import (
+    ConvolutionTable,
     DimensionMismatch,
     Measure,
     PointSpace,
+    Semihypergroup,
     UnknownLabel,
     check_associativity,
     check_commutative,
@@ -26,7 +29,12 @@ from semihyp.algebra import (
 from semihyp.construct import from_semigroup, left_zero_semigroup
 
 from conftest import make_t3
-from oracles import oracle_associativity_witness, oracle_convolve, table_of
+from oracles import (
+    oracle_associativity_witness,
+    oracle_convolve,
+    oracle_point,
+    table_of,
+)
 
 F = Fraction
 T3 = make_t3()  # immutable, safe to share across hypothesis examples
@@ -185,6 +193,74 @@ def test_check_associativity_fails_on_corrupted(t3_corrupted):
     )
     assert lhs == report.witness["lhs"]
     assert oracle_associativity_witness(table, n) is not None
+
+
+SIGNED = st.sampled_from([F(0), F(0), F(1), F(-1), F(1, 2), F(-1, 2), F(2)])
+ASSOCIATIVE_RULES = {
+    "cyclic": lambda n, x, y: (x + y) % n,
+    "left-zero": lambda n, x, y: x,
+    "right-zero": lambda n, x, y: y,
+    "constant": lambda n, x, y: 0,
+}
+
+
+@st.composite
+def signed_tables(draw):
+    """A 2-4 point table: an associative point-mass table with a random
+    share of its entries replaced by signed weight vectors.
+
+    The share runs from none (the scan passes) to all; the signed weights
+    make sums on either side of the law cancel to exact zeros.
+    """
+    n = draw(st.integers(2, 4))
+    rule = ASSOCIATIVE_RULES[draw(st.sampled_from(sorted(ASSOCIATIVE_RULES)))]
+    share = draw(st.integers(0, 4))
+    table = {}
+    for x, y in itertools.product(range(n), repeat=2):
+        if draw(st.integers(1, 4)) <= share:
+            table[(x, y)] = tuple(draw(st.lists(SIGNED, min_size=n, max_size=n)))
+        else:
+            table[(x, y)] = oracle_point(rule(n, x, y), n)
+    return n, table
+
+
+def structure_of(n: int, table) -> Semihypergroup:
+    space = PointSpace(tuple(str(i) for i in range(n)))
+    entries = tuple(
+        tuple(Measure(space, table[(x, y)]) for y in range(n)) for x in range(n)
+    )
+    return Semihypergroup(space=space, table=ConvolutionTable(space, entries))
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_tables())
+def test_associativity_matches_oracle_on_signed_tables(drawn):
+    n, table = drawn
+    report = check_associativity(structure_of(n, table))
+    expected = oracle_associativity_witness(table, n)
+    assert report.passed == (expected is None)
+    if expected is not None:
+        x, y, z, lhs, rhs = expected
+        assert report.witness == {
+            "triple": (str(x), str(y), str(z)),
+            "lhs": lhs,
+            "rhs": rhs,
+        }
+
+
+def test_associativity_compares_after_cancellation():
+    # an associative signed table: (p_0*p_0)*p_1 = p_1*p_1 = -p_0, while
+    # p_0*(p_0*p_1) = -p_0*p_0 + p_0*p_1 = -p_1 + (-p_0 + p_1) sums weights
+    # that cancel exactly at point 1
+    n = 2
+    table = {
+        (0, 0): (F(0), F(1)),
+        (0, 1): (F(-1), F(1)),
+        (1, 0): (F(-1), F(1)),
+        (1, 1): (F(-1), F(0)),
+    }
+    assert oracle_associativity_witness(table, n) is None
+    assert check_associativity(structure_of(n, table)).passed
 
 
 def test_check_probability_pass(corpus):

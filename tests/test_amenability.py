@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semihyp.algebra import PreconditionError
 from semihyp.amenability import (
@@ -18,16 +20,36 @@ from semihyp.amenability import (
     verify_right_invariant_mean,
 )
 from semihyp.construct import (
+    coset_space,
     cyclic_group,
     from_semigroup,
+    inversion_action,
+    left_zero_semigroup,
+    orbit_space,
     symmetric_group,
     triple_hypergroup,
 )
 
-from conftest import random_triple_params
-from oracles import oracle_gauss_solve, oracle_lim_feasible, table_of
+from conftest import make_t3, random_triple_params, right_zero_semigroup
+from oracles import (
+    oracle_gauss_solve,
+    oracle_left_invariance_failure,
+    oracle_lim_feasible,
+    table_of,
+)
 
 F = Fraction
+
+
+# built once: hypothesis examples share these immutable structures
+MEAN_STRUCTURES = [
+    make_t3(),
+    from_semigroup(cyclic_group(3)),
+    from_semigroup(left_zero_semigroup(3)),
+    from_semigroup(right_zero_semigroup(3)),
+    coset_space(symmetric_group(3), ["e", "(12)"]),
+    orbit_space(inversion_action(cyclic_group(5))),
+] + [triple_hypergroup(*tup) for tup in random_triple_params(3, seed=77)]
 
 
 @pytest.fixture(scope="module")
@@ -156,3 +178,39 @@ def test_s4_scale(s4_structure):
     assert m is not None
     assert m.weights == (F(1, 24),) * 24
     assert verify_left_invariant_mean(m, s4_structure).passed
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_verify_mean_matches_oracle(data):
+    shg = data.draw(st.sampled_from(MEAN_STRUCTURES))
+    raw = data.draw(st.lists(st.integers(0, 3), min_size=shg.n, max_size=shg.n))
+    if not any(raw):
+        raw[0] = 1
+    weights = tuple(F(v, sum(raw)) for v in raw)
+    table, n = table_of(shg)
+    transposed = {(t, x): w for (x, t), w in table.items()}
+    for verify, tab in (
+        (verify_left_invariant_mean, table),
+        (verify_right_invariant_mean, transposed),
+    ):
+        report = verify(weights, shg)
+        expected = oracle_left_invariance_failure(tab, n, weights)
+        assert report.passed == (expected is None)
+        if expected is not None:
+            s, p, lhs, rhs = expected
+            assert report.witness == {
+                "point": shg.space.label(s),
+                "indicator": shg.space.label(p),
+                "lhs": lhs,
+                "rhs": rhs,
+            }
+
+
+def test_verify_right_mean_failure_report():
+    # on a right-zero semigroup R_t 1_p is the constant 1_p(t)
+    rz2 = from_semigroup(right_zero_semigroup(2), name="rz2")
+    report = verify_right_invariant_mean((F(1), F(0)), rz2)
+    assert not report.passed
+    assert report.detail == "m(R_b 1_a) = 0 but m(1_a) = 1"
+    assert report.witness == {"point": "b", "indicator": "a", "lhs": 0, "rhs": 1}

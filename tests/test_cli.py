@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import semihyp.cli as cli
+from semihyp.construct import from_semigroup, left_zero_semigroup
+from semihyp.files import canonical_structure_json
 from cli_cases import CASES, FIXTURES, GOLDEN, CliCase, normalize, run_case
 
 
@@ -175,3 +182,76 @@ def test_group_label_with_pipe_exit_2(tmp_path, capsys):
     assert code == 2
     assert "'|'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_group_label_with_comma_exit_2(tmp_path, capsys):
+    # Z4 under inversion with a carrier labelled e, a, "a,b", b would give
+    # the orbits {a, b} and {a,b} the same label "{a,b}"
+    doc = {
+        "acting": {"labels": ["1", "-1"], "table": [[0, 1], [1, 0]]},
+        "carrier": {
+            "labels": ["e", "a", "a,b", "b"],
+            "table": [[(i + j) % 4 for j in range(4)] for i in range(4)],
+        },
+        "act": [[0, 1, 2, 3], [0, 3, 2, 1]],
+    }
+    action = tmp_path / "act.json"
+    action.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    code = cli.main(["construct", "orbit", "--action", str(action), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert "','" in captured.err
+    assert not out.exists()
+
+    group = tmp_path / "g.json"
+    group.write_text(json.dumps(doc["carrier"]))
+    code = cli.main(
+        ["construct", "coset", "--group", str(group), "--subgroup", "e,b", "--out", str(out)]
+    )
+    assert code == 2
+    assert "','" in capsys.readouterr().err
+
+
+def test_orbit_on_non_group_carrier_exit_2(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "z3-inversion.json").read_text())
+    doc["carrier"] = {"labels": ["0", "1"], "table": [[0, 0], [1, 1]]}  # left zero
+    doc["act"] = [[0, 1], [0, 1]]
+    action = tmp_path / "act.json"
+    action.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    code = cli.main(["construct", "orbit", "--action", str(action), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: carrier table is not a group\n"
+    assert not out.exists()
+
+
+def test_lim_certificate_left_zero_6(tmp_path, capsys):
+    # pinned before the Farkas combinations were made sparse
+    target = tmp_path / "lz6.json"
+    target.write_text(canonical_structure_json(from_semigroup(left_zero_semigroup(6))))
+    assert cli.main(["lim", str(target), "--json"]) == 1
+    direct = json.loads(capsys.readouterr().out)["direct"]
+    assert direct == {
+        "exists": False,
+        "certificate": "-1, 0, 0, 0, 0, 0, 1" + ", 0" * 29 + ", 1",
+    }
+
+
+@pytest.mark.parametrize("name", ["lim-lz2", "check-corrupted"])
+def test_golden_output_under_python_O(name, tmp_path):
+    # python -O strips assert statements, so no verdict may rely on one
+    case = next(c for c in CASES if c.name == name)
+    shutil.copytree(FIXTURES, tmp_path / "fixtures")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "semihyp.cli", *case.argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == case.exit_code, proc.stderr
+    assert normalize(proc.stdout) == (GOLDEN / f"{name}.out").read_text()

@@ -10,6 +10,7 @@ import pytest
 from semihyp.amenability import left_invariance_problem
 from semihyp.linprog import (
     LPProblem,
+    LPSolution,
     solve_linear_system,
     solve_lp_feasibility,
 )
@@ -68,6 +69,24 @@ def test_nonneg_variable_infeasible():
     sol = solve_lp_feasibility(p)
     assert not sol.feasible
     check_certificate(p, sol.certificate)
+
+
+def test_phase1_certificate_pinned():
+    # row 2 is row 0 + row 1 (redundant); the phase-1 certificate combines
+    # the kept rows and was pinned before the combinations were made sparse
+    p = problem(
+        [[1, 1, 0], [1, -1, 2], [2, 0, 2], [0, 1, 1]], [1, 3, 4, -1], [True] * 3
+    )
+    sol = solve_lp_feasibility(p)
+    assert sol.status == "infeasible" and sol.pivots == 2
+    assert sol.certificate == (F(-1, 4), F(1, 4), F(0), F(-1, 2))
+
+
+def test_solution_requires_its_evidence():
+    with pytest.raises(ValueError):
+        LPSolution(status="feasible")
+    with pytest.raises(ValueError):
+        LPSolution(status="infeasible", witness=(F(0),))
 
 
 def test_contradictory_rows_certificate():
