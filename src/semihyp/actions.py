@@ -24,6 +24,8 @@ from .algebra import (
     PointRef,
     PreconditionError,
     Semihypergroup,
+    Support,
+    _combine,
     as_fraction,
     require_associative,
 )
@@ -142,19 +144,37 @@ class AffineMap:
     def dim(self) -> int:
         return len(self.offset)
 
+    @cached_property
+    def sparse_rows(self) -> tuple[Support, ...]:
+        """The nonzero (column, entry) pairs of each matrix row, columns ascending."""
+        return tuple(
+            tuple((j, a) for j, a in enumerate(row) if a) for row in self.matrix
+        )
+
+    @cached_property
+    def _float_rows(self) -> tuple[tuple[tuple[tuple[int, float], ...], float], ...]:
+        return tuple(
+            (tuple((j, float(a)) for j, a in row), float(b))
+            for row, b in zip(self.sparse_rows, self.offset)
+        )
+
     def apply(self, x: Sequence[Fraction]) -> Vector:
         if len(x) != self.dim:
             raise ValueError("point dimension does not match the map")
+        vec = tuple(as_fraction(v) for v in x)
         return tuple(
-            sum((a * as_fraction(v) for a, v in zip(row, x)), Fraction(0)) + b
-            for row, b in zip(self.matrix, self.offset)
+            sum((a * vec[j] for j, a in row), b)
+            for row, b in zip(self.sparse_rows, self.offset)
         )
 
     def apply_float(self, x: Sequence[float]) -> tuple[float, ...]:
-        return tuple(
-            sum(float(a) * v for a, v in zip(row, x)) + float(b)
-            for row, b in zip(self.matrix, self.offset)
-        )
+        """Float image over the nonzero entries, converted once per map.
+
+        Skipping zero coefficients leaves each result bit-identical to the
+        dense sum for finite x: the running sum starts at int 0, so it never
+        becomes -0.0, and adding +-0.0 to it changes nothing.
+        """
+        return tuple(sum(a * x[j] for j, a in row) + b for row, b in self._float_rows)
 
 
 @dataclass(frozen=True)
@@ -211,48 +231,17 @@ class AffineAction:
         return check_invariance(self)
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt)
-        for row in a
+def _products_agree(
+    rows: Sequence[Sequence[Support]], s: int, t: int, weights: Support
+) -> bool:
+    """Whether A_s A_t = sum_z w_z A_z, where rows[s] holds the sparse rows
+    of A_s and weights the nonzero (z, w_z).  Row i of each side is a sum
+    over nonzero entries only, compared with exact zeros removed."""
+    return all(
+        _combine((rows[t][k], a) for k, a in rows[s][i])
+        == _combine((rows[z][i], w) for z, w in weights)
+        for i in range(len(rows[s]))
     )
-
-
-def _mat_vec(a: Matrix, v: Vector) -> Vector:
-    return tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a)
-
-
-def _mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-
-def _mat_combination(
-    weights: Sequence[Fraction], mats: Sequence[Matrix]
-) -> Matrix:
-    d = len(mats[0])
-    out = [[Fraction(0)] * d for _ in range(d)]
-    for w, m in zip(weights, mats):
-        if w == 0:
-            continue
-        for i in range(d):
-            for j in range(d):
-                out[i][j] += w * m[i][j]
-    return tuple(tuple(row) for row in out)
-
-
-def _vec_combination(weights: Sequence[Fraction], vecs: Sequence[Vector]) -> Vector:
-    d = len(vecs[0])
-    out = [Fraction(0)] * d
-    for w, v in zip(weights, vecs):
-        if w == 0:
-            continue
-        for i in range(d):
-            out[i] += w * v[i]
-    return tuple(out)
 
 
 def check_action_axiom(action: AffineAction) -> CheckReport:
@@ -261,41 +250,35 @@ def check_action_axiom(action: AffineAction) -> CheckReport:
     For affine maps the pointwise axiom is equivalent to two exact identities
     per pair (s, t): on the matrices, A_s A_t = sum_z (p_s*p_t)(z) A_z, and on
     the offsets, A_s b_t + b_s = sum_z (p_s*p_t)(z) b_z.  When the structure
-    has an identity e, T_e must additionally be the identity map.
+    has an identity e, T_e must additionally be the identity map.  Both
+    sides run over nonzero matrix entries and nonzero convolution weights
+    only, so a pair costs work in proportion to the supports, not d^3 n.
     """
     shg = action.structure
     require_associative(shg)
-    mats = [m.matrix for m in action.maps]
+    rows = [m.sparse_rows for m in action.maps]
     offs = [m.offset for m in action.maps]
+    d = carrier_dim(action.carrier)
     for s, t in product(range(shg.n), repeat=2):
-        weights = shg.table.entries[s][t].weights
-        lhs_mat = _mat_mul(mats[s], mats[t])
-        rhs_mat = _mat_combination(weights, mats)
-        if lhs_mat != rhs_mat:
-            return CheckReport(
-                check="action-axiom",
-                passed=False,
-                detail=f"matrix identity fails at pair "
-                f"({shg.space.label(s)}, {shg.space.label(t)})",
-                witness={"pair": (shg.space.label(s), shg.space.label(t)),
-                         "part": "matrix"},
-            )
-        lhs_off = tuple(
-            a + b for a, b in zip(_mat_vec(mats[s], offs[t]), offs[s])
+        weights = shg.supports[s][t]
+        if not _products_agree(rows, s, t, weights):
+            part = "matrix"
+        elif action.maps[s].apply(offs[t]) != tuple(
+            sum((w * offs[z][i] for z, w in weights), Fraction(0)) for i in range(d)
+        ):
+            part = "offset"
+        else:
+            continue
+        return CheckReport(
+            check="action-axiom",
+            passed=False,
+            detail=f"{part} identity fails at pair "
+            f"({shg.space.label(s)}, {shg.space.label(t)})",
+            witness={"pair": (shg.space.label(s), shg.space.label(t)),
+                     "part": part},
         )
-        rhs_off = _vec_combination(weights, offs)
-        if lhs_off != rhs_off:
-            return CheckReport(
-                check="action-axiom",
-                passed=False,
-                detail=f"offset identity fails at pair "
-                f"({shg.space.label(s)}, {shg.space.label(t)})",
-                witness={"pair": (shg.space.label(s), shg.space.label(t)),
-                         "part": "offset"},
-            )
     e = shg.identity
     if e is not None:
-        d = carrier_dim(action.carrier)
         if action.maps[e].matrix != identity_map(d).matrix or any(
             v != 0 for v in action.maps[e].offset
         ):
@@ -551,13 +534,21 @@ def canonical_means_action(shg: Semihypergroup) -> AffineAction:
             f"{shg.name}: operation requires probability rows; "
             f"{shg.probability_report.detail}"
         )
+    return AffineAction(
+        structure=shg, carrier=Simplex(shg.n), maps=_translation_transposes(shg)
+    )
+
+
+def _translation_transposes(shg: Semihypergroup) -> tuple[AffineMap, ...]:
+    """The linear maps u -> M_s^T u, where M_s[y][z] = (p_s*p_y)(z) is the
+    left-translation matrix of s."""
     n = shg.n
     maps = []
     for s in range(n):
         rows = [shg.table.entries[s][y].weights for y in range(n)]
         transpose = tuple(tuple(rows[y][z] for y in range(n)) for z in range(n))
         maps.append(AffineMap(matrix=transpose, offset=(Fraction(0),) * n))
-    return AffineAction(structure=shg, carrier=Simplex(n), maps=tuple(maps))
+    return tuple(maps)
 
 
 def induced_function(
@@ -605,13 +596,8 @@ class DualAction:
         )
 
     @cached_property
-    def _transposes(self) -> tuple[Matrix, ...]:
-        n = self.structure.n
-        out = []
-        for s in range(n):
-            rows = [self.structure.table.entries[s][y].weights for y in range(n)]
-            out.append(tuple(tuple(rows[y][z] for y in range(n)) for z in range(n)))
-        return tuple(out)
+    def _transposes(self) -> tuple[AffineMap, ...]:
+        return _translation_transposes(self.structure)
 
     def map(self, s: PointRef, u: Sequence[Fraction]) -> Vector:
         vec = tuple(as_fraction(v) for v in u)
@@ -622,7 +608,7 @@ class DualAction:
         si = self.structure.space.index(s)
         v0 = self.v0
         shifted = tuple(a + b for a, b in zip(vec, v0))
-        image = _mat_vec(self._transposes[si], shifted)
+        image = self._transposes[si].apply(shifted)
         return tuple(a - b for a, b in zip(image, v0))
 
     @cached_property
@@ -631,20 +617,15 @@ class DualAction:
 
         Both sides are affine in u.  Writing D for the difference of their
         linear parts, agreement on the trace-zero subspace means D has equal
-        columns, and agreement of the offsets means D annihilates v0; both
-        are checked as exact matrix identities per pair (s, t).
+        columns, and agreement of the offsets means D annihilates v0.  Equal
+        columns make each row of D constant and the v0 column makes that
+        constant 0, so together they are the exact matrix identity
+        M_s^T M_t^T = sum_z (p_s*p_t)(z) M_z^T, checked per pair (s, t).
         """
         shg = self.structure
-        n = shg.n
-        mats = self._transposes
-        for s, t in product(range(n), repeat=2):
-            weights = shg.table.entries[s][t].weights
-            diff = _mat_sub(_mat_mul(mats[s], mats[t]), _mat_combination(weights, mats))
-            columns_equal = all(
-                diff[i][j] == diff[i][0] for i in range(n) for j in range(1, n)
-            )
-            base_column_zero = all(diff[i][self.base_point] == 0 for i in range(n))
-            if not (columns_equal and base_column_zero):
+        rows = [m.sparse_rows for m in self._transposes]
+        for s, t in product(range(shg.n), repeat=2):
+            if not _products_agree(rows, s, t, shg.supports[s][t]):
                 return CheckReport(
                     check="dual-action-axiom",
                     passed=False,
@@ -793,15 +774,24 @@ def iterate_fixed_point(
     guarantee for general non-expansive families, and a divergence report
     (converged=False with the final residual) is not a proof that the family
     has no common fixed point.  Maps are spot-checked numerically on the
-    carrier vertices rather than verified.
+    carrier vertices rather than verified, and a map of the wrong dimension
+    is a ValueError.  One step costs one evaluation of each map, over the
+    nonzero entries of its matrix (converted to floats once per map); those
+    images give both the residual at x and the next average.  The summation
+    order is fixed, so results are bit-reproducible.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if max_iter < 1:
         raise ValueError("need at least one iteration")
+    if not maps:
+        raise ValueError("need at least one map")
+    d = carrier_dim(carrier)
     applied: list[Callable[[tuple[float, ...]], tuple[float, ...]]] = []
     for m in maps:
         if isinstance(m, AffineMap):
+            if m.dim != d:
+                raise ValueError("map dimension does not match the carrier")
             applied.append(m.apply_float)
         else:
             fn = m
@@ -816,30 +806,26 @@ def iterate_fixed_point(
     _spot_check_maps(applied, carrier)
 
     x = tuple(float(v) for v in carrier_centroid(carrier))
-    d = len(x)
-    residual = _residual(applied, x)
+    images = [fn(x) for fn in applied]
+    residual = _residual(images, x)
     iterations = 0
     while residual > tol and iterations < max_iter:
         averaged = [0.0] * d
-        for wi, fn in zip(w, applied):
-            img = fn(x)
-            for i in range(d):
-                averaged[i] += wi * img[i]
-        x = tuple(0.5 * x[i] + 0.5 * averaged[i] for i in range(d))
+        for wi, img in zip(w, images):
+            averaged = [a + wi * v for a, v in zip(averaged, img)]
+        x = tuple(0.5 * a + 0.5 * b for a, b in zip(x, averaged))
         iterations += 1
-        residual = _residual(applied, x)
+        images = [fn(x) for fn in applied]
+        residual = _residual(images, x)
     return IterationResult(
         converged=residual <= tol, point=x, residual=residual, iterations=iterations
     )
 
 
-def _residual(
-    applied: Sequence[Callable[[tuple[float, ...]], tuple[float, ...]]],
-    x: tuple[float, ...],
-) -> float:
+def _residual(images: Sequence[tuple[float, ...]], x: tuple[float, ...]) -> float:
+    """Worst l-infinity distance from x to its images T_s x."""
     worst = 0.0
-    for fn in applied:
-        img = fn(x)
+    for img in images:
         worst = max(worst, max((abs(a - b) for a, b in zip(img, x)), default=0.0))
     return worst
 
@@ -850,19 +836,18 @@ def _spot_check_maps(
     slack: float = 1e-9,
 ) -> None:
     vertices = [tuple(float(v) for v in p) for p in carrier_vertices(carrier)]
-    if isinstance(carrier, Simplex):
-        for fn in applied:
-            for p in vertices:
-                img = fn(p)
-                if min(img) < -slack or abs(sum(img) - 1.0) > slack:
-                    raise CarrierError("a map leaves the simplex (numeric spot check)")
-        return
-    lo = [min(p[i] for p in vertices) - slack for i in range(len(vertices[0]))]
-    hi = [max(p[i] for p in vertices) + slack for i in range(len(vertices[0]))]
+    d = len(vertices[0])
+    lo = [min(p[i] for p in vertices) - slack for i in range(d)]
+    hi = [max(p[i] for p in vertices) + slack for i in range(d)]
     for fn in applied:
         for p in vertices:
             img = fn(p)
-            if any(v < l or v > h for v, l, h in zip(img, lo, hi)):
+            if len(img) != d:
+                raise ValueError("a map's image does not match the carrier dimension")
+            if isinstance(carrier, Simplex):
+                if min(img) < -slack or abs(sum(img) - 1.0) > slack:
+                    raise CarrierError("a map leaves the simplex (numeric spot check)")
+            elif any(v < l or v > h for v, l, h in zip(img, lo, hi)):
                 raise CarrierError(
                     "a map leaves the hull bounding box (numeric spot check)"
                 )

@@ -76,6 +76,49 @@ def oracle_left_invariance_failure(table: Table, n: int, mean: Weights):
     return None
 
 
+def oracle_action_axiom_failure(table: Table, n: int, mats, offs):
+    """First (s, t, part) where the maps x -> mats[s] x + offs[s] break the
+    action axiom, or None.
+
+    Per pair, part "matrix" compares A_s A_t with sum_z (p_s*p_t)(z) A_z as
+    dense d x d matrices, then part "offset" compares A_s b_t + b_s with
+    sum_z (p_s*p_t)(z) b_z.  After every pair passes, a two-sided identity e
+    (found by scanning the table) must act as the identity map, else
+    (e, None, "identity") is returned.
+    """
+    d = len(offs[0])
+    dims = range(d)
+    for s, t in product(range(n), repeat=2):
+        w = table[(s, t)]
+        lhs = [
+            [sum((mats[s][i][k] * mats[t][k][j] for k in dims), Fraction(0))
+             for j in dims]
+            for i in dims
+        ]
+        rhs = [
+            [sum((w[z] * mats[z][i][j] for z in range(n)), Fraction(0))
+             for j in dims]
+            for i in dims
+        ]
+        if lhs != rhs:
+            return (s, t, "matrix")
+        lhs_off = [
+            sum((mats[s][i][k] * offs[t][k] for k in dims), Fraction(0)) + offs[s][i]
+            for i in dims
+        ]
+        rhs_off = [
+            sum((w[z] * offs[z][i] for z in range(n)), Fraction(0)) for i in dims
+        ]
+        if lhs_off != rhs_off:
+            return (s, t, "offset")
+    for e in range(n):
+        if all(table[(e, x)] == table[(x, e)] == oracle_point(x, n) for x in range(n)):
+            identity = [[1 if i == j else 0 for j in dims] for i in dims]
+            if [list(row) for row in mats[e]] != identity or any(offs[e]):
+                return (e, None, "identity")
+    return None
+
+
 def oracle_gauss_solve(rows, rhs):
     """Unique-solution Gaussian solve; None if inconsistent or undetermined."""
     a = [list(r) for r in rows]

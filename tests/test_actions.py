@@ -7,6 +7,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semihyp.actions import (
     AffineAction,
@@ -41,10 +43,24 @@ from semihyp.algebra import (
     Semihypergroup,
 )
 from semihyp.amenability import (
+    Mean,
     find_left_invariant_mean,
     verify_left_invariant_mean,
 )
+from semihyp.construct import (
+    coset_space,
+    cyclic_group,
+    from_semigroup,
+    inversion_action,
+    left_zero_semigroup,
+    orbit_space,
+    symmetric_group,
+    triple_hypergroup,
+)
 from semihyp.functions import left_translate
+
+from conftest import make_t3, random_triple_params, right_zero_semigroup
+from oracles import oracle_action_axiom_failure, table_of
 
 F = Fraction
 
@@ -163,6 +179,83 @@ def test_action_axiom_closure_pointwise(t3, s3_cosets):
                     for i in range(n)
                 )
                 assert lhs == rhs
+
+
+# built once: hypothesis examples share these immutable associative structures
+AXIOM_STRUCTURES = [
+    make_t3(),
+    from_semigroup(cyclic_group(1)),
+    from_semigroup(cyclic_group(2)),
+    from_semigroup(cyclic_group(4)),
+    from_semigroup(left_zero_semigroup(3)),
+    from_semigroup(left_zero_semigroup(4)),
+    from_semigroup(right_zero_semigroup(2)),
+    coset_space(symmetric_group(3), ["e", "(12)"]),
+    orbit_space(inversion_action(cyclic_group(4))),
+] + [triple_hypergroup(*tup) for tup in random_triple_params(2, seed=5)]
+ENTRIES = st.sampled_from([F(0), F(0), F(0), F(1), F(-1), F(1, 2), F(-1, 3), F(2)])
+
+
+@st.composite
+def structure_maps(draw):
+    """An associative structure of 1-4 points with one affine map per point.
+
+    Either its canonical maps with up to two entries (matrix or offset)
+    perturbed, or maps of dimension 1-3 whose matrices are each zero, the
+    identity or random, with random offsets.  Zero and identity matrices
+    let the matrix identity pass, so offset and identity failures occur.
+    """
+    shg = draw(st.sampled_from(AXIOM_STRUCTURES))
+    n = shg.n
+    if draw(st.booleans()):
+        d = n
+        maps = canonical_means_action(shg).maps
+        mats = [[list(row) for row in m.matrix] for m in maps]
+        offs = [[F(0)] * d for _ in range(n)]
+        for _ in range(draw(st.integers(0, 2))):
+            s, i, j = (draw(st.integers(0, k - 1)) for k in (n, d, d + 1))
+            delta = draw(ENTRIES.filter(bool))
+            if j == d:
+                offs[s][i] += delta
+            else:
+                mats[s][i][j] += delta
+        return shg, mats, offs
+    d = draw(st.integers(1, 3))
+    mats = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["zero", "identity", "random"]))
+        mats.append([
+            [
+                draw(ENTRIES) if kind == "random"
+                else F(1 if kind == "identity" and i == j else 0)
+                for j in range(d)
+            ]
+            for i in range(d)
+        ])
+    offs = [draw(st.lists(ENTRIES, min_size=d, max_size=d)) for _ in range(n)]
+    return shg, mats, offs
+
+
+@settings(max_examples=300, deadline=None)
+@given(structure_maps())
+def test_action_axiom_matches_oracle(drawn):
+    shg, mats, offs = drawn
+    maps = tuple(
+        AffineMap(matrix=tuple(map(tuple, m)), offset=tuple(b))
+        for m, b in zip(mats, offs)
+    )
+    carrier = Simplex(len(offs[0]))
+    report = check_action_axiom(AffineAction(structure=shg, carrier=carrier, maps=maps))
+    table, n = table_of(shg)
+    expected = oracle_action_axiom_failure(table, n, mats, offs)
+    assert report.passed == (expected is None)
+    if expected is not None:
+        s, t, part = expected
+        pair = (s,) if part == "identity" else (s, t)
+        assert report.witness == {
+            "pair": tuple(shg.space.label(i) for i in pair),
+            "part": part,
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -506,3 +599,56 @@ def test_iterate_accepts_callables():
     )
     assert result.converged
     assert abs(result.point[1] - 1.0) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "maps, carrier",
+    [
+        ([lambda x: x[:2]], Hull(((F(0), F(0), F(0)), (F(1), F(1), F(1))))),
+        ([identity_map(2)], Simplex(3)),
+        ([identity_map(2)], Hull(((F(0), F(0), F(0)), (F(1), F(1), F(1))))),
+        ([identity_map(3)], Simplex(2)),
+        ([], Simplex(2)),
+    ],
+)
+def test_iterate_rejects_maps_of_the_wrong_dimension(maps, carrier):
+    with pytest.raises(ValueError, match="dimension|at least one map"):
+        iterate_fixed_point(maps, carrier)
+
+
+# reprs captured before the float rows were precomputed and each step made
+# one evaluation per map; every float must stay bit-identical
+def test_iterate_pinned_left_zero_5():
+    action = canonical_means_action(from_semigroup(left_zero_semigroup(5)))
+    result = iterate_fixed_point(action.maps, action.carrier, max_iter=2000)
+    assert repr(result) == (
+        "IterationResult(converged=False, point=(0.2, 0.2, 0.2, 0.2, 0.2), "
+        "residual=0.8, iterations=2000)"
+    )
+
+
+def test_iterate_pinned_weighted(t3):
+    action = canonical_means_action(t3)
+    weights = Mean(t3.space, (F(1, 2), F(1, 3), F(1, 6)))
+    result = iterate_fixed_point(
+        action.maps, action.carrier, weights=weights, tol=1e-5
+    )
+    # summing the matrix rows in reverse order changes these digits
+    assert repr(result) == (
+        "IterationResult(converged=True, point=(0.11111386564723467, "
+        "0.44444688131602816, 0.4444392530367363), "
+        "residual=7.866527696520631e-06, iterations=37)"
+    )
+
+
+def test_iterate_pinned_hull_with_negative_coordinates():
+    hull = Hull(((F(-1), F(2)), (F(3), F(-1)), (F(0), F(-2))))
+    maps = [
+        AffineMap(((F(1, 2), F(1, 4)), (F(-1, 4), F(1, 2))), (F(1, 3), F(-1, 5))),
+        AffineMap(((F(0), F(-1, 2)), (F(1, 2), F(0))), (F(1, 7), F(1, 4))),
+    ]
+    result = iterate_fixed_point(maps, hull, max_iter=300)
+    assert repr(result) == (
+        "IterationResult(converged=False, point=(0.30347490347490347, "
+        "0.0839124839124839), residual=0.31782496782496783, iterations=300)"
+    )

@@ -241,7 +241,9 @@ def test_lim_certificate_left_zero_6(tmp_path, capsys):
     }
 
 
-@pytest.mark.parametrize("name", ["lim-lz2", "check-corrupted"])
+@pytest.mark.parametrize(
+    "name", ["lim-lz2", "check-corrupted", "fixpoint-lz2-iterate"]
+)
 def test_golden_output_under_python_O(name, tmp_path):
     # python -O strips assert statements, so no verdict may rely on one
     case = next(c for c in CASES if c.name == name)
