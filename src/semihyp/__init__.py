@@ -21,6 +21,7 @@ from .algebra import (
     convolve,
     convolve_sets,
     find_identity,
+    opposite,
     point_mass,
     zero_measure,
 )
@@ -47,24 +48,18 @@ from .functions import (
     averaged_translate,
     constant_function,
     indicator,
-    is_almost_periodic,
-    left_orbit,
     left_translate,
-    right_translate,
-    right_translation_matrix,
     translation_matrix,
 )
 from .linprog import LPProblem, LPSolution, solve_linear_system, solve_lp_feasibility
 from .amenability import (
     Mean,
     find_left_invariant_mean,
-    find_right_invariant_mean,
     is_left_amenable,
     left_invariance_problem,
     left_invariant_mean_solution,
     uniform_mean,
     verify_left_invariant_mean,
-    verify_right_invariant_mean,
 )
 from .actions import (
     AffineAction,

@@ -13,11 +13,12 @@ the affine action on the subspace of functionals annihilating constants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .algebra import (
     CheckReport,
@@ -152,6 +153,16 @@ class AffineMap:
         )
 
     @cached_property
+    def augmented_rows(self) -> tuple[Support, ...]:
+        """Sparse rows of the (d+1)-square matrix [[A, b], [0, 1]]: the offset
+        is column d, and the last row is the identity row ((d, 1),)."""
+        d = self.dim
+        rows = zip(self.sparse_rows, self.offset)
+        return tuple(row + ((d, b),) if b else row for row, b in rows) + (
+            ((d, Fraction(1)),),
+        )
+
+    @cached_property
     def _float_rows(self) -> tuple[tuple[tuple[tuple[int, float], ...], float], ...]:
         return tuple(
             (tuple((j, float(a)) for j, a in row), float(b))
@@ -231,16 +242,23 @@ class AffineAction:
         return check_invariance(self)
 
 
-def _products_agree(
+def _product_rows(
     rows: Sequence[Sequence[Support]], s: int, t: int, weights: Support
-) -> bool:
-    """Whether A_s A_t = sum_z w_z A_z, where rows[s] holds the sparse rows
-    of A_s and weights the nonzero (z, w_z).  Row i of each side is a sum
-    over nonzero entries only, compared with exact zeros removed."""
-    return all(
-        _combine((rows[t][k], a) for k, a in rows[s][i])
-        == _combine((rows[z][i], w) for z, w in weights)
-        for i in range(len(rows[s]))
+) -> Iterator[tuple[dict[int, Fraction], dict[int, Fraction]]]:
+    """Row i of A_s A_t and of sum_z w_z A_z for every row i but the last,
+    where rows[s] holds the augmented rows of T_s and weights the nonzero
+    (z, w_z).  Each is a sum over nonzero entries, with exact zeros removed.
+
+    Column d of row i is then (A_s b_t + b_s)_i against sum_z w_z (b_z)_i,
+    so the rows agree exactly when both the matrix and the offset identity
+    hold.  The identity row is only a lookup target: it is not compared,
+    because its sides, 1 and sum_z w_z, differ when the weights do not sum
+    to 1.
+    """
+    return (
+        (_combine((rows[t][k], a) for k, a in rows[s][i]),
+         _combine((rows[z][i], w) for z, w in weights))
+        for i in range(len(rows[s]) - 1)
     )
 
 
@@ -249,26 +267,26 @@ def check_action_axiom(action: AffineAction) -> CheckReport:
 
     For affine maps the pointwise axiom is equivalent to two exact identities
     per pair (s, t): on the matrices, A_s A_t = sum_z (p_s*p_t)(z) A_z, and on
-    the offsets, A_s b_t + b_s = sum_z (p_s*p_t)(z) b_z.  When the structure
-    has an identity e, T_e must additionally be the identity map.  Both
-    sides run over nonzero matrix entries and nonzero convolution weights
+    the offsets, A_s b_t + b_s = sum_z (p_s*p_t)(z) b_z.  Both are checked at
+    once on the augmented rows (see `_product_rows`); a failing pair reports
+    part "offset" when the matrix columns agree, else "matrix".  When the
+    structure has an identity e, T_e must additionally be the identity map.
+    Both sides run over nonzero entries and nonzero convolution weights
     only, so a pair costs work in proportion to the supports, not d^3 n.
     """
     shg = action.structure
     require_associative(shg)
-    rows = [m.sparse_rows for m in action.maps]
-    offs = [m.offset for m in action.maps]
+    rows = [m.augmented_rows for m in action.maps]
     d = carrier_dim(action.carrier)
     for s, t in product(range(shg.n), repeat=2):
         weights = shg.supports[s][t]
-        if not _products_agree(rows, s, t, weights):
-            part = "matrix"
-        elif action.maps[s].apply(offs[t]) != tuple(
-            sum((w * offs[z][i] for z, w in weights), Fraction(0)) for i in range(d)
-        ):
-            part = "offset"
-        else:
+        if all(lhs == rhs for lhs, rhs in _product_rows(rows, s, t, weights)):
             continue
+        # column d holds the offsets
+        part = "matrix" if any(
+            {**lhs, d: 0} != {**rhs, d: 0}
+            for lhs, rhs in _product_rows(rows, s, t, weights)
+        ) else "offset"
         return CheckReport(
             check="action-axiom",
             passed=False,
@@ -452,40 +470,19 @@ def _require_verified(action: AffineAction) -> None:
 def common_fixed_point_problem(action: AffineAction) -> LPProblem:
     """Feasibility problem for {x in C : T_s x = x for all s}.
 
-    Simplex carriers use the coordinates directly; hull carriers use
-    barycentric weights over the hull points.
+    The variables are barycentric weights lam >= 0 over the carrier's
+    vertices V (a simplex is the hull of its unit vertices, so there
+    lam = x): the rows are (A_s - I) V lam = -b_s and sum(lam) = 1.
     """
-    d = carrier_dim(action.carrier)
-    rows: list[Vector] = []
-    rhs: list[Fraction] = []
-    if isinstance(action.carrier, Simplex):
-        for m in action.maps:
-            for i in range(d):
-                rows.append(
-                    tuple(
-                        m.matrix[i][j] - (Fraction(1) if i == j else Fraction(0))
-                        for j in range(d)
-                    )
-                )
-                rhs.append(-m.offset[i])
-        rows.append((Fraction(1),) * d)
-        rhs.append(Fraction(1))
-        return LPProblem(matrix=tuple(rows), rhs=tuple(rhs), nonneg=(True,) * d)
-    vertices = action.carrier.points
+    vertices = carrier_vertices(action.carrier)
+    rows: list[Vector] = [
+        tuple(sum((a * v[j] for j, a in row if v[j]), Fraction(0)) - v[i]
+              for v in vertices)
+        for m in action.maps
+        for i, row in enumerate(m.sparse_rows)
+    ]
+    rhs = [-b for m in action.maps for b in m.offset]
     k = len(vertices)
-    for m in action.maps:
-        # (A_s - I) V lambda = -b_s
-        for i in range(d):
-            rows.append(
-                tuple(
-                    sum(
-                        (m.matrix[i][j] * v[j] for j in range(d)), Fraction(0)
-                    )
-                    - v[i]
-                    for v in vertices
-                )
-            )
-            rhs.append(-m.offset[i])
     rows.append((Fraction(1),) * k)
     rhs.append(Fraction(1))
     return LPProblem(matrix=tuple(rows), rhs=tuple(rhs), nonneg=(True,) * k)
@@ -494,18 +491,16 @@ def common_fixed_point_problem(action: AffineAction) -> LPProblem:
 def common_fixed_point_solution(
     action: AffineAction,
 ) -> tuple[LPSolution, Optional[Vector]]:
-    """LP outcome plus the reconstructed carrier point when feasible."""
+    """LP outcome plus the carrier point sum_v lam_v v when feasible."""
     _require_verified(action)
     solution = solve_lp_feasibility(common_fixed_point_problem(action))
     if not solution.feasible:
         return solution, None
-    if isinstance(action.carrier, Simplex):
-        return solution, solution.witness
-    vertices = action.carrier.points
-    d = carrier_dim(action.carrier)
+    vertices = carrier_vertices(action.carrier)
     point = tuple(
-        sum((lam * v[i] for lam, v in zip(solution.witness, vertices)), Fraction(0))
-        for i in range(d)
+        sum((lam * v[i] for lam, v in zip(solution.witness, vertices) if lam),
+            Fraction(0))
+        for i in range(carrier_dim(action.carrier))
     )
     return solution, point
 
@@ -623,9 +618,10 @@ class DualAction:
         M_s^T M_t^T = sum_z (p_s*p_t)(z) M_z^T, checked per pair (s, t).
         """
         shg = self.structure
-        rows = [m.sparse_rows for m in self._transposes]
+        rows = [m.augmented_rows for m in self._transposes]
         for s, t in product(range(shg.n), repeat=2):
-            if not _products_agree(rows, s, t, shg.supports[s][t]):
+            pairs = _product_rows(rows, s, t, shg.supports[s][t])
+            if not all(lhs == rhs for lhs, rhs in pairs):
                 return CheckReport(
                     check="dual-action-axiom",
                     passed=False,
@@ -668,46 +664,34 @@ def mean_via_dual_action(
     as independent oracles for each other.
     """
     action = dual_action(shg, base_point)
-    n = shg.n
+    n, b = shg.n, action.base_point
     if n == 1:
         return Mean(shg.space, (Fraction(1),))
-    v0 = action.v0
 
-    # trace-zero basis u_k = e_k - e_{n-1}; w = sum alpha_k u_k
-    basis: list[Vector] = []
-    for k in range(n - 1):
-        vec = [Fraction(0)] * n
-        vec[k] = Fraction(1)
-        vec[n - 1] = Fraction(-1)
-        basis.append(tuple(vec))
-
+    # w = sum_k c_k (e_k - e_{n-1}) on the trace-zero subspace; with the
+    # linear part L = M_s^T, L[i][k] = (p_s*p_k)(i), row (s, i) of
+    # (T_s - I) w = 0 reads sum_k c_k (L[i][k] - L[i][n-1] - [i==k] + [i==n-1])
+    # = [i==b] - L[i][b]
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
-    zero = tuple(Fraction(0) for _ in range(n))
-    for s in range(n):
-        image_zero = action.map(s, zero)  # = M_s^T v0 - v0
-        image_basis = [
-            tuple(a - b for a, b in zip(action.map(s, u), image_zero))
-            for u in basis
-        ]  # linear parts
+    for entries in shg.table.entries:
+        cols = [m.weights for m in entries]  # cols[k][i] = L[i][k]
         for i in range(n):
-            rows.append([image_basis[k][i] - basis[k][i] for k in range(n - 1)])
-            rhs.append(-image_zero[i])
+            rows.append([
+                cols[k][i] - cols[n - 1][i] - (i == k) + (i == n - 1)
+                for k in range(n - 1)
+            ])
+            rhs.append((i == b) - cols[b][i])
     solved = solve_linear_system(rows, rhs)
     if solved is None:
         return None
     alpha, null_basis = solved
 
-    def expand(coeffs: Sequence[Fraction]) -> list[Fraction]:
-        w = [Fraction(0)] * n
-        for c, u in zip(coeffs, basis):
-            if c != 0:
-                for i in range(n):
-                    w[i] += c * u[i]
-        return w
+    def expand(c: Sequence[Fraction]) -> Vector:
+        return (*c, -sum(c))
 
-    base_mean = tuple(a + b for a, b in zip(expand(alpha), v0))
-    directions = [tuple(expand(nb)) for nb in null_basis]
+    base_mean = tuple(a + v for a, v in zip(expand(alpha), action.v0))
+    directions = [expand(nb) for nb in null_basis]
 
     if not directions:
         if all(v >= 0 for v in base_mean):
@@ -780,8 +764,8 @@ def iterate_fixed_point(
     images give both the residual at x and the next average.  The summation
     order is fixed, so results are bit-reproducible.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tolerance must be finite and positive")
     if max_iter < 1:
         raise ValueError("need at least one iteration")
     if not maps:

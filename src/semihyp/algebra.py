@@ -209,6 +209,17 @@ class Semihypergroup:
         return check_commutative(self)
 
 
+def opposite(s: Semihypergroup) -> Semihypergroup:
+    """The structure with p_x *op p_y = p_y * p_x on the same space.
+
+    Right-handed questions about s are the left-handed ones about its
+    opposite: R_t f on s is L_t f on opposite(s), so right invariant means
+    of s are the left invariant means of opposite(s).
+    """
+    entries = tuple(zip(*s.table.entries))
+    return Semihypergroup(s.space, ConvolutionTable(s.space, entries), f"{s.name}^op")
+
+
 def require_associative(s: Semihypergroup) -> None:
     if not s.is_associative:
         w = s.associativity_report.witness or {}

@@ -15,6 +15,7 @@ from typing import Optional, Sequence, Union
 
 from .algebra import (
     CheckReport,
+    DimensionMismatch,
     Measure,
     PointSpace,
     Semihypergroup,
@@ -57,24 +58,14 @@ def left_invariance_problem(shg: Semihypergroup) -> LPProblem:
 
     Variables are the mean weights m_y >= 0; rows say that for every point s
     the pushforward of m through the left-translation matrix M_s equals m,
-    plus the normalization sum(m) = 1.
+    plus the normalization sum(m) = 1.  Right invariant means are the
+    feasible points of this problem on `algebra.opposite(shg)`.
     """
-    return _invariance_problem([[m.weights for m in row] for row in shg.table.entries])
-
-
-def right_invariance_problem(shg: Semihypergroup) -> LPProblem:
-    """Same construction with right-translation matrices."""
-    return _invariance_problem(
-        list(zip(*([m.weights for m in row] for row in shg.table.entries)))
-    )
-
-
-def _invariance_problem(mats) -> LPProblem:
-    # rows sum_y mats[s][y][z] m_y - m_z = 0 for every s, z; then sum(m) = 1
-    n = len(mats)
+    # rows sum_y (p_s*p_y)(z) m_y - m_z = 0 for every s, z; then sum(m) = 1
+    n = shg.n
     rows = [
-        tuple(w[z] - 1 if y == z else w[z] for y, w in enumerate(mat))
-        for mat in mats
+        tuple(m.weights[z] - 1 if y == z else m.weights[z] for y, m in enumerate(row))
+        for row in shg.table.entries
         for z in range(n)
     ]
     rows.append((Fraction(1),) * n)
@@ -101,14 +92,6 @@ def find_left_invariant_mean(shg: Semihypergroup) -> Optional[Mean]:
     return Mean(shg.space, solution.witness)
 
 
-def find_right_invariant_mean(shg: Semihypergroup) -> Optional[Mean]:
-    require_associative(shg)
-    solution = solve_lp_feasibility(right_invariance_problem(shg))
-    if not solution.feasible:
-        return None
-    return Mean(shg.space, solution.witness)
-
-
 def is_left_amenable(shg: Semihypergroup) -> bool:
     """Whether the function space admits a left invariant mean.
 
@@ -126,7 +109,12 @@ def _mean_weights(m: MeanLike, space: PointSpace) -> tuple[Fraction, ...]:
         if m.space != space:
             raise ValueError("mean lives on a different point space")
         return m.weights
-    return tuple(as_fraction(v) for v in m)
+    weights = tuple(as_fraction(v) for v in m)
+    if len(weights) != space.n:
+        raise DimensionMismatch(
+            f"candidate has {len(weights)} weights for a {space.n}-point space"
+        )
+    return weights
 
 
 def verify_left_invariant_mean(m: MeanLike, shg: Semihypergroup) -> CheckReport:
@@ -137,31 +125,19 @@ def verify_left_invariant_mean(m: MeanLike, shg: Semihypergroup) -> CheckReport:
     and compared with m at every p: O(n^2 * d) in all, with no
     `left_translate` call.  It reads the table directly, not the LP
     matrices, so it is an independent validation of any claimed mean.
+    A failure reports the first (s, p) with m(L_s 1_p) and m(1_p) as lhs,
+    rhs.  Right invariance is this check on `algebra.opposite(shg)`.
     """
-    return _verify_invariant_mean(m, shg, "left")
-
-
-def verify_right_invariant_mean(m: MeanLike, shg: Semihypergroup) -> CheckReport:
-    """The same check for m(R_t f) = m(f), pushing m through p_y * p_t.
-
-    A failure reports the first (t, p) with m(R_t 1_p) and m(1_p) as lhs, rhs.
-    """
-    return _verify_invariant_mean(m, shg, "right")
-
-
-def _verify_invariant_mean(m: MeanLike, shg: Semihypergroup, side: str) -> CheckReport:
-    check = f"{side}-invariant-mean"
     weights = _mean_weights(m, shg.space)
     if any(w < 0 for w in weights) or sum(weights, Fraction(0)) != 1:
         return CheckReport(
-            check=check,
+            check="left-invariant-mean",
             passed=False,
             detail="candidate is not a mean (needs nonnegative weights summing to 1)",
             witness={"weights": weights},
         )
     require_associative(shg)
-    translations = shg.supports if side == "left" else tuple(zip(*shg.supports))
-    for s, row in enumerate(translations):
+    for s, row in enumerate(shg.supports):
         pushed = [Fraction(0)] * shg.n
         for support, wy in zip(row, weights):
             if wy:
@@ -171,10 +147,9 @@ def _verify_invariant_mean(m: MeanLike, shg: Semihypergroup, side: str) -> Check
             if lhs != rhs:
                 point, ind = shg.space.label(s), shg.space.label(p)
                 return CheckReport(
-                    check=check,
+                    check="left-invariant-mean",
                     passed=False,
-                    detail=f"m({side[0].upper()}_{point} 1_{ind}) = {lhs} "
-                    f"but m(1_{ind}) = {rhs}",
+                    detail=f"m(L_{point} 1_{ind}) = {lhs} but m(1_{ind}) = {rhs}",
                     witness={"point": point, "indicator": ind, "lhs": lhs, "rhs": rhs},
                 )
-    return CheckReport(check=check, passed=True)
+    return CheckReport(check="left-invariant-mean", passed=True)

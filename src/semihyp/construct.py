@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations, product
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -24,7 +25,6 @@ from .algebra import (
     PointSpace,
     RationalLike,
     Semihypergroup,
-    UnknownLabel,
     as_fraction,
     point_mass,
 )
@@ -90,18 +90,12 @@ class CayleyTable:
     def n(self) -> int:
         return len(self.labels)
 
-    def index(self, point: PointRef) -> int:
-        if isinstance(point, int):
-            if not 0 <= point < self.n:
-                raise UnknownLabel(f"index out of range: {point}")
-            return point
-        try:
-            return self.labels.index(point)
-        except ValueError:
-            raise UnknownLabel(f"unknown label: {point!r}") from None
+    @cached_property
+    def space(self) -> PointSpace:
+        return PointSpace(self.labels)
 
-    def mul(self, x: PointRef, y: PointRef) -> int:
-        return self.product[self.index(x)][self.index(y)]
+    def index(self, point: PointRef) -> int:
+        return self.space.index(point)
 
     def is_associative(self) -> bool:
         return self.associativity_witness() is None
@@ -215,7 +209,7 @@ def from_semigroup(table: CayleyTable, name: Optional[str] = None) -> Semihyperg
     if witness is not None:
         x, y, z = (table.labels[i] for i in witness)
         raise ConstraintViolation([f"input table is not associative at ({x}, {y}, {z})"])
-    space = PointSpace(table.labels)
+    space = table.space
     masses = [point_mass(space, z) for z in range(table.n)]
     conv = ConvolutionTable(
         space, tuple(tuple(masses[z] for z in row) for row in table.product)

@@ -1,9 +1,9 @@
 """Rational-valued functions on the point space and their translations.
 
 On a finite space every function is almost periodic, so the interesting
-content is the translation calculus: left/right translates, the
-row-stochastic matrix realizing each left translation, and averaging a
-translation against a measure.
+content is the translation calculus: left translates, the row-stochastic
+matrix realizing each of them, and averaging a translation against a
+measure.  Right translates are left translates on `algebra.opposite`.
 """
 
 from __future__ import annotations
@@ -104,24 +104,6 @@ def left_translate(s: PointRef, f: PointFunction, shg: Semihypergroup) -> PointF
     )
 
 
-def right_translate(t: PointRef, f: PointFunction, shg: Semihypergroup) -> PointFunction:
-    """(R_t f)(x) = integral of f against p_x * p_t."""
-    require_associative(shg)
-    if f.space != shg.space:
-        raise DimensionMismatch("function must live on the structure's space")
-    ti = shg.space.index(t)
-    return PointFunction(
-        shg.space,
-        tuple(
-            sum(
-                (w * v for w, v in zip(shg.table.entries[x][ti].weights, f.values)),
-                Fraction(0),
-            )
-            for x in range(shg.n)
-        ),
-    )
-
-
 def translation_matrix(s: PointRef, shg: Semihypergroup) -> TranslationMatrix:
     require_associative(shg)
     si = shg.space.index(s)
@@ -129,30 +111,6 @@ def translation_matrix(s: PointRef, shg: Semihypergroup) -> TranslationMatrix:
         point=si,
         rows=tuple(shg.table.entries[si][y].weights for y in range(shg.n)),
     )
-
-
-def right_translation_matrix(t: PointRef, shg: Semihypergroup) -> TranslationMatrix:
-    """Matrix with rows[x][z] = (p_x * p_t)(z); applies right translation."""
-    require_associative(shg)
-    ti = shg.space.index(t)
-    return TranslationMatrix(
-        point=ti,
-        rows=tuple(shg.table.entries[x][ti].weights for x in range(shg.n)),
-    )
-
-
-def left_orbit(f: PointFunction, shg: Semihypergroup) -> frozenset[PointFunction]:
-    """The set of left translates {L_x f}; finite, hence trivially compact."""
-    return frozenset(left_translate(x, f, shg) for x in range(shg.n))
-
-
-def is_almost_periodic(f: PointFunction, shg: Semihypergroup) -> bool:
-    """Always true on a finite space: the translate orbit is a finite set.
-
-    Kept as an explicit predicate so the calling code reads like the general
-    theory; there is nothing to compute.
-    """
-    return True
 
 
 def averaged_translate(

@@ -275,36 +275,17 @@ def solve_linear_system(
 ) -> Optional[tuple[Row, tuple[Row, ...]]]:
     """Solve A x = b exactly; returns (particular, null-space basis) or None.
 
-    The particular solution sets every free variable to zero; the null-space
-    basis has one vector per free column in the standard echelon pattern.
+    Reads the reduced row echelon form off `_row_reduce` with every variable
+    free: its kept rows are zero before their pivot, 1 at it and 0 at the
+    other pivot columns.  The particular solution sets every free variable
+    to zero; the null-space basis has one vector per free column in the
+    standard echelon pattern.  Rows of unequal length are a ValueError.
     """
-    a = [[as_fraction(v) for v in row] for row in matrix]
-    b = [as_fraction(v) for v in rhs]
-    if len(a) != len(b):
-        raise ValueError("matrix and rhs have different row counts")
-    m = len(a)
-    n = len(a[0]) if m else 0
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        b[r], b[p] = b[p], b[r]
-        inv = a[r][c]
-        a[r] = [v / inv for v in a[r]]
-        b[r] = b[r] / inv
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
-                b[i] -= f * b[r]
-        pivot_cols.append(c)
-        r += 1
-    for i in range(r, m):
-        if b[i] != 0:
-            return None
+    n = len(matrix[0]) if matrix else 0
+    reduced = _row_reduce(LPProblem(matrix, rhs, nonneg=(False,) * n))
+    if reduced[0] == "infeasible":
+        return None
+    _, rows, b, _, pivot_cols = reduced
     particular = [Fraction(0)] * n
     for i, c in enumerate(pivot_cols):
         particular[c] = b[i]
@@ -314,6 +295,6 @@ def solve_linear_system(
         vec = [Fraction(0)] * n
         vec[fc] = Fraction(1)
         for i, c in enumerate(pivot_cols):
-            vec[c] = -a[i][fc]
+            vec[c] = -rows[i][fc]
         null_basis.append(tuple(vec))
     return tuple(particular), tuple(null_basis)

@@ -121,37 +121,10 @@ def oracle_action_axiom_failure(table: Table, n: int, mats, offs):
 
 def oracle_gauss_solve(rows, rhs):
     """Unique-solution Gaussian solve; None if inconsistent or undetermined."""
-    a = [list(r) for r in rows]
-    b = list(rhs)
-    m = len(a)
-    n = len(a[0]) if m else 0
-    piv = []
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        b[r], b[p] = b[p], b[r]
-        inv = a[r][c]
-        a[r] = [v / inv for v in a[r]]
-        b[r] /= inv
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
-                b[i] -= f * b[r]
-        piv.append(c)
-        r += 1
-    for i in range(r, m):
-        if b[i] != 0:
-            return None
-    if r < n:
+    solved = oracle_solve(rows, rhs)
+    if solved is None or solved[1]:
         return None
-    sol = [Fraction(0)] * n
-    for i, c in enumerate(piv):
-        sol[c] = b[i]
-    return tuple(sol)
+    return solved[0]
 
 
 def _left_matrices(table: Table, n: int):
@@ -181,9 +154,10 @@ def oracle_invariant_mean_vertices(table: Table, n: int):
     for size in range(1, n + 1):
         for support in combinations(range(n), size):
             sub_rows = [[row[j] for j in support] for row in rows]
-            sol = _any_solution(sub_rows, rhs)
-            if sol is None:
+            solved = oracle_solve(sub_rows, rhs)
+            if solved is None:
                 continue
+            sol = solved[0]
             if any(v < 0 for v in sol):
                 continue
             full = [Fraction(0)] * n
@@ -198,8 +172,13 @@ def oracle_invariant_mean_vertices(table: Table, n: int):
     return tuple(sorted(vertices))
 
 
-def _any_solution(rows, rhs):
-    """Some exact solution of rows @ x = rhs (free vars 0), or None."""
+def oracle_solve(rows, rhs):
+    """(particular, null basis) of rows @ x = rhs, or None if inconsistent.
+
+    Textbook Gauss-Jordan with row swaps.  The particular solution sets the
+    free variables to 0; the null basis has one vector per free column c,
+    with 1 at c and minus column c of the reduced rows at the pivots.
+    """
     a = [list(r) for r in rows]
     b = list(rhs)
     m = len(a)
@@ -228,7 +207,14 @@ def _any_solution(rows, rhs):
     sol = [Fraction(0)] * n
     for i, c in enumerate(piv):
         sol[c] = b[i]
-    return tuple(sol)
+    null = []
+    for free in (c for c in range(n) if c not in piv):
+        vec = [Fraction(0)] * n
+        vec[free] = Fraction(1)
+        for i, c in enumerate(piv):
+            vec[c] = -a[i][free]
+        null.append(tuple(vec))
+    return tuple(sol), tuple(null)
 
 
 def oracle_lim_feasible(table: Table, n: int) -> bool:
@@ -247,11 +233,12 @@ def oracle_feasible(rows, rhs, n: int) -> bool:
         supports.extend(combinations(range(n), size))
     for support in supports:
         sub_rows = [[row[j] for j in support] for row in rows]
-        sol = _any_solution(sub_rows, rhs) if support else (
-            () if all(b == 0 for b in rhs) else None
+        solved = oracle_solve(sub_rows, rhs) if support else (
+            ((), ()) if all(b == 0 for b in rhs) else None
         )
-        if sol is None:
+        if solved is None:
             continue
+        sol = solved[0]
         if any(v < 0 for v in sol):
             continue
         full = [Fraction(0)] * n

@@ -151,6 +151,24 @@ def test_non_involutive_map_fails_axiom(z2):
     assert report.witness["pair"] == ("1", "1")
 
 
+def test_action_axiom_ignores_the_augmented_identity_row():
+    # Z2 with every weight doubled: p_x * p_y = 2 p_{x+y} is associative and
+    # has no identity.  T_s = 2I gives A_s A_t = 4I = 2 * 2I with zero
+    # offsets, so the axiom holds although 1 != sum_z w_z = 2 in the identity
+    # row of the augmented matrices.
+    space = PointSpace(("0", "1"))
+    table = ConvolutionTable(space, tuple(
+        tuple(Measure(space, (F(2 * ((x + y) % 2 == z)) for z in range(2)))
+              for y in range(2))
+        for x in range(2)
+    ))
+    doubled = Semihypergroup(space=space, table=table, name="z2-doubled")
+    assert doubled.is_associative and doubled.identity is None
+    twice = AffineMap(matrix=((F(2), F(0)), (F(0), F(2))), offset=(F(0), F(0)))
+    action = AffineAction(structure=doubled, carrier=Simplex(2), maps=(twice, twice))
+    assert check_action_axiom(action).passed
+
+
 def test_axiom_requires_associative(t3_corrupted):
     action = identity_action(t3_corrupted, Simplex(3))
     with pytest.raises(PreconditionError):
@@ -614,6 +632,14 @@ def test_iterate_accepts_callables():
 def test_iterate_rejects_maps_of_the_wrong_dimension(maps, carrier):
     with pytest.raises(ValueError, match="dimension|at least one map"):
         iterate_fixed_point(maps, carrier)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+def test_iterate_rejects_a_tolerance_that_is_not_finite_and_positive(lz2, tol):
+    # nan used to stop after 0 steps unconverged, inf "converged" at residual 0.5
+    action = canonical_means_action(lz2)
+    with pytest.raises(ValueError, match="tolerance"):
+        iterate_fixed_point(action.maps, action.carrier, tol=tol)
 
 
 # reprs captured before the float rows were precomputed and each step made

@@ -8,16 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semihyp.algebra import PreconditionError
+from semihyp.algebra import DimensionMismatch, PreconditionError, opposite
 from semihyp.amenability import (
     Mean,
     find_left_invariant_mean,
-    find_right_invariant_mean,
     is_left_amenable,
     left_invariant_mean_solution,
     uniform_mean,
     verify_left_invariant_mean,
-    verify_right_invariant_mean,
 )
 from semihyp.construct import (
     coset_space,
@@ -121,7 +119,7 @@ def test_verify_rejects_non_mean(z2):
 def test_uniform_mean_on_groups(z2, z4, s3):
     for shg in (z2, z4, s3):
         assert verify_left_invariant_mean(uniform_mean(shg.space), shg).passed
-        assert verify_right_invariant_mean(uniform_mean(shg.space), shg).passed
+        assert verify_left_invariant_mean(uniform_mean(shg.space), opposite(shg)).passed
 
 
 def test_is_left_amenable(t3, lz2, corpus):
@@ -134,10 +132,11 @@ def test_is_left_amenable(t3, lz2, corpus):
 def test_left_zero_right_amenable(lz2):
     # right translation is trivial on a left-zero semigroup, so every mean
     # is right invariant even though no left invariant mean exists
-    m = find_right_invariant_mean(lz2)
+    op = opposite(lz2)
+    m = find_left_invariant_mean(op)
     assert m is not None
-    assert verify_right_invariant_mean(m, lz2).passed
-    assert verify_right_invariant_mean(uniform_mean(lz2.space), lz2).passed
+    assert verify_left_invariant_mean(m, op).passed
+    assert verify_left_invariant_mean(uniform_mean(lz2.space), op).passed
 
 
 def test_soundness_on_corpus(corpus):
@@ -190,11 +189,8 @@ def test_verify_mean_matches_oracle(data):
     weights = tuple(F(v, sum(raw)) for v in raw)
     table, n = table_of(shg)
     transposed = {(t, x): w for (x, t), w in table.items()}
-    for verify, tab in (
-        (verify_left_invariant_mean, table),
-        (verify_right_invariant_mean, transposed),
-    ):
-        report = verify(weights, shg)
+    for structure, tab in ((shg, table), (opposite(shg), transposed)):
+        report = verify_left_invariant_mean(weights, structure)
         expected = oracle_left_invariance_failure(tab, n, weights)
         assert report.passed == (expected is None)
         if expected is not None:
@@ -208,9 +204,23 @@ def test_verify_mean_matches_oracle(data):
 
 
 def test_verify_right_mean_failure_report():
-    # on a right-zero semigroup R_t 1_p is the constant 1_p(t)
+    # on a right-zero semigroup R_t 1_p is the constant 1_p(t); R_t is L_t
+    # on the opposite, so the report names L_b
     rz2 = from_semigroup(right_zero_semigroup(2), name="rz2")
-    report = verify_right_invariant_mean((F(1), F(0)), rz2)
+    report = verify_left_invariant_mean((F(1), F(0)), opposite(rz2))
     assert not report.passed
-    assert report.detail == "m(R_b 1_a) = 0 but m(1_a) = 1"
+    assert report.detail == "m(L_b 1_a) = 0 but m(1_a) = 1"
     assert report.witness == {"point": "b", "indicator": "a", "lhs": 0, "rhs": 1}
+
+
+def test_verify_rejects_a_candidate_that_is_too_long(z2):
+    # zip used to drop the extra weight and pass the candidate
+    with pytest.raises(DimensionMismatch):
+        verify_left_invariant_mean((F(1, 2), F(1, 2), F(0)), z2)
+
+
+def test_verify_rejects_a_candidate_that_is_too_short():
+    # zip used to stop after the one weight, whose pushforward agreed with it
+    rz2 = from_semigroup(right_zero_semigroup(2), name="rz2")
+    with pytest.raises(DimensionMismatch):
+        verify_left_invariant_mean((F(1),), rz2)

@@ -229,6 +229,15 @@ def test_orbit_on_non_group_carrier_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_unknown_subgroup_label_exit_2(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    code = cli.main(["construct", "coset", "--group", str(FIXTURES / "s3.json"),
+                     "--subgroup", "e,(99)", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: unknown point label: '(99)'\n"
+    assert not out.exists()
+
+
 def test_lim_certificate_left_zero_6(tmp_path, capsys):
     # pinned before the Farkas combinations were made sparse
     target = tmp_path / "lz6.json"

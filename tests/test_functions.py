@@ -13,6 +13,7 @@ from semihyp.algebra import (
     Measure,
     PreconditionError,
     convolve,
+    opposite,
     point_mass,
     zero_measure,
 )
@@ -20,11 +21,7 @@ from semihyp.functions import (
     PointFunction,
     averaged_translate,
     constant_function,
-    is_almost_periodic,
-    left_orbit,
     left_translate,
-    right_translate,
-    right_translation_matrix,
     translation_matrix,
 )
 
@@ -67,20 +64,31 @@ def test_left_translate_identity(t3):
 
 
 def test_right_translate_group_swap(z2):
+    # (R_t f)(x) integrates f against p_x * p_t: L_t on the opposite
     f = fn(z2, 3, 7)
-    assert right_translate("1", f, z2).values == (F(7), F(3))
+    assert left_translate("1", f, opposite(z2)).values == (F(7), F(3))
 
 
 def test_right_translate_left_zero(lz2):
     f = fn(lz2, 4, 9)
     for t in range(2):
-        assert right_translate(t, f, lz2).values == f.values
+        assert left_translate(t, f, opposite(lz2)).values == f.values
 
 
 def test_right_translate_t3_entry(t3):
     f = fn(t3, 2, 5, 11)
-    out = right_translate("b", f, t3)
+    out = left_translate("b", f, opposite(t3))
     assert out("a") == F(1, 2) * f("a") + F(1, 2) * f("b")
+
+
+def test_opposite_transposes_the_table(corpus):
+    for _, shg in corpus:
+        op = opposite(shg)
+        assert op.space == shg.space
+        for x, y in product(range(shg.n), repeat=2):
+            assert op.table.entries[x][y] == shg.table.entries[y][x]
+        assert op.is_associative == shg.is_associative
+        assert opposite(op).table == shg.table
 
 
 def test_translation_requires_associativity(t3_corrupted):
@@ -121,8 +129,9 @@ def test_matrix_faithfulness(corpus):
             assert translation_matrix(s, shg).apply(f).values == left_translate(
                 s, f, shg
             ).values
-            assert right_translation_matrix(s, shg).apply(f).values == right_translate(
-                s, f, shg
+            op = opposite(shg)
+            assert translation_matrix(s, op).apply(f).values == left_translate(
+                s, f, op
             ).values
 
 
@@ -177,29 +186,31 @@ def test_translation_commutation(corpus):
     for _, shg in corpus:
         mu = random_measure(shg, rng)
         f = random_function(shg, rng)
+        op = opposite(shg)
         for t in range(shg.n):
-            lhs = right_translate(t, averaged_translate(mu, f, shg), shg)
-            rhs = averaged_translate(mu, right_translate(t, f, shg), shg)
+            lhs = left_translate(t, averaged_translate(mu, f, shg), op)
+            rhs = averaged_translate(mu, left_translate(t, f, op), shg)
             assert lhs.values == rhs.values
+
+
+def left_orbit(f, shg) -> set:
+    """The left translates {L_x f} as value vectors."""
+    return {left_translate(x, f, shg).values for x in range(shg.n)}
 
 
 def test_left_orbit_constants(t3):
     one = constant_function(t3.space, 1)
-    assert left_orbit(one, t3) == frozenset({one})
+    assert left_orbit(one, t3) == {one.values}
 
 
 def test_left_orbit_z2(z2):
     f = fn(z2, 0, 1)
-    assert {g.values for g in left_orbit(f, z2)} == {(F(0), F(1)), (F(1), F(0))}
+    assert left_orbit(f, z2) == {(F(0), F(1)), (F(1), F(0))}
 
 
 def test_left_orbit_left_zero(lz2):
     f = fn(lz2, 0, 1)
-    assert {g.values for g in left_orbit(f, lz2)} == {(F(0), F(0)), (F(1), F(1))}
-
-
-def test_is_almost_periodic_constant_true(t3):
-    assert is_almost_periodic(fn(t3, 1, 2, 3), t3)
+    assert left_orbit(f, lz2) == {(F(0), F(0)), (F(1), F(1))}
 
 
 def test_averaged_translate_point_mass(t3):

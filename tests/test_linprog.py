@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semihyp.amenability import left_invariance_problem
 from semihyp.linprog import (
@@ -15,7 +17,7 @@ from semihyp.linprog import (
     solve_lp_feasibility,
 )
 
-from oracles import oracle_feasible
+from oracles import oracle_feasible, oracle_solve
 
 F = Fraction
 
@@ -164,3 +166,28 @@ def test_solve_linear_system_underdetermined():
 
 def test_solve_linear_system_inconsistent():
     assert solve_linear_system([[1, 1], [1, 1]], [1, 2]) is None
+
+
+def test_solve_linear_system_rejects_ragged_rows():
+    # the longer row's third column used to be ignored; a short row ended
+    # in an IndexError
+    with pytest.raises(ValueError, match="row length"):
+        solve_linear_system([[1, 2], [1, 2, 3]], [1, 1])
+    with pytest.raises(ValueError, match="row length"):
+        solve_linear_system([[1, 2], [1]], [1, 1])
+
+
+RATIONALS = st.builds(F, st.integers(-2, 2), st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_solve_linear_system_matches_oracle(data):
+    n = data.draw(st.integers(1, 5))
+    rows = data.draw(st.lists(
+        st.lists(RATIONALS, min_size=n, max_size=n), min_size=1, max_size=5
+    ))
+    if data.draw(st.booleans()):
+        rows.append([2 * a - b for a, b in zip(rows[0], rows[-1])])  # dependent
+    rhs = data.draw(st.lists(RATIONALS, min_size=len(rows), max_size=len(rows)))
+    assert solve_linear_system(rows, rhs) == oracle_solve(rows, rhs)
