@@ -21,6 +21,7 @@ from .algebra import (
     convolve,
     convolve_sets,
     find_identity,
+    generating_points,
     opposite,
     point_mass,
     zero_measure,

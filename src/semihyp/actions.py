@@ -475,12 +475,18 @@ def common_fixed_point_problem(action: AffineAction) -> LPProblem:
     lam = x): the rows are (A_s - I) V lam = -b_s and sum(lam) = 1.
     """
     vertices = carrier_vertices(action.carrier)
-    rows: list[Vector] = [
-        tuple(sum((a * v[j] for j, a in row if v[j]), Fraction(0)) - v[i]
-              for v in vertices)
-        for m in action.maps
-        for i, row in enumerate(m.sparse_rows)
-    ]
+    # by_coord[j]: the (vertex, coordinate) pairs with v[j] != 0, so each
+    # entry a of A_s meets only the vertices it contributes to
+    by_coord = [[(k, v[j]) for k, v in enumerate(vertices) if v[j]]
+                for j in range(carrier_dim(action.carrier))]
+    rows: list[Vector] = []
+    for m in action.maps:
+        for i, row in enumerate(m.sparse_rows):
+            out = [-v[i] for v in vertices]
+            for j, a in row:
+                for k, c in by_coord[j]:
+                    out[k] += a * c
+            rows.append(tuple(out))
     rhs = [-b for m in action.maps for b in m.offset]
     k = len(vertices)
     rows.append((Fraction(1),) * k)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 PointRef = Union[int, str]
@@ -264,11 +264,13 @@ def convolve_sets(
 
 
 def check_probability(s: Semihypergroup) -> CheckReport:
-    """Every table entry must be a probability measure (nonnegative, total 1)."""
-    for x in range(s.n):
-        for y in range(s.n):
-            m = s.table.entries[x][y]
-            if not m.is_probability():
+    """Every table entry must be a probability measure (nonnegative, total 1).
+
+    An entry is read off its support, in O(d) rather than O(n)."""
+    for x, row in enumerate(s.supports):
+        for y, sup in enumerate(row):
+            if any(w < 0 for _, w in sup) or sum(w for _, w in sup) != 1:
+                m = s.table.entries[x][y]
                 return CheckReport(
                     check="probability",
                     passed=False,
@@ -287,17 +289,27 @@ def check_probability(s: Semihypergroup) -> CheckReport:
 def check_associativity(s: Semihypergroup) -> CheckReport:
     """Exact test of (p_x*p_y)*p_z = p_x*(p_y*p_z) over all point triples.
 
-    By bilinearity this extends to arbitrary measures, so a pass makes the
-    whole measure algebra associative.  Both sides are sums over entry
-    supports of size <= d, so a triple costs O(d^2) rather than the O(n^2)
-    of two dense convolutions; they are compared with exact zeros removed,
-    since signed weights can cancel.  The first failing triple is reported
-    with its dense lhs and rhs weights.
+    By bilinearity a pass makes the whole measure algebra associative.  The
+    middle nucleus N = {y : (x*y)*z = x*(y*z) for all x, z} of any bilinear
+    table is a subalgebra ((x(ab))z = ((xa)b)z = (xa)(bz) = x(a(bz)) =
+    x((ab)z) for a, b in N), so a pass scans only the triples (x, g, z) with
+    g in `generating_points(s)` (Light's test).  A failure there, or a table
+    whose every point is a generator, runs the exhaustive ordered scan for
+    the first failing triple and its dense lhs and rhs.  Both sides are sums
+    over supports, compared with exact zeros removed: signed weights cancel.
     """
     n, sup = s.n, s.supports
+
+    def sides(x: int, y: int, z: int) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
+        return (_combine((sup[u][z], a) for u, a in sup[x][y]),
+                _combine((sup[x][v], b) for v, b in sup[y][z]))
+
+    gens = generating_points(s)
+    at_gens = (sides(x, g, z) for g in gens for x, z in product(range(n), repeat=2))
+    if len(gens) < n and all(lhs == rhs for lhs, rhs in at_gens):
+        return CheckReport(check="associativity", passed=True)
     for x, y, z in product(range(n), repeat=3):
-        lhs = _combine((sup[u][z], a) for u, a in sup[x][y])
-        rhs = _combine((sup[x][v], b) for v, b in sup[y][z])
+        lhs, rhs = sides(x, y, z)
         if lhs != rhs:
             triple = (s.space.label(x), s.space.label(y), s.space.label(z))
             lhs, rhs = (tuple(d.get(k, Fraction(0)) for k in range(n)) for d in (lhs, rhs))
@@ -309,6 +321,75 @@ def check_associativity(s: Semihypergroup) -> CheckReport:
                 witness={"triple": triple, "lhs": lhs, "rhs": rhs},
             )
     return CheckReport(check="associativity", passed=True)
+
+
+def generating_points(s: Semihypergroup) -> list[int]:
+    """Points whose masses generate R^n under the convolution product.
+
+    Greedy: take the next point whose mass is not in the span, then close
+    the span under products with the chosen points on both sides, until it
+    is R^n.  Point-mass tables run `table_generators`; others keep an exact
+    echelon basis, each row scaled to 1 at its first nonzero coordinate.
+    """
+    sup = s.supports
+    if all(len(e) == 1 and e[0][1] == 1 for row in sup for e in row):
+        return table_generators([[e[0][0] for e in row] for row in sup])
+    basis: dict[int, dict[int, Fraction]] = {}
+
+    def insert(v: dict[int, Fraction]) -> Optional[dict[int, Fraction]]:
+        while v:
+            k = min(v)
+            if k not in basis:
+                basis[k] = v = {j: w / v[k] for j, w in v.items()}
+                return v
+            v = _combine(((v.items(), 1), (basis[k].items(), -v[k])))
+        return None
+
+    def times(u: dict[int, Fraction], v: dict[int, Fraction]) -> dict[int, Fraction]:
+        return _combine((sup[x][y], a * b) for x, a in u.items() for y, b in v.items())
+
+    return _greedy_generators(s.n, lambda i: {i: Fraction(1)}, insert, times)
+
+
+def table_generators(product: Sequence[Sequence[int]]) -> list[int]:
+    """`generating_points` of the magma with integer table product[x][y]: a
+    span of point masses is a set of points, reached in O(n*|G|) products."""
+    reached: set[int] = set()
+
+    def insert(k: int) -> Optional[int]:
+        if k in reached:
+            return None
+        reached.add(k)
+        return k
+
+    return _greedy_generators(len(product), lambda i: i, insert, lambda u, v: product[u][v])
+
+
+def _greedy_generators(n: int, unit: Callable, insert: Callable, times: Callable) -> list[int]:
+    """The search behind both: insert(v) adds v to the span and returns the
+    element spanning the new direction, or None when v was in the span
+    already; every spanning element meets every generator once on each side.
+    """
+    points, gens, spanned = [], [], []
+    for i in range(n):
+        if len(spanned) == n:
+            break
+        new = insert(unit(i))
+        if new is None:
+            continue
+        points.append(i)
+        gens.append(unit(i))
+        # earlier elements have met the earlier generators: they meet g only
+        todo = [(v, gens[-1:]) for v in spanned] + [(new, gens)]
+        spanned.append(new)
+        while todo and len(spanned) < n:
+            v, hs = todo.pop()
+            for w in (p for h in hs for p in (times(v, h), times(h, v))):
+                r = insert(w)
+                if r is not None:
+                    spanned.append(r)
+                    todo.append((r, gens))
+    return points
 
 
 def _combine(terms: Iterable[tuple[Support, Fraction]]) -> dict[int, Fraction]:

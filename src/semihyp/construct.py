@@ -27,6 +27,7 @@ from .algebra import (
     Semihypergroup,
     as_fraction,
     point_mass,
+    table_generators,
 )
 
 
@@ -40,7 +41,7 @@ class ConstraintViolation(ValueError):
 
 
 class NotAssociativeError(ValueError):
-    """A constructed table failed the brute-force associativity check."""
+    """A constructed table failed the exact associativity check."""
 
     def __init__(self, report: CheckReport):
         self.report = report
@@ -101,8 +102,20 @@ class CayleyTable:
         return self.associativity_witness() is None
 
     def associativity_witness(self) -> Optional[tuple[int, int, int]]:
-        for x, y, z in product(range(self.n), repeat=3):
-            if self.product[self.product[x][y]][z] != self.product[x][self.product[y][z]]:
+        """First triple with (x*y)*z != x*(y*z) in (x, y, z) order, or None.
+
+        Light's test, as in `check_associativity`: a pass compares row x*g
+        with row g mapped through row x for the generators g only; otherwise
+        the exhaustive scan finds the first failing triple.
+        """
+        p, n = self.product, self.n
+        gens = table_generators(p)
+        if len(gens) < n and all(
+            p[p[x][g]] == tuple(p[x][w] for w in p[g]) for g in gens for x in range(n)
+        ):
+            return None
+        for x, y, z in product(range(n), repeat=3):
+            if p[p[x][y]][z] != p[x][p[y][z]]:
                 return (x, y, z)
         return None
 
@@ -251,7 +264,7 @@ def triple_hypergroup(
     e is the identity; p_a*p_a = x1 p_e + x2 p_a + x3 p_b, p_b*p_b uses the
     y's, and p_a*p_b = p_b*p_a = z1 p_a + z2 p_b.  The documented parameter
     constraints (three unit sums and y1*x3 = z1*x1) are necessary but not
-    sufficient for associativity, so acceptance is decided by the brute-force
+    sufficient for associativity, so acceptance is decided by the exact
     associativity check; whichever diagnostics fail are reported together.
     """
     x1, x2, x3 = as_fraction(x1), as_fraction(x2), as_fraction(x3)

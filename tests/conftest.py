@@ -10,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -97,6 +99,47 @@ def random_triple_params(count: int, seed: int = 20240811):
             continue
         out.append((x1, x2, x3, y1, y2, y3, z1, z2))
     return out
+
+
+def _closure_table(gens, compose):
+    """Multiplication table of the semigroup the maps gens generate."""
+    elems = list(dict.fromkeys(gens))
+    for f in elems:  # elems grows while it is scanned
+        for g in list(elems):
+            for h in (compose(f, g), compose(g, f)):
+                if h not in elems:
+                    elems.append(h)
+        assume(len(elems) <= 6)
+    index = {f: i for i, f in enumerate(elems)}
+    return [[index[compose(f, g)] for g in elems] for f in elems]
+
+
+@st.composite
+def magma_tables(draw):
+    """A 1-6 point integer table: a random magma, a transformation semigroup
+    or a permutation group, relabelled at random, then with at most one
+    entry overwritten (so some tables fail associativity at one entry)."""
+    kind = draw(st.sampled_from(["magma", "semigroup", "group"]))
+    if kind == "magma":
+        n = draw(st.integers(1, 6))
+        table = [draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+                 for _ in range(n)]
+    else:
+        k = draw(st.integers(1, 4))
+        if kind == "semigroup":
+            point = st.tuples(*[st.integers(0, k - 1)] * k)
+        else:
+            point = st.permutations(range(k)).map(tuple)
+        gens = draw(st.lists(point, min_size=1, max_size=2))
+        table = _closure_table(gens, lambda f, g: tuple(f[g[t]] for t in range(k)))
+    n = len(table)
+    order = draw(st.permutations(range(n)))
+    where = {old: new for new, old in enumerate(order)}
+    table = [[where[table[x][y]] for y in order] for x in order]
+    if draw(st.booleans()):
+        x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        table[x][y] = draw(st.integers(0, n - 1))
+    return table
 
 
 @pytest.fixture(scope="session")

@@ -339,3 +339,49 @@ def oracle_subgroups(prod, e: int):
                         nxt.append(k)
         frontier = nxt
     return sorted(tuple(sorted(h)) for h in found)
+
+
+def oracle_cayley_witness(prod):
+    """First (x, y, z) with (x.y).z != x.(y.z) in an integer table, or None."""
+    n = len(prod)
+    for x, y, z in product(range(n), repeat=3):
+        if prod[prod[x][y]][z] != prod[x][prod[y][z]]:
+            return (x, y, z)
+    return None
+
+
+def oracle_rank(vectors, n: int) -> int:
+    """Rank of a list of length-n vectors, via the null space of their columns."""
+    if not vectors:
+        return 0
+    columns = [[v[i] for v in vectors] for i in range(n)]
+    return len(vectors) - len(oracle_solve(columns, [Fraction(0)] * n)[1])
+
+
+def oracle_closure(table: Table, n: int, gens):
+    """A basis of the smallest subspace that holds every p_g, g in gens, and
+    is closed under v -> v*p_g and v -> p_g*v: every product of a basis
+    vector with a generator that raises the rank joins the basis, until
+    none does."""
+    units = [oracle_point(g, n) for g in gens]
+    basis = []
+    todo = list(units)
+    while todo:
+        v = todo.pop()
+        if oracle_rank(basis + [v], n) == len(basis):
+            continue
+        basis.append(v)
+        for u in units:
+            todo += [oracle_convolve(v, u, table, n), oracle_convolve(u, v, table, n)]
+    return basis
+
+
+def oracle_generating_points(table: Table, n: int):
+    """Greedy generators: each point whose mass is outside the closure of the
+    points chosen before it."""
+    gens = []
+    for i in range(n):
+        span = oracle_closure(table, n, gens)
+        if oracle_rank(span + [oracle_point(i, n)], n) > oracle_rank(span, n):
+            gens.append(i)
+    return gens

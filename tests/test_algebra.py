@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -23,16 +24,29 @@ from semihyp.algebra import (
     convolve,
     convolve_sets,
     find_identity,
+    generating_points,
     point_mass,
+    table_generators,
     zero_measure,
 )
-from semihyp.construct import from_semigroup, left_zero_semigroup
+from semihyp.construct import (
+    coset_space,
+    double_coset_space,
+    from_semigroup,
+    left_zero_semigroup,
+    symmetric_group,
+    triple_hypergroup,
+)
 
-from conftest import make_t3
+from conftest import magma_tables, make_t3, random_triple_params
 from oracles import (
     oracle_associativity_witness,
+    oracle_closure,
     oracle_convolve,
+    oracle_generating_points,
     oracle_point,
+    oracle_rank,
+    oracle_subgroups,
     table_of,
 )
 
@@ -232,20 +246,89 @@ def structure_of(n: int, table) -> Semihypergroup:
     return Semihypergroup(space=space, table=ConvolutionTable(space, entries))
 
 
-@settings(max_examples=300, deadline=None)
-@given(signed_tables())
-def test_associativity_matches_oracle_on_signed_tables(drawn):
-    n, table = drawn
-    report = check_associativity(structure_of(n, table))
+def point_mass_tables():
+    """`magma_tables` as (n, table) pairs of point-mass weights."""
+    return magma_tables().map(lambda t: (len(t), {
+        (x, y): oracle_point(t[x][y], len(t))
+        for x, y in itertools.product(range(len(t)), repeat=2)
+    }))
+
+
+def assert_associativity_matches_oracle(shg: Semihypergroup) -> None:
+    """Verdict, first failing triple, lhs and rhs all equal the oracle's."""
+    table, n = table_of(shg)
+    report = check_associativity(shg)
     expected = oracle_associativity_witness(table, n)
     assert report.passed == (expected is None)
     if expected is not None:
         x, y, z, lhs, rhs = expected
+        label = shg.space.label
         assert report.witness == {
-            "triple": (str(x), str(y), str(z)),
+            "triple": (label(x), label(y), label(z)),
             "lhs": lhs,
             "rhs": rhs,
         }
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_tables())
+def test_associativity_matches_oracle_on_signed_tables(drawn):
+    assert_associativity_matches_oracle(structure_of(*drawn))
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_mass_tables())
+def test_associativity_matches_oracle_on_point_mass_tables(drawn):
+    assert_associativity_matches_oracle(structure_of(*drawn))
+
+
+@functools.cache
+def quotients_and_triples() -> list[Semihypergroup]:
+    """Coset and double-coset spaces of S3 and S4 with 2-12 points, and ten
+    members of the 3-point family."""
+    out = [triple_hypergroup(*params) for params in random_triple_params(10)]
+    for g in (symmetric_group(3), symmetric_group(4)):
+        for h in oracle_subgroups(g.product, g.identity()):
+            out += [q for q in (coset_space(g, h), double_coset_space(g, h))
+                    if 1 < q.n <= 12]
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_associativity_matches_oracle_on_corrupted_quotients(data):
+    # one entry moved toward a point mass: when the generator scan misses
+    # the one point whose products changed, a false pass shows here
+    shg = data.draw(st.sampled_from(quotients_and_triples()))
+    x, y, k = (data.draw(st.integers(0, shg.n - 1)) for _ in range(3))
+    mix = data.draw(st.sampled_from([F(1), F(1, 2)]))
+    entries = [list(row) for row in shg.table.entries]
+    entries[x][y] = (1 - mix) * entries[x][y] + mix * point_mass(shg.space, k)
+    table = ConvolutionTable(shg.space, tuple(map(tuple, entries)))
+    assert_associativity_matches_oracle(Semihypergroup(shg.space, table))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(signed_tables(), point_mass_tables()))
+def test_generating_points_are_greedy_and_span(drawn):
+    n, table = drawn
+    gens = generating_points(structure_of(n, table))
+    assert gens == oracle_generating_points(table, n)
+    assert oracle_rank(oracle_closure(table, n, gens), n) == n
+
+
+def test_generating_points_of_quotients(corpus):
+    for _, shg in corpus:
+        table, n = table_of(shg)
+        if n <= 8:
+            assert generating_points(shg) == oracle_generating_points(table, n)
+
+
+def test_left_zero_table_needs_every_point():
+    for k in range(1, 7):
+        lz = left_zero_semigroup(k)
+        assert generating_points(from_semigroup(lz)) == list(range(k))
+        assert table_generators(lz.product) == list(range(k))
 
 
 def test_associativity_compares_after_cancellation():

@@ -6,8 +6,14 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
 
-from semihyp.algebra import point_mass
+from semihyp.algebra import (
+    ConvolutionTable,
+    Semihypergroup,
+    check_associativity,
+    point_mass,
+)
 from semihyp.construct import (
     CayleyTable,
     ConstraintViolation,
@@ -29,9 +35,10 @@ from semihyp.construct import (
     triple_hypergroup,
 )
 
-from conftest import random_triple_params
+from conftest import magma_tables, random_triple_params
 from oracles import (
     oracle_associativity_witness,
+    oracle_cayley_witness,
     oracle_coset_space,
     oracle_double_coset_space,
     oracle_orbit_space,
@@ -53,6 +60,35 @@ def test_cayley_validation():
         CayleyTable(labels=("a", "a"), product=((0, 0), (0, 0)))
     with pytest.raises(ValueError):
         CayleyTable(labels=("a", "b"), product=((0,),))
+
+
+@settings(max_examples=400, deadline=None)
+@given(magma_tables())
+def test_cayley_associativity_witness_matches_brute_force(table):
+    n = len(table)
+    cayley = CayleyTable(tuple(str(i) for i in range(n)), table)
+    assert cayley.associativity_witness() == oracle_cayley_witness(table)
+
+
+def test_order_120_light_test_keeps_the_first_witness():
+    s5 = symmetric_group(5)
+    assert s5.is_group()
+    assert check_associativity(from_semigroup(s5)).passed
+    table = [list(row) for row in s5.product]
+    table[s5.index("(12)")][s5.index("(345)")] = s5.index("e")
+    expected = oracle_cayley_witness(table)
+    assert expected is not None
+    assert CayleyTable(s5.labels, table).associativity_witness() == expected
+    space = s5.space
+    masses = [point_mass(space, z) for z in range(s5.n)]
+    entries = tuple(tuple(masses[z] for z in row) for row in table)
+    report = check_associativity(Semihypergroup(space, ConvolutionTable(space, entries)))
+    x, y, z = expected
+    assert report.witness == {
+        "triple": (s5.labels[x], s5.labels[y], s5.labels[z]),
+        "lhs": masses[table[table[x][y]][z]].weights,
+        "rhs": masses[table[x][table[y][z]]].weights,
+    }
 
 
 def test_cyclic_group_properties():
