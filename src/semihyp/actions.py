@@ -32,7 +32,8 @@ from .algebra import (
 )
 from .amenability import Mean
 from .functions import PointFunction
-from .linprog import LPProblem, LPSolution, solve_linear_system, solve_lp_feasibility
+from .linprog import (LPProblem, LPSolution, pad_certificate, solve_linear_system,
+                      solve_lp_feasibility)
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -262,6 +263,23 @@ def _product_rows(
     )
 
 
+def _failing_pair(
+    shg: Semihypergroup, rows: Sequence[Sequence[Support]], unital: bool
+) -> Optional[tuple[int, int]]:
+    """The first pair (s, t) in order where `_product_rows` differ, or None.
+    The nu with T~_mu T~_nu = T~_{mu*nu} for all mu form a subalgebra (see
+    `kept_points`) holding p_e if `unital` (T_e = I): a pass then compares
+    only the pairs (s, g), g kept."""
+    n, kept = shg.n, shg.kept_points
+
+    def fails(s: int, t: int) -> bool:
+        return any(lhs != rhs for lhs, rhs in _product_rows(rows, s, t, shg.supports[s][t]))
+
+    if unital and len(kept) < n and not any(fails(s, g) for g in kept for s in range(n)):
+        return None
+    return next((p for p in product(range(n), repeat=2) if fails(*p)), None)
+
+
 def check_action_axiom(action: AffineAction) -> CheckReport:
     """Composition of coefficient maps must equal the convolution average.
 
@@ -273,19 +291,20 @@ def check_action_axiom(action: AffineAction) -> CheckReport:
     structure has an identity e, T_e must additionally be the identity map.
     Both sides run over nonzero entries and nonzero convolution weights
     only, so a pair costs work in proportion to the supports, not d^3 n.
+    A pass with T_e = I scans only the pairs (s, g) of `_failing_pair`.
     """
     shg = action.structure
     require_associative(shg)
     rows = [m.augmented_rows for m in action.maps]
     d = carrier_dim(action.carrier)
-    for s, t in product(range(shg.n), repeat=2):
-        weights = shg.supports[s][t]
-        if all(lhs == rhs for lhs, rhs in _product_rows(rows, s, t, weights)):
-            continue
+    e = shg.identity
+    unital = e is None or action.maps[e] == identity_map(d)
+    if (pair := _failing_pair(shg, rows, unital)) is not None:
+        s, t = pair
         # column d holds the offsets
         part = "matrix" if any(
             {**lhs, d: 0} != {**rhs, d: 0}
-            for lhs, rhs in _product_rows(rows, s, t, weights)
+            for lhs, rhs in _product_rows(rows, s, t, shg.supports[s][t])
         ) else "offset"
         return CheckReport(
             check="action-axiom",
@@ -295,18 +314,14 @@ def check_action_axiom(action: AffineAction) -> CheckReport:
             witness={"pair": (shg.space.label(s), shg.space.label(t)),
                      "part": part},
         )
-    e = shg.identity
-    if e is not None:
-        if action.maps[e].matrix != identity_map(d).matrix or any(
-            v != 0 for v in action.maps[e].offset
-        ):
-            return CheckReport(
-                check="action-axiom",
-                passed=False,
-                detail=f"identity point {shg.space.label(e)} must act as the "
-                "identity map",
-                witness={"pair": (shg.space.label(e),), "part": "identity"},
-            )
+    if not unital:
+        return CheckReport(
+            check="action-axiom",
+            passed=False,
+            detail=f"identity point {shg.space.label(e)} must act as the "
+            "identity map",
+            witness={"pair": (shg.space.label(e),), "part": "identity"},
+        )
     return CheckReport(check="action-axiom", passed=True)
 
 
@@ -472,22 +487,25 @@ def common_fixed_point_problem(action: AffineAction) -> LPProblem:
 
     The variables are barycentric weights lam >= 0 over the carrier's
     vertices V (a simplex is the hull of its unit vertices, so there
-    lam = x): the rows are (A_s - I) V lam = -b_s and sum(lam) = 1.
+    lam = x): the rows are (A_s - I) V lam = -b_s for s in `kept_points`,
+    where T~_mu x~ = (sum mu) x~ holds on a subalgebra, and sum(lam) = 1.
     """
+    _require_verified(action)
     vertices = carrier_vertices(action.carrier)
     # by_coord[j]: the (vertex, coordinate) pairs with v[j] != 0, so each
     # entry a of A_s meets only the vertices it contributes to
     by_coord = [[(k, v[j]) for k, v in enumerate(vertices) if v[j]]
                 for j in range(carrier_dim(action.carrier))]
+    maps = [action.maps[s] for s in action.structure.kept_points]
     rows: list[Vector] = []
-    for m in action.maps:
+    for m in maps:
         for i, row in enumerate(m.sparse_rows):
             out = [-v[i] for v in vertices]
             for j, a in row:
                 for k, c in by_coord[j]:
                     out[k] += a * c
             rows.append(tuple(out))
-    rhs = [-b for m in action.maps for b in m.offset]
+    rhs = [-b for m in maps for b in m.offset]
     k = len(vertices)
     rows.append((Fraction(1),) * k)
     rhs.append(Fraction(1))
@@ -497,17 +515,21 @@ def common_fixed_point_problem(action: AffineAction) -> LPProblem:
 def common_fixed_point_solution(
     action: AffineAction,
 ) -> tuple[LPSolution, Optional[Vector]]:
-    """LP outcome plus the carrier point sum_v lam_v v when feasible."""
-    _require_verified(action)
-    solution = solve_lp_feasibility(common_fixed_point_problem(action))
+    """LP outcome plus the carrier point sum_v lam_v v when feasible, checked
+    against every map; the certificate covers every point (`pad_certificate`)."""
+    problem = common_fixed_point_problem(action)
+    shg, d = action.structure, carrier_dim(action.carrier)
+    solution = pad_certificate(solve_lp_feasibility(problem), shg.kept_points, d, shg.n)
     if not solution.feasible:
         return solution, None
     vertices = carrier_vertices(action.carrier)
     point = tuple(
         sum((lam * v[i] for lam, v in zip(solution.witness, vertices) if lam),
             Fraction(0))
-        for i in range(carrier_dim(action.carrier))
+        for i in range(d)
     )
+    if any(m.apply(point) != point for m in action.maps):
+        raise AssertionError("LP point is not fixed by every map")
     return solution, point
 
 
@@ -543,13 +565,11 @@ def canonical_means_action(shg: Semihypergroup) -> AffineAction:
 def _translation_transposes(shg: Semihypergroup) -> tuple[AffineMap, ...]:
     """The linear maps u -> M_s^T u, where M_s[y][z] = (p_s*p_y)(z) is the
     left-translation matrix of s."""
-    n = shg.n
-    maps = []
-    for s in range(n):
-        rows = [shg.table.entries[s][y].weights for y in range(n)]
-        transpose = tuple(tuple(rows[y][z] for y in range(n)) for z in range(n))
-        maps.append(AffineMap(matrix=transpose, offset=(Fraction(0),) * n))
-    return tuple(maps)
+    zero = (Fraction(0),) * shg.n
+    return tuple(
+        AffineMap(matrix=tuple(zip(*(m.weights for m in row))), offset=zero)
+        for row in shg.table.entries
+    )
 
 
 def induced_function(
@@ -624,17 +644,16 @@ class DualAction:
         M_s^T M_t^T = sum_z (p_s*p_t)(z) M_z^T, checked per pair (s, t).
         """
         shg = self.structure
-        rows = [m.augmented_rows for m in self._transposes]
-        for s, t in product(range(shg.n), repeat=2):
-            pairs = _product_rows(rows, s, t, shg.supports[s][t])
-            if not all(lhs == rhs for lhs, rhs in pairs):
-                return CheckReport(
-                    check="dual-action-axiom",
-                    passed=False,
-                    detail=f"fails at pair ({shg.space.label(s)}, "
-                    f"{shg.space.label(t)})",
-                    witness={"pair": (shg.space.label(s), shg.space.label(t))},
-                )
+        # M_e^T is the identity matrix, so the generator pairs decide a pass
+        pair = _failing_pair(shg, [m.augmented_rows for m in self._transposes], True)
+        if pair is not None:
+            labels = tuple(shg.space.label(p) for p in pair)
+            return CheckReport(
+                check="dual-action-axiom",
+                passed=False,
+                detail=f"fails at pair ({labels[0]}, {labels[1]})",
+                witness={"pair": labels},
+            )
         return CheckReport(check="dual-action-axiom", passed=True)
 
     def orbit_bound(self, u0: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
@@ -663,8 +682,8 @@ def mean_via_dual_action(
 ) -> Optional[Mean]:
     """Left invariant mean recovered from the dual-space fixed-point route.
 
-    Solves the exact linear system {T_s w = w for all s} on trace-zero
-    coordinates by Gaussian elimination, translates the solution set by v0,
+    Solves the exact linear system {T_s w = w for s in `kept_points`} on
+    trace-zero coordinates by elimination, translates the solution set by v0,
     and intersects it with the probability simplex by LP.  The route shares
     only the generic LP kernel with the direct mean search, so the two act
     as independent oracles for each other.
@@ -677,11 +696,11 @@ def mean_via_dual_action(
     # w = sum_k c_k (e_k - e_{n-1}) on the trace-zero subspace; with the
     # linear part L = M_s^T, L[i][k] = (p_s*p_k)(i), row (s, i) of
     # (T_s - I) w = 0 reads sum_k c_k (L[i][k] - L[i][n-1] - [i==k] + [i==n-1])
-    # = [i==b] - L[i][b]
+    # = [i==b] - L[i][b], for the kept s (as in `common_fixed_point_problem`)
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
-    for entries in shg.table.entries:
-        cols = [m.weights for m in entries]  # cols[k][i] = L[i][k]
+    for s in shg.kept_points:
+        cols = [m.weights for m in shg.table.entries[s]]  # cols[k][i] = L[i][k]
         for i in range(n):
             rows.append([
                 cols[k][i] - cols[n - 1][i] - (i == k) + (i == n - 1)
@@ -704,33 +723,20 @@ def mean_via_dual_action(
             return Mean(shg.space, base_mean)
         return None
 
-    # feasibility of base + sum beta_l * dir_l >= 0 with beta free
+    # feasibility of base + sum beta_l * dir_l - slack = 0 with beta free
     k = len(directions)
-    rows2: list[Vector] = []
-    rhs2: list[Fraction] = []
-    for i in range(n):
-        rows2.append(
-            tuple(directions[l][i] for l in range(k))
-            + tuple(
-                Fraction(-1) if j == i else Fraction(0) for j in range(n)
-            )
-        )
-        rhs2.append(-base_mean[i])
-    problem = LPProblem(
-        matrix=tuple(rows2),
-        rhs=tuple(rhs2),
-        nonneg=(False,) * k + (True,) * n,
+    rows2 = [tuple(d[i] for d in directions) + tuple(Fraction(-(j == i)) for j in range(n))
+             for i in range(n)]
+    solution = solve_lp_feasibility(
+        LPProblem(tuple(rows2), tuple(-v for v in base_mean), (False,) * k + (True,) * n)
     )
-    solution = solve_lp_feasibility(problem)
     if not solution.feasible:
         return None
     beta = solution.witness[:k]
-    result = list(base_mean)
-    for l in range(k):
-        if beta[l] != 0:
-            for i in range(n):
-                result[i] += beta[l] * directions[l][i]
-    return Mean(shg.space, tuple(result))
+    return Mean(shg.space, tuple(
+        v + sum((b * d[i] for b, d in zip(beta, directions) if b), Fraction(0))
+        for i, v in enumerate(base_mean)
+    ))
 
 
 # ---------------------------------------------------------------------------

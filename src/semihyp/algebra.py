@@ -205,6 +205,18 @@ class Semihypergroup:
         return find_identity(self)
 
     @cached_property
+    def generators(self) -> tuple[int, ...]:
+        return tuple(generating_points(self))
+
+    @cached_property
+    def kept_points(self) -> tuple[int, ...]:
+        """The points whose rows the LPs, the dual system and the action
+        axiom keep: `generators` on a probability table, else every point.
+        Each kernel's set of measures is, under associativity and with total
+        mass multiplicative, a subalgebra holding p_e, so it holds them all."""
+        return self.generators if self.probability_report.passed else tuple(range(self.n))
+
+    @cached_property
     def is_commutative(self) -> bool:
         return check_commutative(self)
 
@@ -304,7 +316,7 @@ def check_associativity(s: Semihypergroup) -> CheckReport:
         return (_combine((sup[u][z], a) for u, a in sup[x][y]),
                 _combine((sup[x][v], b) for v, b in sup[y][z]))
 
-    gens = generating_points(s)
+    gens = s.generators
     at_gens = (sides(x, g, z) for g in gens for x, z in product(range(n), repeat=2))
     if len(gens) < n and all(lhs == rhs for lhs, rhs in at_gens):
         return CheckReport(check="associativity", passed=True)
@@ -328,12 +340,14 @@ def generating_points(s: Semihypergroup) -> list[int]:
 
     Greedy: take the next point whose mass is not in the span, then close
     the span under products with the chosen points on both sides, until it
-    is R^n.  Point-mass tables run `table_generators`; others keep an exact
-    echelon basis, each row scaled to 1 at its first nonzero coordinate.
+    is R^n.  The span starts at the identity, which lies in every middle
+    nucleus and is never a generator.  Point-mass tables run
+    `table_generators`; others keep an exact echelon basis, each row scaled
+    to 1 at its first nonzero coordinate.
     """
     sup = s.supports
     if all(len(e) == 1 and e[0][1] == 1 for row in sup for e in row):
-        return table_generators([[e[0][0] for e in row] for row in sup])
+        return table_generators([[e[0][0] for e in row] for row in sup], s.identity)
     basis: dict[int, dict[int, Fraction]] = {}
 
     def insert(v: dict[int, Fraction]) -> Optional[dict[int, Fraction]]:
@@ -348,12 +362,13 @@ def generating_points(s: Semihypergroup) -> list[int]:
     def times(u: dict[int, Fraction], v: dict[int, Fraction]) -> dict[int, Fraction]:
         return _combine((sup[x][y], a * b) for x, a in u.items() for y, b in v.items())
 
-    return _greedy_generators(s.n, lambda i: {i: Fraction(1)}, insert, times)
+    return _greedy_generators(s.n, lambda i: {i: Fraction(1)}, insert, times, s.identity)
 
 
-def table_generators(product: Sequence[Sequence[int]]) -> list[int]:
-    """`generating_points` of the magma with integer table product[x][y]: a
-    span of point masses is a set of points, reached in O(n*|G|) products."""
+def table_generators(product: Sequence[Sequence[int]], identity: Optional[int]) -> list[int]:
+    """`generating_points` of the magma with integer table product[x][y] and
+    identity `identity`: a span of point masses is a set of points, reached
+    in O(n*|G|) products."""
     reached: set[int] = set()
 
     def insert(k: int) -> Optional[int]:
@@ -362,15 +377,20 @@ def table_generators(product: Sequence[Sequence[int]]) -> list[int]:
         reached.add(k)
         return k
 
-    return _greedy_generators(len(product), lambda i: i, insert, lambda u, v: product[u][v])
+    return _greedy_generators(
+        len(product), lambda i: i, insert, lambda u, v: product[u][v], identity
+    )
 
 
-def _greedy_generators(n: int, unit: Callable, insert: Callable, times: Callable) -> list[int]:
+def _greedy_generators(
+    n: int, unit: Callable, insert: Callable, times: Callable, identity: Optional[int]
+) -> list[int]:
     """The search behind both: insert(v) adds v to the span and returns the
     element spanning the new direction, or None when v was in the span
     already; every spanning element meets every generator once on each side.
-    """
-    points, gens, spanned = [], [], []
+    The span starts at the identity, if any, so it is never returned."""
+    points, gens = [], []
+    spanned = [] if identity is None else [insert(unit(identity))]
     for i in range(n):
         if len(spanned) == n:
             break

@@ -23,7 +23,7 @@ from .algebra import (
     require_associative,
 )
 from .functions import PointFunction
-from .linprog import LPProblem, LPSolution, solve_lp_feasibility
+from .linprog import LPProblem, LPSolution, pad_certificate, solve_lp_feasibility
 
 
 @dataclass(frozen=True)
@@ -56,27 +56,31 @@ def uniform_mean(space: PointSpace) -> Mean:
 def left_invariance_problem(shg: Semihypergroup) -> LPProblem:
     """LP whose feasible points are exactly the left invariant means.
 
-    Variables are the mean weights m_y >= 0; rows say that for every point s
-    the pushforward of m through the left-translation matrix M_s equals m,
-    plus the normalization sum(m) = 1.  Right invariant means are the
-    feasible points of this problem on `algebra.opposite(shg)`.
+    Variables are the mean weights m_y >= 0; rows say that for s in
+    `shg.kept_points` the pushforward of m through M_s equals m, plus
+    sum(m) = 1.  M_{mu*nu} = M_nu M_mu, so each dropped row is a combination
+    of kept rows before it, and `_row_reduce` keeps the rows it would keep
+    on all n^2+1.  Right invariant means are the feasible points of this
+    problem on `algebra.opposite(shg)`.
     """
-    # rows sum_y (p_s*p_y)(z) m_y - m_z = 0 for every s, z; then sum(m) = 1
+    require_associative(shg)
+    # rows sum_y (p_s*p_y)(z) m_y - m_z = 0 for every kept s and every z
     n = shg.n
     rows = [
         tuple(m.weights[z] - 1 if y == z else m.weights[z] for y, m in enumerate(row))
-        for row in shg.table.entries
+        for row in (shg.table.entries[s] for s in shg.kept_points)
         for z in range(n)
     ]
+    rhs = (Fraction(0),) * len(rows) + (Fraction(1),)
     rows.append((Fraction(1),) * n)
-    rhs = (Fraction(0),) * (n * n) + (Fraction(1),)
     return LPProblem(matrix=tuple(rows), rhs=rhs, nonneg=(True,) * n)
 
 
 def left_invariant_mean_solution(shg: Semihypergroup) -> LPSolution:
-    """Raw LP outcome, exposing the witness or the infeasibility certificate."""
-    require_associative(shg)
-    return solve_lp_feasibility(left_invariance_problem(shg))
+    """Raw LP outcome, exposing the witness or the infeasibility certificate,
+    padded to the n^2+1 rows of every point (`pad_certificate`)."""
+    solution = solve_lp_feasibility(left_invariance_problem(shg))
+    return pad_certificate(solution, shg.kept_points, shg.n, shg.n)
 
 
 def find_left_invariant_mean(shg: Semihypergroup) -> Optional[Mean]:

@@ -109,7 +109,7 @@ class CayleyTable:
         the exhaustive scan finds the first failing triple.
         """
         p, n = self.product, self.n
-        gens = table_generators(p)
+        gens = table_generators(p, self.identity())
         if len(gens) < n and all(
             p[p[x][g]] == tuple(p[x][w] for w in p[g]) for g in gens for x in range(n)
         ):

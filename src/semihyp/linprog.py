@@ -13,7 +13,7 @@ y.b > 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -248,6 +248,21 @@ def solve_lp_feasibility(problem: LPProblem) -> LPSolution:
     witness = tuple(witness_list)
     _verify_witness(problem, witness)
     return LPSolution(status="feasible", witness=witness, pivots=pivots)
+
+
+def pad_certificate(
+    solution: LPSolution, blocks: Sequence[int], width: int, n_blocks: int
+) -> LPSolution:
+    """`solution` of the row blocks `blocks` (ascending, `width` rows each)
+    of a problem of n_blocks blocks and a last row, with the certificate put
+    at the full rows and zero on the dropped ones, so still a Farkas one."""
+    if solution.feasible:
+        return solution
+    full = [Fraction(0)] * (n_blocks * width + 1)
+    rows = [b * width + i for b in blocks for i in range(width)] + [n_blocks * width]
+    for r, y in zip(rows, solution.certificate):
+        full[r] = y
+    return replace(solution, certificate=tuple(full))
 
 
 def _pivot(

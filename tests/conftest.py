@@ -101,15 +101,16 @@ def random_triple_params(count: int, seed: int = 20240811):
     return out
 
 
-def _closure_table(gens, compose):
-    """Multiplication table of the semigroup the maps gens generate."""
+def _closure_table(gens, compose, limit: int = 6):
+    """Multiplication table of the semigroup the maps gens generate, with at
+    most `limit` elements."""
     elems = list(dict.fromkeys(gens))
     for f in elems:  # elems grows while it is scanned
         for g in list(elems):
             for h in (compose(f, g), compose(g, f)):
                 if h not in elems:
                     elems.append(h)
-        assume(len(elems) <= 6)
+        assume(len(elems) <= limit)
     index = {f: i for i, f in enumerate(elems)}
     return [[index[compose(f, g)] for g in elems] for f in elems]
 

@@ -135,9 +135,9 @@ def _left_matrices(table: Table, n: int):
     ]
 
 
-def oracle_invariant_mean_vertices(table: Table, n: int):
-    """All vertices of {m >= 0, sum m = 1, m M_s = m for all s} by support
-    enumeration; empty tuple means the polytope is empty."""
+def oracle_invariance_rows(table: Table, n: int):
+    """The n^2+1 rows of {m M_s = m for all s, sum m = 1}: row (s, z) at
+    index s*n + z, then the normalization."""
     mats = _left_matrices(table, n)
     rows = []
     rhs = []
@@ -149,6 +149,35 @@ def oracle_invariant_mean_vertices(table: Table, n: int):
             rhs.append(Fraction(0))
     rows.append([Fraction(1)] * n)
     rhs.append(Fraction(1))
+    return rows, rhs
+
+
+def oracle_dual_rows(table: Table, n: int, b: int):
+    """The n^2 rows of M_s^T (w + e_b) = w + e_b for all s, with
+    w = sum_k c_k (e_k - e_{n-1}) over the n-1 unknowns c_k."""
+    rows, rhs = [], []
+    for s in range(n):
+        image = [[sum((table[(s, y)][i] * v[y] for y in range(n)), Fraction(0))
+                  for i in range(n)] for v in (oracle_point(k, n) for k in range(n))]
+        for i in range(n):
+            rows.append([image[k][i] - image[n - 1][i] - oracle_point(k, n)[i]
+                         + oracle_point(n - 1, n)[i] for k in range(n - 1)])
+            rhs.append(oracle_point(b, n)[i] - image[b][i])
+    return rows, rhs
+
+
+def oracle_is_farkas(rows, rhs, y) -> bool:
+    """y.b > 0 and y.A <= 0 on every column: no x >= 0 has A x = b."""
+    return len(y) == len(rows) and sum((a * b for a, b in zip(y, rhs)), Fraction(0)) > 0 and all(
+        sum((a * row[j] for a, row in zip(y, rows)), Fraction(0)) <= 0
+        for j in range(len(rows[0]))
+    )
+
+
+def oracle_invariant_mean_vertices(table: Table, n: int):
+    """All vertices of {m >= 0, sum m = 1, m M_s = m for all s} by support
+    enumeration; empty tuple means the polytope is empty."""
+    rows, rhs = oracle_invariance_rows(table, n)
 
     vertices = set()
     for size in range(1, n + 1):
@@ -358,14 +387,21 @@ def oracle_rank(vectors, n: int) -> int:
     return len(vectors) - len(oracle_solve(columns, [Fraction(0)] * n)[1])
 
 
+def oracle_identity(table: Table, n: int):
+    """The point e with p_e*p_x = p_x = p_x*p_e for every x, or None."""
+    return next((e for e in range(n) if all(
+        table[(e, x)] == table[(x, e)] == oracle_point(x, n) for x in range(n))), None)
+
+
 def oracle_closure(table: Table, n: int, gens):
-    """A basis of the smallest subspace that holds every p_g, g in gens, and
-    is closed under v -> v*p_g and v -> p_g*v: every product of a basis
-    vector with a generator that raises the rank joins the basis, until
-    none does."""
+    """A basis of the smallest subspace that holds the identity's mass (if
+    any) and every p_g, g in gens, and is closed under v -> v*p_g and
+    v -> p_g*v: every product of a basis vector with a generator that raises
+    the rank joins the basis, until none does."""
     units = [oracle_point(g, n) for g in gens]
+    e = oracle_identity(table, n)
     basis = []
-    todo = list(units)
+    todo = units + ([] if e is None else [oracle_point(e, n)])
     while todo:
         v = todo.pop()
         if oracle_rank(basis + [v], n) == len(basis):
@@ -378,7 +414,7 @@ def oracle_closure(table: Table, n: int, gens):
 
 def oracle_generating_points(table: Table, n: int):
     """Greedy generators: each point whose mass is outside the closure of the
-    points chosen before it."""
+    identity and the points chosen before it."""
     gens = []
     for i in range(n):
         span = oracle_closure(table, n, gens)

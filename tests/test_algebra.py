@@ -327,8 +327,9 @@ def test_generating_points_of_quotients(corpus):
 def test_left_zero_table_needs_every_point():
     for k in range(1, 7):
         lz = left_zero_semigroup(k)
-        assert generating_points(from_semigroup(lz)) == list(range(k))
-        assert table_generators(lz.product) == list(range(k))
+        expected = list(range(k)) if k > 1 else []  # lz1's point is an identity
+        assert generating_points(from_semigroup(lz)) == expected
+        assert table_generators(lz.product, lz.identity()) == expected
 
 
 def test_associativity_compares_after_cancellation():
