@@ -14,7 +14,7 @@ the affine action on the subspace of functionals annihilating constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -223,6 +223,7 @@ class AffineAction:
     structure: Semihypergroup
     carrier: Carrier
     maps: tuple[AffineMap, ...]
+    _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.maps) != self.structure.n:
@@ -241,6 +242,12 @@ class AffineAction:
     @cached_property
     def invariance_report(self) -> CheckReport:
         return check_invariance(self)
+
+    def operator_norms(self, p: Seminorm) -> tuple[Optional[Fraction], ...]:
+        """`operator_seminorm` of every map under p, computed once per action."""
+        if p not in self._norms:
+            self._norms[p] = tuple(operator_seminorm(m.matrix, p) for m in self.maps)
+        return self._norms[p]
 
 
 def _product_rows(
@@ -325,28 +332,47 @@ def check_action_axiom(action: AffineAction) -> CheckReport:
     return CheckReport(check="action-axiom", passed=True)
 
 
+def _first_escaping_vertex(m: AffineMap) -> Optional[int]:
+    """The first j such that m sends the simplex vertex e_j off the simplex.
+    The image is column j of A plus b: it needs A_ij + b_i >= 0 for every i
+    (b_i alone where A_ij = 0) and entries summing to 1."""
+    d = m.dim
+    sums, bad = [sum(m.offset, Fraction(0))] * d, set()
+    for row, b in zip(m.sparse_rows, m.offset):
+        if b < 0:
+            bad.update(set(range(d)).difference(j for j, _ in row))
+        bad.update(j for j, a in row if a + b < 0)
+        for j, a in row:
+            sums[j] += a
+    return min(bad.union(j for j in range(d) if sums[j] != 1), default=None)
+
+
 def check_invariance(action: AffineAction) -> CheckReport:
     """Each map must send the carrier into itself.
 
     Affine maps preserve convex combinations, so checking the images of the
-    vertices (hull generators) is sufficient.
+    vertices (hull generators) is sufficient.  On a simplex they are the
+    columns of each map (see `_first_escaping_vertex`).
     """
-    for s in range(action.structure.n):
-        m = action.maps[s]
-        for v in carrier_vertices(action.carrier):
-            image = m.apply(v)
-            if not carrier_contains(action.carrier, image):
-                return CheckReport(
-                    check="invariance",
-                    passed=False,
-                    detail=f"map at {action.structure.space.label(s)} sends a "
-                    "vertex outside the carrier",
-                    witness={
-                        "point": action.structure.space.label(s),
-                        "vertex": v,
-                        "image": image,
-                    },
-                )
+    for s, m in enumerate(action.maps):
+        if isinstance(action.carrier, Simplex):
+            j = _first_escaping_vertex(m)
+        else:
+            j = next((j for j, v in enumerate(action.carrier.points)
+                      if not carrier_contains(action.carrier, m.apply(v))), None)
+        if j is not None:
+            v = carrier_vertices(action.carrier)[j]
+            return CheckReport(
+                check="invariance",
+                passed=False,
+                detail=f"map at {action.structure.space.label(s)} sends a "
+                "vertex outside the carrier",
+                witness={
+                    "point": action.structure.space.label(s),
+                    "vertex": v,
+                    "image": m.apply(v),
+                },
+            )
     return CheckReport(check="invariance", passed=True)
 
 
@@ -431,23 +457,18 @@ def equicontinuity_bound(
     neighborhood by the bound gives one modulus valid for every map at once.
     None flags an unbounded direction under a zero-weight seminorm.
     """
-    best = Fraction(0)
-    for m in action.maps:
-        for p in seminorms:
-            norm = operator_seminorm(m.matrix, p)
-            if norm is None:
-                return None
-            best = max(best, norm)
-    return best
+    norms = [v for p in seminorms for v in action.operator_norms(p)]
+    return None if None in norms else max(norms, default=Fraction(0))
 
 
 def check_nonexpansive(
     action: AffineAction, seminorms: Sequence[Seminorm]
 ) -> CheckReport:
     """Every map must have operator seminorm at most 1 for every seminorm."""
+    norms = [action.operator_norms(p) for p in seminorms]
     for s in range(action.structure.n):
         for k, p in enumerate(seminorms):
-            norm = operator_seminorm(action.maps[s].matrix, p)
+            norm = norms[k][s]
             if norm is None or norm > 1:
                 return CheckReport(
                     check="nonexpansive",

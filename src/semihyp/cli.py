@@ -17,6 +17,7 @@ the timing field.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -137,6 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_orbit)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()  # parse_args leaves it unchanged: one per process
 
 
 def _read(path: str) -> str:
@@ -314,14 +320,11 @@ def cmd_construct(args: argparse.Namespace) -> tuple[dict, int]:
         elif args.kind == "triple":
             params = [parse_rational(p) for p in args.params]
             shg = triple_hypergroup(*params, name=args.name)
-        elif args.kind == "coset":
+        elif args.kind in ("coset", "doublecoset"):
             table = parse_group(_read(args.group))
             members = [s for s in args.subgroup.split(",") if s]
-            shg = coset_space(table, members, name=args.name)
-        elif args.kind == "doublecoset":
-            table = parse_group(_read(args.group))
-            members = [s for s in args.subgroup.split(",") if s]
-            shg = double_coset_space(table, members, name=args.name)
+            quotient = coset_space if args.kind == "coset" else double_coset_space
+            shg = quotient(table, members, name=args.name)
         else:
             group_action = parse_group_action(_read(args.action))
             shg = orbit_space(group_action, name=args.name)
@@ -357,9 +360,8 @@ def cmd_construct(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return EXIT_ERROR if code not in (0, None) else EXIT_PASS

@@ -216,7 +216,7 @@ def from_semigroup(table: CayleyTable, name: Optional[str] = None) -> Semihyperg
 
     Only the integer table is checked for associativity: point masses are
     probability measures, and the convolution of point masses is associative
-    exactly when the table is.
+    exactly when the table is, so the result caches that passing report.
     """
     witness = table.associativity_witness()
     if witness is not None:
@@ -227,7 +227,9 @@ def from_semigroup(table: CayleyTable, name: Optional[str] = None) -> Semihyperg
     conv = ConvolutionTable(
         space, tuple(tuple(masses[z] for z in row) for row in table.product)
     )
-    return Semihypergroup(space=space, table=conv, name=name or "semigroup")
+    shg = Semihypergroup(space=space, table=conv, name=name or "semigroup")
+    vars(shg)["associativity_report"] = CheckReport(check="associativity", passed=True)
+    return shg
 
 
 def triple_constraint_violations(

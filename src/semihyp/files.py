@@ -138,13 +138,9 @@ def sort_points(shg: Semihypergroup) -> Semihypergroup:
     if order == list(range(shg.n)):
         return shg
     space = PointSpace(tuple(shg.space.label(i) for i in order))
-    position = {old: new for new, old in enumerate(order)}
 
     def remap(m: Measure) -> Measure:
-        w = [Fraction(0)] * shg.n
-        for old, weight in enumerate(m.weights):
-            w[position[old]] = weight
-        return Measure(space, tuple(w))
+        return Measure(space, tuple(m.weights[old] for old in order))
 
     table = ConvolutionTable(
         space,
@@ -311,23 +307,17 @@ def _jsonable(value: Any) -> Any:
 
 
 def _render_text(value: Any, lines: list[str], indent: str) -> None:
-    if isinstance(value, dict):
-        for k in value:
-            v = value[k]
-            if isinstance(v, (dict, list)):
-                lines.append(f"{indent}{k}:")
-                _render_text(v, lines, indent + "  ")
-            else:
-                lines.append(f"{indent}{k}: {_scalar_text(v)}")
-    elif isinstance(value, list):
-        for v in value:
-            if isinstance(v, (dict, list)):
-                lines.append(f"{indent}-")
-                _render_text(v, lines, indent + "  ")
-            else:
-                lines.append(f"{indent}- {_scalar_text(v)}")
-    else:
+    if not isinstance(value, (dict, list)):
         lines.append(f"{indent}{_scalar_text(value)}")
+        return
+    items = (((f"{k}:", v) for k, v in value.items()) if isinstance(value, dict)
+             else (("-", v) for v in value))
+    for head, v in items:
+        if isinstance(v, (dict, list)):
+            lines.append(f"{indent}{head}")
+            _render_text(v, lines, indent + "  ")
+        else:
+            lines.append(f"{indent}{head} {_scalar_text(v)}")
 
 
 def _scalar_text(value: Any) -> str:

@@ -119,6 +119,19 @@ def oracle_action_axiom_failure(table: Table, n: int, mats, offs):
     return None
 
 
+def oracle_invariance_failure(mats, offs):
+    """First (s, j) where x -> mats[s] x + offs[s] sends the simplex vertex
+    e_j to a dense image with a negative entry or entries not summing to 1,
+    or None."""
+    d = len(offs[0])
+    for s, (mat, off) in enumerate(zip(mats, offs)):
+        for j in range(d):
+            image = [mat[i][j] + off[i] for i in range(d)]
+            if min(image) < 0 or sum(image) != 1:
+                return (s, j)
+    return None
+
+
 def oracle_gauss_solve(rows, rhs):
     """Unique-solution Gaussian solve; None if inconsistent or undetermined."""
     solved = oracle_solve(rows, rhs)

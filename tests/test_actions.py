@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semihyp import actions
 from semihyp.actions import (
     AffineAction,
     AffineFunctional,
@@ -60,7 +61,7 @@ from semihyp.construct import (
 from semihyp.functions import left_translate
 
 from conftest import make_t3, random_triple_params, right_zero_semigroup
-from oracles import oracle_action_axiom_failure, table_of
+from oracles import oracle_action_axiom_failure, oracle_invariance_failure, table_of
 
 F = Fraction
 
@@ -303,6 +304,67 @@ def test_invariance_hull_carrier(z2):
     assert not check_invariance(bad).passed
 
 
+_ENTRIES = st.sampled_from([F(-1), F(-1, 2), F(0), F(0), F(0), F(1, 3), F(1, 2), F(1)])
+
+
+@st.composite
+def simplex_actions(draw):
+    """n maps of the d-simplex, each stochastic (probability columns, zero
+    offset), constant (zero matrix, probability offset) or arbitrary, then
+    up to two small signed changes: an entry overwritten, or a value moved
+    between two offsets.  Passing actions and near misses both occur."""
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+
+    def probability() -> list:
+        raw = draw(st.lists(st.integers(0, 3), min_size=d, max_size=d))
+        if not any(raw):
+            raw[0] = 1
+        return [F(v, sum(raw)) for v in raw]
+
+    mats, offs = [], []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["stochastic", "constant", "arbitrary"]))
+        if kind == "arbitrary":
+            mat = [draw(st.lists(_ENTRIES, min_size=d, max_size=d)) for _ in range(d)]
+            off = draw(st.lists(_ENTRIES, min_size=d, max_size=d))
+        elif kind == "constant":
+            mat, off = [[F(0)] * d for _ in range(d)], probability()
+        else:
+            cols = [probability() for _ in range(d)]
+            mat, off = [[cols[j][i] for j in range(d)] for i in range(d)], [F(0)] * d
+        mats.append(mat)
+        offs.append(off)
+    for _ in range(draw(st.integers(0, 2))):
+        s, i, j = (draw(st.integers(0, k - 1)) for k in (n, d, d))
+        v = draw(_ENTRIES)
+        if draw(st.booleans()):
+            mats[s][i][j] = v
+        else:  # move v between two offsets: column sums stay, signs may not
+            offs[s][i] += v
+            offs[s][j] -= v
+    return mats, offs
+
+
+@settings(max_examples=300, deadline=None)
+@given(simplex_actions())
+def test_simplex_invariance_matches_the_vertex_loop(maps):
+    mats, offs = maps
+    shg = from_semigroup(cyclic_group(len(mats)))
+    carrier = Simplex(len(offs[0]))
+    action = AffineAction(shg, carrier, tuple(AffineMap(m, b) for m, b in zip(mats, offs)))
+    report = check_invariance(action)
+    failure = oracle_invariance_failure(mats, offs)
+    assert report.passed == (failure is None)
+    if failure is not None:
+        s, j = failure
+        vertex = tuple(F(int(i == j)) for i in range(len(offs[0])))
+        assert report.witness == {
+            "point": shg.space.label(s),
+            "vertex": vertex,
+            "image": tuple(mats[s][i][j] + offs[s][i] for i in range(len(offs[0]))),
+        }
+
+
 # ---------------------------------------------------------------------------
 # seminorms
 
@@ -371,6 +433,20 @@ def test_nonexpansive_fails_with_witness(z2):
     assert report.witness["point"] == "1"
     assert report.witness["norm"] == F(3, 2)
     assert report.witness["seminorm"]["kind"] == "l1"
+
+
+def test_fixpoint_checks_compute_each_operator_seminorm_once(monkeypatch):
+    # the bound and both non-expansiveness checks share the action's norms
+    action = canonical_means_action(from_semigroup(cyclic_group(3)))
+    calls = []
+    original = actions.operator_seminorm
+    monkeypatch.setattr(actions, "operator_seminorm",
+                        lambda m, p: calls.append(p) or original(m, p))
+    seminorms = uniform_seminorms(3)
+    assert equicontinuity_bound(action, seminorms) == 1
+    assert check_nonexpansive(action, seminorms[:1]).passed
+    assert check_nonexpansive(action, seminorms[1:]).passed
+    assert sorted(calls, key=lambda p: p.kind) == [seminorms[0]] * 3 + [seminorms[1]] * 3
 
 
 # ---------------------------------------------------------------------------

@@ -267,3 +267,74 @@ def test_golden_output_under_python_O(name, tmp_path):
     )
     assert proc.returncode == case.exit_code, proc.stderr
     assert normalize(proc.stdout) == (GOLDEN / f"{name}.out").read_text()
+
+
+# ---------------------------------------------------------------------------
+# one parser per process: `main` reuses it, so no call may leak into the next
+
+
+def _fresh_parser_output(argv, capsys) -> tuple[str, str]:
+    """What a newly built parser prints for argv, which it rejects or answers."""
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(argv)
+    captured = capsys.readouterr()
+    return captured.out, captured.err
+
+
+def test_reused_parser_keeps_every_golden_in_reverse_order(tmp_path, capsys):
+    bad_iterate = ["fixpoint", str(FIXTURES / "z2.json"),
+                   str(FIXTURES / "z2-canonical-action.json"), "--iterate", "0", "10"]
+    interruptions = [(["lim", "--method", "sideways", "x.json"], 2), (["--help"], 0),
+                     (bad_iterate, 2)]
+    for k, case in enumerate(reversed(CASES)):
+        argv, code = interruptions[k % len(interruptions)]
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        if argv != bad_iterate:  # the range check runs after parsing
+            assert (captured.out, captured.err) == _fresh_parser_output(argv, capsys)
+        stdout, code, written = run_case(case, tmp_path)
+        assert code == case.exit_code, case.name
+        assert normalize(stdout) == (GOLDEN / f"{case.name}.out").read_text(), case.name
+        if case.writes:
+            assert written == (GOLDEN / f"{case.name}.file.json").read_bytes()
+
+
+def _json_report(argv, capsys) -> dict:
+    cli.main([*argv, "--json"])
+    return json.loads(capsys.readouterr().out)
+
+
+def test_reused_parser_restores_the_defaults(tmp_path, capsys):
+    z2, action = str(FIXTURES / "z2.json"), str(FIXTURES / "z2-canonical-action.json")
+    assert _json_report(["lim", z2, "--method", "dual"], capsys)["method"] == "dual"
+    assert _json_report(["lim", z2], capsys)["method"] == "direct"
+    iterate = ["fixpoint", z2, action, "--iterate", "1e-9", "100"]
+    assert _json_report(iterate, capsys)["mode"] == "iterate"
+    assert _json_report(["fixpoint", z2, action], capsys)["mode"] == "exact"
+    triple = ["construct", "triple", "1/4", "1/4", "1/2", "1/4", "1/2", "1/4", "1/2",
+              "1/2", "--out", str(tmp_path / "t.json")]
+    assert _json_report([*triple, "--name", "X"], capsys)["structure"] == "X"
+    assert _json_report(triple, capsys)["structure"] == "triple"
+
+
+def test_help_equals_a_fresh_parsers_help(capsys):
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out == cli.build_parser().format_help()
+
+
+def test_main_builds_no_parser_after_the_first_call(monkeypatch, capsys):
+    import argparse
+
+    cli.main(["check", str(FIXTURES / "z2.json")])
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert cli.main(["check", str(FIXTURES / "z2.json")]) == 0
+    assert cli.main(["lim", str(FIXTURES / "lz2.json")]) == 1
+    assert cli.main(["frobnicate"]) == 2
+    assert built == []

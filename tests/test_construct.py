@@ -8,7 +8,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 
+from semihyp import algebra
 from semihyp.algebra import (
+    CheckReport,
     ConvolutionTable,
     Semihypergroup,
     check_associativity,
@@ -453,8 +455,35 @@ def test_quotient_rejects_representative_dependent_rule(s3_group):
         _quotient(s3_group, classes, lambda c: str(min(c)), lambda x, y: [p[x][y]], "bad")
 
 
-def test_from_semigroup_checks_the_integer_table_only(s3_group):
-    # associativity of the convolution is left to be computed on demand
+def test_from_semigroup_checks_the_integer_table_only(s3_group, monkeypatch):
+    # the integer table's pass is cached as the convolution's report, so the
+    # measure table is never scanned
+    def scan(shg):
+        raise AssertionError("check_associativity ran on the measure table")
+
+    monkeypatch.setattr(algebra, "check_associativity", scan)
     shg = from_semigroup(s3_group)
-    assert "associativity_report" not in vars(shg)
+    assert vars(shg)["associativity_report"] == CheckReport("associativity", True)
     assert shg.associativity_report.passed
+
+
+@pytest.mark.parametrize(
+    "table",
+    [symmetric_group(4), cyclic_group(6), left_zero_semigroup(5)],
+    ids=["s4", "z6", "lz5"],
+)
+def test_from_semigroup_cached_report_equals_the_check(table):
+    shg = from_semigroup(table)
+    assert vars(shg)["associativity_report"] == check_associativity(shg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(magma_tables())
+def test_from_semigroup_cached_report_equals_the_check_on_random_tables(table):
+    cayley = CayleyTable(tuple(str(i) for i in range(len(table))), table)
+    if cayley.associativity_witness() is not None:
+        with pytest.raises(ConstraintViolation):
+            from_semigroup(cayley)
+        return
+    shg = from_semigroup(cayley)
+    assert vars(shg)["associativity_report"] == check_associativity(shg)
