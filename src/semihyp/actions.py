@@ -29,6 +29,7 @@ from .algebra import (
     _combine,
     as_fraction,
     require_associative,
+    translation_transpose,
 )
 from .amenability import Mean
 from .functions import PointFunction
@@ -277,10 +278,10 @@ def _failing_pair(
     The nu with T~_mu T~_nu = T~_{mu*nu} for all mu form a subalgebra (see
     `kept_points`) holding p_e if `unital` (T_e = I): a pass then compares
     only the pairs (s, g), g kept."""
-    n, kept = shg.n, shg.kept_points
+    n, kept, sup = shg.n, shg.kept_points, shg.table.supports
 
     def fails(s: int, t: int) -> bool:
-        return any(lhs != rhs for lhs, rhs in _product_rows(rows, s, t, shg.supports[s][t]))
+        return any(lhs != rhs for lhs, rhs in _product_rows(rows, s, t, sup[s][t]))
 
     if unital and len(kept) < n and not any(fails(s, g) for g in kept for s in range(n)):
         return None
@@ -311,7 +312,7 @@ def check_action_axiom(action: AffineAction) -> CheckReport:
         # column d holds the offsets
         part = "matrix" if any(
             {**lhs, d: 0} != {**rhs, d: 0}
-            for lhs, rhs in _product_rows(rows, s, t, shg.supports[s][t])
+            for lhs, rhs in _product_rows(rows, s, t, shg.table.supports[s][t])
         ) else "offset"
         return CheckReport(
             check="action-axiom",
@@ -588,8 +589,8 @@ def _translation_transposes(shg: Semihypergroup) -> tuple[AffineMap, ...]:
     left-translation matrix of s."""
     zero = (Fraction(0),) * shg.n
     return tuple(
-        AffineMap(matrix=tuple(zip(*(m.weights for m in row))), offset=zero)
-        for row in shg.table.entries
+        AffineMap(matrix=tuple(map(tuple, translation_transpose(shg.table, s))), offset=zero)
+        for s in range(shg.n)
     )
 
 
@@ -721,13 +722,9 @@ def mean_via_dual_action(
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     for s in shg.kept_points:
-        cols = [m.weights for m in shg.table.entries[s]]  # cols[k][i] = L[i][k]
-        for i in range(n):
-            rows.append([
-                cols[k][i] - cols[n - 1][i] - (i == k) + (i == n - 1)
-                for k in range(n - 1)
-            ])
-            rhs.append((i == b) - cols[b][i])
+        for i, li in enumerate(translation_transpose(shg.table, s)):
+            rows.append([li[k] - li[n - 1] - (i == k) + (i == n - 1) for k in range(n - 1)])
+            rhs.append((i == b) - li[b])
     solved = solve_linear_system(rows, rhs)
     if solved is None:
         return None

@@ -3,14 +3,15 @@
 A finite semihypergroup is a point space together with a table assigning to
 each ordered pair of points the probability measure that plays the role of
 their product.  Convolution of arbitrary measures is the bilinear extension
-of that table.  All scalars are `fractions.Fraction`; every check in this
-module is exact, so the verdicts can serve as oracles for the rest of the
-toolkit.
+of that table, which stores each product by its support; the kernels read
+the supports, and dense `Measure`s appear only at the API boundary.  All
+scalars are `fractions.Fraction`; every check in this module is exact, so
+the verdicts can serve as oracles for the rest of the toolkit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -48,12 +49,14 @@ class PointSpace:
     """Ordered finite set of point labels; position in the tuple is the index."""
 
     labels: tuple[str, ...]
+    positions: dict[str, int] = field(init=False, repr=False, compare=False)  # label -> index
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
+        object.__setattr__(self, "positions", {l: i for i, l in enumerate(self.labels)})
         if not self.labels:
             raise ValueError("point space must contain at least one point")
-        if len(set(self.labels)) != len(self.labels):
+        if len(self.positions) != len(self.labels):
             raise ValueError("point labels must be pairwise distinct")
 
     @property
@@ -66,8 +69,8 @@ class PointSpace:
                 raise UnknownLabel(f"point index out of range: {point}")
             return point
         try:
-            return self.labels.index(point)
-        except ValueError:
+            return self.positions[point]
+        except (KeyError, TypeError):
             raise UnknownLabel(f"unknown point label: {point!r}") from None
 
     def label(self, index: int) -> str:
@@ -127,22 +130,59 @@ def zero_measure(space: PointSpace) -> Measure:
 
 @dataclass(frozen=True)
 class ConvolutionTable:
-    """The n-by-n array of measures assigned to ordered pairs of points."""
+    """The n-by-n table of the products p_x * p_y, stored by support.
+
+    supports[x][y] is the `Support` of p_x * p_y: its (index, weight) pairs
+    with weight != 0, indices ascending.  `from_measures` and `entry` are the
+    dense boundary; `entries` is the dense view, for callers outside the
+    kernels.
+    """
 
     space: PointSpace
-    entries: tuple[tuple[Measure, ...], ...]
+    supports: tuple[tuple[Support, ...], ...]
 
     def __post_init__(self) -> None:
         n = self.space.n
-        if len(self.entries) != n or any(len(row) != n for row in self.entries):
+        if len(self.supports) != n or any(len(row) != n for row in self.supports):
             raise DimensionMismatch("convolution table must be n-by-n")
-        for row in self.entries:
-            for m in row:
-                if m.space != self.space:
-                    raise DimensionMismatch("table entry on a different point space")
+        for support in (e for row in self.supports for e in row):
+            ks = [k for k, _ in support]
+            if not all(isinstance(k, int) and 0 <= k < n for k in ks) or ks != sorted(set(ks)):
+                raise DimensionMismatch(f"support indices not ascending in 0..{n - 1}: {support!r}")
+            if not all(isinstance(w, Fraction) and w != 0 for _, w in support):
+                raise ValueError(f"support weights must be nonzero Fractions: {support!r}")
+
+    @classmethod
+    def from_measures(
+        cls, space: PointSpace, entries: Sequence[Sequence[Measure]]
+    ) -> "ConvolutionTable":
+        """The table whose entry (x, y) is the dense measure entries[x][y]."""
+        if any(m.space != space for row in entries for m in row):
+            raise DimensionMismatch("table entry on a different point space")
+        return cls(space, tuple(
+            tuple(tuple((k, w) for k, w in enumerate(m.weights) if w) for m in row)
+            for row in entries
+        ))
 
     def entry(self, x: PointRef, y: PointRef) -> Measure:
-        return self.entries[self.space.index(x)][self.space.index(y)]
+        support = dict(self.supports[self.space.index(x)][self.space.index(y)])
+        return Measure(self.space, tuple(support.get(k, Fraction(0)) for k in range(self.space.n)))
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Measure, ...], ...]:
+        n = self.space.n
+        return tuple(tuple(self.entry(x, y) for y in range(n)) for x in range(n))
+
+
+def translation_transpose(table: ConvolutionTable, s: int) -> list[list[Fraction]]:
+    """The dense matrix L[z][y] = (p_s*p_y)(z), the transpose of the
+    left-translation matrix of s, scattered from the supports of row s."""
+    n = table.space.n
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for y, support in enumerate(table.supports[s]):
+        for z, w in support:
+            out[z][y] = w
+    return out
 
 
 @dataclass(frozen=True)
@@ -193,14 +233,6 @@ class Semihypergroup:
         return self.associativity_report.passed
 
     @cached_property
-    def supports(self) -> tuple[tuple[Support, ...], ...]:
-        """supports[x][y]: the (index, weight) pairs of p_x*p_y with weight != 0."""
-        return tuple(
-            tuple(tuple((k, w) for k, w in enumerate(m.weights) if w) for m in row)
-            for row in self.table.entries
-        )
-
-    @cached_property
     def identity(self) -> Optional[int]:
         return find_identity(self)
 
@@ -228,8 +260,8 @@ def opposite(s: Semihypergroup) -> Semihypergroup:
     opposite: R_t f on s is L_t f on opposite(s), so right invariant means
     of s are the left invariant means of opposite(s).
     """
-    entries = tuple(zip(*s.table.entries))
-    return Semihypergroup(s.space, ConvolutionTable(s.space, entries), f"{s.name}^op")
+    supports = tuple(zip(*s.table.supports))
+    return Semihypergroup(s.space, ConvolutionTable(s.space, supports), f"{s.name}^op")
 
 
 def require_associative(s: Semihypergroup) -> None:
@@ -245,20 +277,10 @@ def convolve(mu: Measure, nu: Measure, s: Semihypergroup) -> Measure:
     """Bilinear extension of the point-mass table to arbitrary measures."""
     if mu.space != s.space or nu.space != s.space:
         raise DimensionMismatch("measures must be indexed by the structure's space")
-    n = s.n
-    out = [Fraction(0)] * n
-    entries = s.table.entries
-    for x, wx in enumerate(mu.weights):
-        if wx == 0:
-            continue
-        for y, wy in enumerate(nu.weights):
-            if wy == 0:
-                continue
-            c = wx * wy
-            for z, wz in enumerate(entries[x][y].weights):
-                if wz != 0:
-                    out[z] += c * wz
-    return Measure(s.space, tuple(out))
+    sup = s.table.supports
+    out = _combine((sup[x][y], wx * wy) for x, wx in enumerate(mu.weights) if wx
+                   for y, wy in enumerate(nu.weights) if wy)
+    return Measure(s.space, tuple(out.get(z, Fraction(0)) for z in range(s.n)))
 
 
 def convolve_sets(
@@ -270,7 +292,7 @@ def convolve_sets(
     out: set[str] = set()
     for x in ai:
         for y in bi:
-            for z in s.table.entries[x][y].support():
+            for z, _ in s.table.supports[x][y]:
                 out.add(s.space.label(z))
     return frozenset(out)
 
@@ -279,10 +301,10 @@ def check_probability(s: Semihypergroup) -> CheckReport:
     """Every table entry must be a probability measure (nonnegative, total 1).
 
     An entry is read off its support, in O(d) rather than O(n)."""
-    for x, row in enumerate(s.supports):
+    for x, row in enumerate(s.table.supports):
         for y, sup in enumerate(row):
             if any(w < 0 for _, w in sup) or sum(w for _, w in sup) != 1:
-                m = s.table.entries[x][y]
+                m = s.table.entry(x, y)
                 return CheckReport(
                     check="probability",
                     passed=False,
@@ -310,7 +332,7 @@ def check_associativity(s: Semihypergroup) -> CheckReport:
     the first failing triple and its dense lhs and rhs.  Both sides are sums
     over supports, compared with exact zeros removed: signed weights cancel.
     """
-    n, sup = s.n, s.supports
+    n, sup = s.n, s.table.supports
 
     def sides(x: int, y: int, z: int) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
         return (_combine((sup[u][z], a) for u, a in sup[x][y]),
@@ -345,7 +367,7 @@ def generating_points(s: Semihypergroup) -> list[int]:
     `table_generators`; others keep an exact echelon basis, each row scaled
     to 1 at its first nonzero coordinate.
     """
-    sup = s.supports
+    sup = s.table.supports
     if all(len(e) == 1 and e[0][1] == 1 for row in sup for e in row):
         return table_generators([[e[0][0] for e in row] for row in sup], s.identity)
     basis: dict[int, dict[int, Fraction]] = {}
@@ -428,8 +450,9 @@ def find_identity(s: Semihypergroup) -> Optional[int]:
     scan checks rather than assumes.
     """
     found: Optional[int] = None
+    sup = s.table.supports
     for e in range(s.n):
-        if all(s.supports[x][e] == s.supports[e][x] == ((x, 1),) for x in range(s.n)):
+        if all(sup[x][e] == sup[e][x] == ((x, 1),) for x in range(s.n)):
             if found is not None:
                 raise AssertionError("two distinct two-sided identities found")
             found = e
@@ -437,8 +460,5 @@ def find_identity(s: Semihypergroup) -> Optional[int]:
 
 
 def check_commutative(s: Semihypergroup) -> bool:
-    return all(
-        s.table.entries[x][y].weights == s.table.entries[y][x].weights
-        for x in range(s.n)
-        for y in range(x + 1, s.n)
-    )
+    sup = s.table.supports
+    return all(sup[x][y] == sup[y][x] for x in range(s.n) for y in range(x + 1, s.n))

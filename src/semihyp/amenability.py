@@ -19,8 +19,10 @@ from .algebra import (
     Measure,
     PointSpace,
     Semihypergroup,
+    _combine,
     as_fraction,
     require_associative,
+    translation_transpose,
 )
 from .functions import PointFunction
 from .linprog import LPProblem, LPSolution, pad_certificate, solve_lp_feasibility
@@ -66,11 +68,11 @@ def left_invariance_problem(shg: Semihypergroup) -> LPProblem:
     require_associative(shg)
     # rows sum_y (p_s*p_y)(z) m_y - m_z = 0 for every kept s and every z
     n = shg.n
-    rows = [
-        tuple(m.weights[z] - 1 if y == z else m.weights[z] for y, m in enumerate(row))
-        for row in (shg.table.entries[s] for s in shg.kept_points)
-        for z in range(n)
-    ]
+    rows = []
+    for s in shg.kept_points:
+        for z, row in enumerate(translation_transpose(shg.table, s)):
+            row[z] -= 1
+            rows.append(tuple(row))
     rhs = (Fraction(0),) * len(rows) + (Fraction(1),)
     rows.append((Fraction(1),) * n)
     return LPProblem(matrix=tuple(rows), rhs=rhs, nonneg=(True,) * n)
@@ -141,14 +143,10 @@ def verify_left_invariant_mean(m: MeanLike, shg: Semihypergroup) -> CheckReport:
             witness={"weights": weights},
         )
     require_associative(shg)
-    for s, row in enumerate(shg.supports):
-        pushed = [Fraction(0)] * shg.n
-        for support, wy in zip(row, weights):
-            if wy:
-                for z, w in support:
-                    pushed[z] += wy * w
-        for p, (lhs, rhs) in enumerate(zip(pushed, weights)):
-            if lhs != rhs:
+    for s, row in enumerate(shg.table.supports):
+        pushed = _combine((support, wy) for support, wy in zip(row, weights) if wy)
+        for p, rhs in enumerate(weights):
+            if (lhs := pushed.get(p, Fraction(0))) != rhs:
                 point, ind = shg.space.label(s), shg.space.label(p)
                 return CheckReport(
                     check="left-invariant-mean",

@@ -25,6 +25,7 @@ from .algebra import (
     PointSpace,
     RationalLike,
     Semihypergroup,
+    Support,
     as_fraction,
     point_mass,
     table_generators,
@@ -195,22 +196,6 @@ class GroupAction:
         return frozenset(row[i] for row in self.act)
 
 
-def _finish(space: PointSpace, rows: dict[tuple[int, int], Measure], name: str) -> Semihypergroup:
-    """Assemble, then insist on probability rows and associativity."""
-    n = space.n
-    table = ConvolutionTable(
-        space, tuple(tuple(rows[(x, y)] for y in range(n)) for x in range(n))
-    )
-    s = Semihypergroup(space=space, table=table, name=name)
-    prob = s.probability_report
-    if not prob.passed:
-        raise ConstraintViolation([prob.detail], report=prob)
-    assoc = s.associativity_report
-    if not assoc.passed:
-        raise NotAssociativeError(assoc)
-    return s
-
-
 def from_semigroup(table: CayleyTable, name: Optional[str] = None) -> Semihypergroup:
     """Semihypergroup with point-mass convolution p_x * p_y = p_{x.y}.
 
@@ -223,7 +208,7 @@ def from_semigroup(table: CayleyTable, name: Optional[str] = None) -> Semihyperg
         x, y, z = (table.labels[i] for i in witness)
         raise ConstraintViolation([f"input table is not associative at ({x}, {y}, {z})"])
     space = table.space
-    masses = [point_mass(space, z) for z in range(table.n)]
+    masses = [((z, Fraction(1)),) for z in range(table.n)]
     conv = ConvolutionTable(
         space, tuple(tuple(masses[z] for z in row) for row in table.product)
     )
@@ -280,17 +265,13 @@ def triple_hypergroup(
         raise ConstraintViolation(violations)
 
     space = PointSpace(("e", "a", "b"))
-    rows: dict[tuple[int, int], Measure] = {}
-    e, a, b = 0, 1, 2
-    rows[(e, e)] = point_mass(space, e)
-    rows[(e, a)] = rows[(a, e)] = point_mass(space, a)
-    rows[(e, b)] = rows[(b, e)] = point_mass(space, b)
-    rows[(a, a)] = Measure(space, (x1, x2, x3))
-    rows[(b, b)] = Measure(space, (y1, y2, y3))
-    rows[(a, b)] = rows[(b, a)] = Measure(space, (Fraction(0), z1, z2))
-    table = ConvolutionTable(
-        space, tuple(tuple(rows[(x, y)] for y in range(3)) for x in range(3))
-    )
+    e, a, b = (point_mass(space, i) for i in range(3))
+    ab = Measure(space, (Fraction(0), z1, z2))
+    table = ConvolutionTable.from_measures(space, (
+        (e, a, b),
+        (a, Measure(space, (x1, x2, x3)), ab),
+        (b, ab, Measure(space, (y1, y2, y3))),
+    ))
     s = Semihypergroup(space=space, table=table, name=name or "triple")
     assoc = s.associativity_report
     if violations or not assoc.passed:
@@ -329,6 +310,7 @@ def _quotient(
     the elements samples(x, y), for any x in A and y in B.  The class counts
     are recomputed in integers for every representative pair; a mismatch
     would be an implementation bug and raises RepresentativeDependenceError.
+    The result must pass the probability and associativity checks.
     """
     k = len(classes)
     cls = [0] * g.n
@@ -345,8 +327,7 @@ def _quotient(
             out[cls[z]] += 1
         return out
 
-    rows: dict[tuple[int, int], Measure] = {}
-    for a, b in product(range(k), repeat=2):
+    def entry(a: int, b: int) -> Support:
         pairs = product(members[a], members[b])
         reference = counts(*next(pairs))
         for x, y in pairs:
@@ -355,8 +336,17 @@ def _quotient(
                     f"entry ({labels[a]}, {labels[b]}) depends on representatives"
                 )
         total = sum(reference)
-        rows[(a, b)] = Measure(space, tuple(Fraction(c, total) for c in reference))
-    return _finish(space, rows, name)
+        return tuple((i, Fraction(c, total)) for i, c in enumerate(reference) if c)
+
+    table = ConvolutionTable(space, tuple(tuple(entry(a, b) for b in range(k)) for a in range(k)))
+    s = Semihypergroup(space=space, table=table, name=name)
+    prob = s.probability_report
+    if not prob.passed:
+        raise ConstraintViolation([prob.detail], report=prob)
+    assoc = s.associativity_report
+    if not assoc.passed:
+        raise NotAssociativeError(assoc)
+    return s
 
 
 def coset_space(

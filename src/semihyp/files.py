@@ -15,12 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional
 
-from .algebra import (
-    ConvolutionTable,
-    Measure,
-    PointSpace,
-    Semihypergroup,
-)
+from .algebra import ConvolutionTable, PointSpace, Semihypergroup, Support
 from .actions import AffineAction, AffineMap, Carrier, Hull, Simplex
 from .construct import CayleyTable, GroupAction
 
@@ -38,7 +33,10 @@ def parse_rational(value: Any) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str) and _RATIONAL.match(value):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ValueError:  # past the interpreter's int-string digit limit
+            raise FileFormatError(f"rational too long: {len(value)} characters") from None
     raise FileFormatError(f"not a rational: {value!r} (use 'p/q' or an integer)")
 
 
@@ -49,7 +47,7 @@ def format_rational(value: Fraction) -> str:
 def _load_json(text: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise FileFormatError(f"invalid JSON: {exc}") from None
 
 
@@ -92,43 +90,43 @@ def parse_structure(text: str) -> Semihypergroup:
     if not isinstance(conv, dict):
         raise FileFormatError("convolution must be an object keyed by 'x|y'")
 
-    entries: dict[tuple[int, int], Measure] = {}
+    supports: dict[tuple[int, int], Support] = {}
     for key, items in conv.items():
         parts = key.split("|")
         if len(parts) != 2:
             raise FileFormatError(f"bad convolution key {key!r} (expected 'x|y')")
-        if parts[0] not in points or parts[1] not in points:
+        x, y = space.positions.get(parts[0]), space.positions.get(parts[1])
+        if x is None or y is None:
             raise FileFormatError(f"convolution key {key!r} references unknown labels")
-        x, y = space.index(parts[0]), space.index(parts[1])
-        if (x, y) in entries:
+        if (x, y) in supports:
             raise FileFormatError(f"duplicate convolution key {key!r}")
         if not isinstance(items, list):
             raise FileFormatError(f"entry {key!r} must be a list of weighted points")
-        weights = [Fraction(0)] * space.n
+        weights: dict[int, Fraction] = {}
         for item in items:
             if not isinstance(item, dict) or set(item) != {"point", "weight"}:
                 raise FileFormatError(
                     f"entry {key!r} items need exactly 'point' and 'weight'"
                 )
-            if item["point"] not in points:
+            z = space.positions.get(item["point"]) if isinstance(item["point"], str) else None
+            if z is None:
                 raise FileFormatError(
                     f"entry {key!r} references unknown point {item['point']!r}"
                 )
-            weights[space.index(item["point"])] += parse_rational(item["weight"])
-        entries[(x, y)] = Measure(space, tuple(weights))
+            weights[z] = weights.get(z, 0) + parse_rational(item["weight"])
+        supports[(x, y)] = tuple(sorted((z, w) for z, w in weights.items() if w))
 
     missing = [
         f"{points[x]}|{points[y]}"
         for x in range(space.n)
         for y in range(space.n)
-        if (x, y) not in entries
+        if (x, y) not in supports
     ]
     if missing:
         raise FileFormatError(f"convolution table incomplete; missing {missing[:4]}")
-    table = ConvolutionTable(
-        space,
-        tuple(tuple(entries[(x, y)] for y in range(space.n)) for x in range(space.n)),
-    )
+    table = ConvolutionTable(space, tuple(
+        tuple(supports[(x, y)] for y in range(space.n)) for x in range(space.n)
+    ))
     return Semihypergroup(space=space, table=table, name=name)
 
 
@@ -138,29 +136,25 @@ def sort_points(shg: Semihypergroup) -> Semihypergroup:
     if order == list(range(shg.n)):
         return shg
     space = PointSpace(tuple(shg.space.label(i) for i in order))
-
-    def remap(m: Measure) -> Measure:
-        return Measure(space, tuple(m.weights[old] for old in order))
-
-    table = ConvolutionTable(
-        space,
-        tuple(
-            tuple(remap(shg.table.entries[x][y]) for y in order) for x in order
-        ),
-    )
+    new = {old: i for i, old in enumerate(order)}
+    sup = shg.table.supports
+    table = ConvolutionTable(space, tuple(
+        tuple(tuple(sorted((new[k], w) for k, w in sup[x][y])) for y in order)
+        for x in order
+    ))
     return Semihypergroup(space=space, table=table, name=shg.name)
 
 
 def structure_to_document(shg: Semihypergroup) -> dict:
-    conv = {}
-    for x in range(shg.n):
-        for y in range(shg.n):
-            m = shg.table.entries[x][y]
-            conv[f"{shg.space.label(x)}|{shg.space.label(y)}"] = [
-                {"point": shg.space.label(z), "weight": format_rational(m.weights[z])}
-                for z in m.support()
-            ]
-    return {"name": shg.name, "points": list(shg.space.labels), "convolution": conv}
+    labels = shg.space.labels
+    conv = {
+        f"{labels[x]}|{labels[y]}": [
+            {"point": labels[z], "weight": format_rational(w)} for z, w in support
+        ]
+        for x, row in enumerate(shg.table.supports)
+        for y, support in enumerate(row)
+    }
+    return {"name": shg.name, "points": list(labels), "convolution": conv}
 
 
 def canonical_structure_json(shg: Semihypergroup) -> str:

@@ -91,16 +91,10 @@ def left_translate(s: PointRef, f: PointFunction, shg: Semihypergroup) -> PointF
     require_associative(shg)
     if f.space != shg.space:
         raise DimensionMismatch("function must live on the structure's space")
-    si = shg.space.index(s)
+    row = shg.table.supports[shg.space.index(s)]
     return PointFunction(
         shg.space,
-        tuple(
-            sum(
-                (w * v for w, v in zip(shg.table.entries[si][y].weights, f.values)),
-                Fraction(0),
-            )
-            for y in range(shg.n)
-        ),
+        tuple(sum((w * f.values[z] for z, w in support), Fraction(0)) for support in row),
     )
 
 
@@ -109,7 +103,7 @@ def translation_matrix(s: PointRef, shg: Semihypergroup) -> TranslationMatrix:
     si = shg.space.index(s)
     return TranslationMatrix(
         point=si,
-        rows=tuple(shg.table.entries[si][y].weights for y in range(shg.n)),
+        rows=tuple(shg.table.entry(si, y).weights for y in range(shg.n)),
     )
 
 

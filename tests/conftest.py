@@ -58,7 +58,7 @@ def make_t3_corrupted() -> Semihypergroup:
         (1, 2): (f(0), f(1, 2), f(1, 2)),
         (2, 1): (f(0), f(1, 2), f(1, 2)),
     }
-    table = ConvolutionTable(
+    table = ConvolutionTable.from_measures(
         space,
         tuple(
             tuple(Measure(space, rows[(x, y)]) for y in range(3)) for x in range(3)

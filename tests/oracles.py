@@ -29,6 +29,30 @@ def table_of(shg) -> tuple[Table, int]:
     )
 
 
+def oracle_document_table(doc: dict) -> tuple[list[str], Table]:
+    """Dense weights of a structure document: each entry's items summed
+    point by point, in the document's point order."""
+    labels = doc["points"]
+    n = len(labels)
+    table = {}
+    for x, y in product(range(n), repeat=2):
+        weights = [Fraction(0)] * n
+        for item in doc["convolution"][f"{labels[x]}|{labels[y]}"]:
+            weights[labels.index(item["point"])] += Fraction(item["weight"])
+        table[(x, y)] = tuple(weights)
+    return labels, table
+
+
+def oracle_sorted_table(labels: list[str], table: Table) -> tuple[list[str], Table]:
+    """The same table with its points reordered into sorted label order."""
+    order = sorted(range(len(labels)), key=lambda i: labels[i])
+    return [labels[i] for i in order], {
+        (a, b): tuple(table[(x, y)][k] for k in order)
+        for a, x in enumerate(order)
+        for b, y in enumerate(order)
+    }
+
+
 def oracle_convolve(mu: Weights, nu: Weights, table: Table, n: int) -> Weights:
     out = [Fraction(0)] * n
     for x in range(n):

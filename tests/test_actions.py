@@ -119,7 +119,7 @@ def test_canonical_action_axiom_passes(corpus):
 def test_canonical_action_requires_probability_rows():
     # p*p = 2p is associative ((p*p)*p = 4p = p*(p*p)) but not a probability
     space = PointSpace(("p",))
-    table = ConvolutionTable(space, ((Measure(space, (F(2),)),),))
+    table = ConvolutionTable.from_measures(space, ((Measure(space, (F(2),)),),))
     doubled = Semihypergroup(space=space, table=table, name="doubled")
     assert doubled.is_associative
     with pytest.raises(PreconditionError, match="probability"):
@@ -158,7 +158,7 @@ def test_action_axiom_ignores_the_augmented_identity_row():
     # offsets, so the axiom holds although 1 != sum_z w_z = 2 in the identity
     # row of the augmented matrices.
     space = PointSpace(("0", "1"))
-    table = ConvolutionTable(space, tuple(
+    table = ConvolutionTable.from_measures(space, tuple(
         tuple(Measure(space, (F(2 * ((x + y) % 2 == z)) for z in range(2)))
               for y in range(2))
         for x in range(2)

@@ -25,6 +25,7 @@ from semihyp.algebra import (
     convolve_sets,
     find_identity,
     generating_points,
+    opposite,
     point_mass,
     table_generators,
     zero_measure,
@@ -243,7 +244,7 @@ def structure_of(n: int, table) -> Semihypergroup:
     entries = tuple(
         tuple(Measure(space, table[(x, y)]) for y in range(n)) for x in range(n)
     )
-    return Semihypergroup(space=space, table=ConvolutionTable(space, entries))
+    return Semihypergroup(space=space, table=ConvolutionTable.from_measures(space, entries))
 
 
 def point_mass_tables():
@@ -304,7 +305,7 @@ def test_associativity_matches_oracle_on_corrupted_quotients(data):
     mix = data.draw(st.sampled_from([F(1), F(1, 2)]))
     entries = [list(row) for row in shg.table.entries]
     entries[x][y] = (1 - mix) * entries[x][y] + mix * point_mass(shg.space, k)
-    table = ConvolutionTable(shg.space, tuple(map(tuple, entries)))
+    table = ConvolutionTable.from_measures(shg.space, tuple(map(tuple, entries)))
     assert_associativity_matches_oracle(Semihypergroup(shg.space, table))
 
 
@@ -363,7 +364,7 @@ def test_check_probability_bad_total(t3):
 
     broken = Semihypergroup(
         space=space,
-        table=ConvolutionTable(space, tuple(tuple(r) for r in rows)),
+        table=ConvolutionTable.from_measures(space, tuple(tuple(r) for r in rows)),
         name="broken",
     )
     report = check_probability(broken)
@@ -380,7 +381,7 @@ def test_check_probability_negative_weight(t3):
 
     broken = Semihypergroup(
         space=space,
-        table=ConvolutionTable(space, tuple(tuple(r) for r in rows)),
+        table=ConvolutionTable.from_measures(space, tuple(tuple(r) for r in rows)),
         name="broken",
     )
     report = check_probability(broken)
@@ -413,3 +414,57 @@ def test_left_zero_law():
     for x in range(3):
         for y in range(3):
             assert lz3.table.entries[x][y].weights == point_mass(lz3.space, x).weights
+
+
+ONE = ((0, F(1)),)
+
+
+@pytest.mark.parametrize("bad", [
+    ((1, F(1, 2)), (0, F(1, 2))),
+    ((0, F(1, 2)), (0, F(1, 2))),
+    ((2, F(1)),),
+    ((-1, F(1)),),
+    ((0, F(0)), (1, F(1))),
+    ((0, 1),),
+], ids=["unsorted", "duplicate-index", "out-of-range", "negative-index", "zero-weight",
+        "int-weight"])
+def test_convolution_table_rejects_malformed_support(bad):
+    space = PointSpace(("a", "b"))
+    with pytest.raises(ValueError):
+        ConvolutionTable(space, ((ONE, ONE), (ONE, bad)))
+
+
+@pytest.mark.parametrize("supports", [((ONE, ONE),), ((ONE,), (ONE, ONE)), ((ONE, ONE, ONE),) * 2])
+def test_convolution_table_must_be_n_by_n(supports):
+    with pytest.raises(DimensionMismatch, match="n-by-n"):
+        ConvolutionTable(PointSpace(("a", "b")), supports)
+
+
+def test_from_measures_inverts_the_dense_view(corpus):
+    for _, shg in corpus:
+        assert ConvolutionTable.from_measures(shg.space, shg.table.entries) == shg.table
+    t3 = dict(corpus)["t3"]
+    with pytest.raises(DimensionMismatch, match="different point space"):
+        ConvolutionTable.from_measures(PointSpace(("a", "b", "c")), t3.table.entries)
+
+
+def test_opposite_transposes_the_supports(corpus):
+    for _, shg in corpus:
+        op = opposite(shg).table.supports
+        assert all(op[x][y] == shg.table.supports[y][x]
+                   for x, y in itertools.product(range(shg.n), repeat=2))
+
+
+def test_kernels_never_build_the_dense_view():
+    from semihyp.actions import canonical_means_action, check_action_axiom, mean_via_dual_action
+    from semihyp.amenability import find_left_invariant_mean
+    from semihyp.files import canonical_structure_json
+
+    s4 = symmetric_group(4)
+    for shg in (from_semigroup(s4), coset_space(s4, ["e", "(12)"])):
+        assert check_probability(shg).passed and check_associativity(shg).passed
+        assert find_left_invariant_mean(shg) is not None
+        assert mean_via_dual_action(shg) is not None
+        assert check_action_axiom(canonical_means_action(shg)).passed
+        canonical_structure_json(shg)
+        assert "entries" not in vars(shg.table)

@@ -338,3 +338,41 @@ def test_main_builds_no_parser_after_the_first_call(monkeypatch, capsys):
     assert cli.main(["lim", str(FIXTURES / "lz2.json")]) == 1
     assert cli.main(["frobnicate"]) == 2
     assert built == []
+
+
+HUGE = "1" * 5000  # past the interpreter's 4300-digit int-string limit
+
+
+@pytest.mark.parametrize("weight", [f'"{HUGE}"', f'"1/{HUGE}"', HUGE],
+                         ids=["string", "denominator", "bare-integer"])
+@pytest.mark.parametrize("command", ["check", "lim", "fixpoint"])
+def test_overlong_rational_in_a_file_exit_2(command, weight, tmp_path, capsys):
+    # the weight goes into the structure file, or for fixpoint into the action file
+    structure = tmp_path / "z2.json"
+    action = tmp_path / "act.json"
+    structure.write_text((FIXTURES / "z2.json").read_text())
+    action.write_text((FIXTURES / "z2-canonical-action.json").read_text())
+    target = action if command == "fixpoint" else structure
+    doc = json.loads(target.read_text())
+    if command == "fixpoint":
+        doc["maps"]["1"]["b"][0] = "HUGE"
+    else:
+        doc["convolution"]["1|1"][0]["weight"] = "HUGE"
+    target.write_text(json.dumps(doc).replace('"HUGE"', weight))
+    argv = [command, str(structure)] + ([str(action)] if command == "fixpoint" else [])
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+def test_overlong_triple_parameter_exit_2(tmp_path, capsys):
+    out = tmp_path / "t.json"
+    params = ["1/4", "1/4", "1/2", "1/4", "1/2", "1/4", f"1/{HUGE}", "1/2"]
+    code = cli.main(["construct", "triple", *params, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: rational too long: 5002 characters\n"
+    assert not out.exists()

@@ -84,7 +84,7 @@ def test_order_120_light_test_keeps_the_first_witness():
     space = s5.space
     masses = [point_mass(space, z) for z in range(s5.n)]
     entries = tuple(tuple(masses[z] for z in row) for row in table)
-    report = check_associativity(Semihypergroup(space, ConvolutionTable(space, entries)))
+    report = check_associativity(Semihypergroup(space, ConvolutionTable.from_measures(space, entries)))
     x, y, z = expected
     assert report.witness == {
         "triple": (s5.labels[x], s5.labels[y], s5.labels[z]),

@@ -6,7 +6,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import oracle_document_table, oracle_sorted_table
 from semihyp.files import (
     FileFormatError,
     ReportDocument,
@@ -116,6 +119,45 @@ def test_structure_document_support_only(t3):
         {"point": "a", "weight": "1/2"},
         {"point": "b", "weight": "1/2"},
     ]
+
+
+# any label without "|", which the "x|y" convolution keys reserve
+LABELS = st.text(st.characters(blacklist_characters="|", blacklist_categories=("Cs",)),
+                 max_size=3)
+
+
+@st.composite
+def structure_documents(draw):
+    """Structure documents with signed, zero and repeated weighted items."""
+    labels = draw(st.lists(LABELS, min_size=1, max_size=4, unique=True))
+    weight = st.fractions(-2, 2, max_denominator=6).flatmap(
+        lambda w: st.sampled_from([str(w), w.numerator] if w.denominator == 1 else [str(w)]))
+    item = st.fixed_dictionaries({"point": st.sampled_from(labels), "weight": weight})
+    conv = {f"{x}|{y}": draw(st.lists(item, max_size=len(labels) + 2))
+            for x in labels for y in labels}
+    return {"name": draw(st.text(min_size=1, max_size=3)), "points": labels,
+            "convolution": conv}
+
+
+@settings(max_examples=200, deadline=None)
+@given(structure_documents())
+def test_structure_round_trip_property(doc):
+    shg = parse_structure(json.dumps(doc))
+    labels, dense = oracle_document_table(doc)
+    n = len(labels)
+    assert shg.table.supports == tuple(
+        tuple(tuple((k, w) for k, w in enumerate(dense[(x, y)]) if w) for y in range(n))
+        for x in range(n)
+    )
+    first = canonical_structure_json(shg)
+    reparsed = parse_structure(first)
+    assert canonical_structure_json(reparsed).encode() == first.encode()
+    ordered = sort_points(shg)
+    assert reparsed.table == ordered.table
+    sorted_labels, sorted_dense = oracle_sorted_table(labels, dense)
+    assert ordered.space.labels == tuple(sorted_labels)
+    assert {(x, y): ordered.table.entry(x, y).weights
+            for x in range(n) for y in range(n)} == sorted_dense
 
 
 def test_parse_group_errors():
