@@ -46,6 +46,8 @@ CASES = [
     CliCase("check-t3-json", ("check", "fixtures/t3.json", "--json"), 0),
     CliCase("check-corrupted", ("check", "fixtures/t3-corrupted.json"), 1),
     CliCase("check-lz2", ("check", "fixtures/lz2.json"), 0),
+    CliCase("check-rps", ("check", "fixtures/rps.json"), 1),
+    CliCase("check-rps-json", ("check", "fixtures/rps.json", "--json"), 1),
     CliCase("lim-z2-both", ("lim", "fixtures/z2.json", "--method", "both"), 0),
     CliCase("lim-lz2", ("lim", "fixtures/lz2.json"), 1),
     CliCase(

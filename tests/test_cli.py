@@ -252,7 +252,8 @@ def test_lim_certificate_left_zero_6(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "name",
-    ["lim-lz2", "check-corrupted", "fixpoint-lz2-iterate", "lim-z2-both", "fixpoint-z2"],
+    ["lim-lz2", "check-corrupted", "check-rps", "fixpoint-lz2-iterate", "lim-z2-both",
+     "fixpoint-z2"],
 )
 def test_golden_output_under_python_O(name, tmp_path):
     # python -O strips assert statements, so no verdict may rely on one
