@@ -28,6 +28,7 @@ from .algebra import (
     Support,
     _combine,
     as_fraction,
+    format_rational,
     require_associative,
     translation_transpose,
 )
@@ -477,7 +478,7 @@ def check_nonexpansive(
                     detail=(
                         f"map at {action.structure.space.label(s)} has "
                         f"{p.kind} operator seminorm "
-                        f"{'unbounded' if norm is None else norm}"
+                        f"{'unbounded' if norm is None else format_rational(norm)}"
                     ),
                     witness={
                         "point": action.structure.space.label(s),

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from operator import ne
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -42,6 +43,22 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def format_rational(value: Fraction) -> str:
+    """`str` of the Fraction, also past the interpreter's digit limit."""
+    value = Fraction(value)
+    text = _decimal(value.numerator)
+    return text if value.denominator == 1 else f"{text}/{_decimal(value.denominator)}"
+
+
+def _decimal(k: int) -> str:
+    try:
+        return str(k)
+    except ValueError:  # past the int-string digit limit: convert in two halves
+        half = k.bit_length() * 3 // 20  # about half the decimal digits
+        high, low = divmod(abs(k), 10 ** half)
+        return "-" * (k < 0) + _decimal(high) + _decimal(low).zfill(half)
 
 
 @dataclass(frozen=True)
@@ -172,6 +189,13 @@ class ConvolutionTable:
     def entries(self) -> tuple[tuple[Measure, ...], ...]:
         n = self.space.n
         return tuple(tuple(self.entry(x, y) for y in range(n)) for x in range(n))
+
+    @cached_property
+    def point_table(self) -> Optional[tuple[tuple[int, ...], ...]]:
+        """t[x][y] = z if every product is a point mass p_x*p_y = p_z, else None."""
+        if all(len(e) == 1 and e[0][1] == 1 for row in self.supports for e in row):
+            return tuple(tuple(e[0][0] for e in row) for row in self.supports)
+        return None
 
 
 def translation_transpose(table: ConvolutionTable, s: int) -> list[list[Fraction]]:
@@ -310,7 +334,7 @@ def check_probability(s: Semihypergroup) -> CheckReport:
                     passed=False,
                     detail=(
                         f"entry ({s.space.label(x)}, {s.space.label(y)}) has "
-                        f"total {m.total()} or a negative weight"
+                        f"total {format_rational(m.total())} or a negative weight"
                     ),
                     witness={
                         "pair": (s.space.label(x), s.space.label(y)),
@@ -329,10 +353,12 @@ def check_associativity(s: Semihypergroup) -> CheckReport:
     x((ab)z) for a, b in N), so a pass scans only the triples (x, g, z) with
     g in `generating_points(s)` (Light's test).  A failure there, or a table
     whose every point is a generator, runs the exhaustive ordered scan for
-    the first failing triple and its dense lhs and rhs.  Both sides are sums
-    over supports, compared with exact zeros removed: signed weights cancel.
+    the first failing triple and its dense lhs and rhs.  A point-mass table
+    runs both on its `point_table`, where (p_x*p_y)*p_z = p_{(xy)z}; other
+    tables sum both sides over supports, compared with exact zeros removed:
+    signed weights cancel.
     """
-    n, sup = s.n, s.table.supports
+    n, sup, points = s.n, s.table.supports, s.table.point_table
 
     def sides(x: int, y: int, z: int) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
         return (_combine((sup[u][z], a) for u, a in sup[x][y]),
@@ -340,21 +366,36 @@ def check_associativity(s: Semihypergroup) -> CheckReport:
 
     gens = s.generators
     at_gens = (sides(x, g, z) for g in gens for x, z in product(range(n), repeat=2))
-    if len(gens) < n and all(lhs == rhs for lhs, rhs in at_gens):
+    if points is not None:
+        triple = table_associativity_witness(points, gens)
+    elif len(gens) < n and all(lhs == rhs for lhs, rhs in at_gens):
+        triple = None
+    else:
+        triple = next((t for t in product(range(n), repeat=3) if ne(*sides(*t))), None)
+    if triple is None:
         return CheckReport(check="associativity", passed=True)
-    for x, y, z in product(range(n), repeat=3):
-        lhs, rhs = sides(x, y, z)
-        if lhs != rhs:
-            triple = (s.space.label(x), s.space.label(y), s.space.label(z))
-            lhs, rhs = (tuple(d.get(k, Fraction(0)) for k in range(n)) for d in (lhs, rhs))
-            return CheckReport(
-                check="associativity",
-                passed=False,
-                detail=f"(p_{triple[0]}*p_{triple[1]})*p_{triple[2]} differs from "
-                f"p_{triple[0]}*(p_{triple[1]}*p_{triple[2]})",
-                witness={"triple": triple, "lhs": lhs, "rhs": rhs},
-            )
-    return CheckReport(check="associativity", passed=True)
+    a, b, c = (s.space.label(i) for i in triple)
+    lhs, rhs = (tuple(d.get(k, Fraction(0)) for k in range(n)) for d in sides(*triple))
+    return CheckReport(
+        check="associativity",
+        passed=False,
+        detail=f"(p_{a}*p_{b})*p_{c} differs from p_{a}*(p_{b}*p_{c})",
+        witness={"triple": (a, b, c), "lhs": lhs, "rhs": rhs},
+    )
+
+
+def table_associativity_witness(
+    table: Sequence[Sequence[int]], gens: Sequence[int]
+) -> Optional[tuple[int, int, int]]:
+    """First triple with (x*y)*z != x*(y*z) in (x, y, z) order, or None, for
+    the magma with integer table table[x][y] and generators `gens`: Light's
+    test compares row x*g with row g mapped through row x (rows as tuples)
+    for the generators g only; a failure runs the ordered scan."""
+    p, n = table, len(table)
+    if all(p[p[x][g]] == tuple(p[x][w] for w in p[g]) for g in gens for x in range(n)):
+        return None
+    return next(((x, y, z) for x, y, z in product(range(n), repeat=3)
+                 if p[p[x][y]][z] != p[x][p[y][z]]), None)
 
 
 def generating_points(s: Semihypergroup) -> list[int]:
@@ -364,12 +405,12 @@ def generating_points(s: Semihypergroup) -> list[int]:
     the span under products with the chosen points on both sides, until it
     is R^n.  The span starts at the identity, which lies in every middle
     nucleus and is never a generator.  Point-mass tables run
-    `table_generators`; others keep an exact echelon basis, each row scaled
-    to 1 at its first nonzero coordinate.
+    `table_generators` on their `point_table`; others keep an exact echelon
+    basis, each row scaled to 1 at its first nonzero coordinate.
     """
-    sup = s.table.supports
-    if all(len(e) == 1 and e[0][1] == 1 for row in sup for e in row):
-        return table_generators([[e[0][0] for e in row] for row in sup], s.identity)
+    sup, points = s.table.supports, s.table.point_table
+    if points is not None:
+        return table_generators(points, s.identity)
     basis: dict[int, dict[int, Fraction]] = {}
 
     def insert(v: dict[int, Fraction]) -> Optional[dict[int, Fraction]]:

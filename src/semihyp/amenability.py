@@ -21,6 +21,7 @@ from .algebra import (
     Semihypergroup,
     _combine,
     as_fraction,
+    format_rational,
     require_associative,
     translation_transpose,
 )
@@ -151,7 +152,8 @@ def verify_left_invariant_mean(m: MeanLike, shg: Semihypergroup) -> CheckReport:
                 return CheckReport(
                     check="left-invariant-mean",
                     passed=False,
-                    detail=f"m(L_{point} 1_{ind}) = {lhs} but m(1_{ind}) = {rhs}",
+                    detail=f"m(L_{point} 1_{ind}) = {format_rational(lhs)} but "
+                    f"m(1_{ind}) = {format_rational(rhs)}",
                     witness={"point": point, "indicator": ind, "lhs": lhs, "rhs": rhs},
                 )
     return CheckReport(check="left-invariant-mean", passed=True)

@@ -21,6 +21,7 @@ import functools
 import math
 import sys
 import time
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import CheckReport, PreconditionError, Semihypergroup, UnknownLabel
@@ -52,6 +53,7 @@ from .files import (
     FileFormatError,
     ReportDocument,
     canonical_structure_json,
+    format_rational,
     parse_affine_action,
     parse_group,
     parse_group_action,
@@ -185,11 +187,7 @@ def _check_doc(report) -> dict:
 
 
 def _vector_text(values) -> str:
-    return ", ".join(str(v) for v in values)
-
-
-def _mean_text(mean: Mean) -> str:
-    return ", ".join(str(w) for w in mean.weights)
+    return ", ".join(format_rational(v) if isinstance(v, Fraction) else str(v) for v in values)
 
 
 def cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
@@ -221,7 +219,7 @@ def cmd_lim(args: argparse.Namespace) -> tuple[dict, int]:
         )
         doc: dict = {"exists": solution.feasible}
         if direct_mean is not None:
-            doc["mean"] = _mean_text(direct_mean)
+            doc["mean"] = _vector_text(direct_mean.weights)
             doc["verified"] = verify_left_invariant_mean(direct_mean, shg).passed
         elif solution.certificate is not None:
             doc["certificate"] = _vector_text(solution.certificate)
@@ -230,7 +228,7 @@ def cmd_lim(args: argparse.Namespace) -> tuple[dict, int]:
         dual_mean = mean_via_dual_action(shg)
         doc = {"exists": dual_mean is not None}
         if dual_mean is not None:
-            doc["mean"] = _mean_text(dual_mean)
+            doc["mean"] = _vector_text(dual_mean.weights)
             doc["verified"] = verify_left_invariant_mean(dual_mean, shg).passed
         payload["dual"] = doc
 
@@ -282,7 +280,7 @@ def cmd_fixpoint(args: argparse.Namespace) -> tuple[dict, int]:
         "nonexpansive_l1": _check_doc(check_nonexpansive(action, seminorms[:1])),
         "nonexpansive_linf": _check_doc(check_nonexpansive(action, seminorms[1:])),
     }
-    payload["equicontinuity_bound"] = str(bound) if bound is not None else "unbounded"
+    payload["equicontinuity_bound"] = format_rational(bound) if bound is not None else "unbounded"
     if not axiom.passed or not invariance.passed:
         payload["verdict"] = "not an action"
         return payload, EXIT_FAIL

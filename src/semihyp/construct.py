@@ -28,6 +28,7 @@ from .algebra import (
     Support,
     as_fraction,
     point_mass,
+    table_associativity_witness,
     table_generators,
 )
 
@@ -103,22 +104,11 @@ class CayleyTable:
         return self.associativity_witness() is None
 
     def associativity_witness(self) -> Optional[tuple[int, int, int]]:
-        """First triple with (x*y)*z != x*(y*z) in (x, y, z) order, or None.
-
-        Light's test, as in `check_associativity`: a pass compares row x*g
-        with row g mapped through row x for the generators g only; otherwise
-        the exhaustive scan finds the first failing triple.
-        """
-        p, n = self.product, self.n
-        gens = table_generators(p, self.identity())
-        if len(gens) < n and all(
-            p[p[x][g]] == tuple(p[x][w] for w in p[g]) for g in gens for x in range(n)
-        ):
-            return None
-        for x, y, z in product(range(n), repeat=3):
-            if p[p[x][y]][z] != p[x][p[y][z]]:
-                return (x, y, z)
-        return None
+        """First triple with (x*y)*z != x*(y*z) in (x, y, z) order, or None:
+        `table_associativity_witness`, Light's test as `check_associativity`
+        runs it on point-mass tables."""
+        gens = table_generators(self.product, self.identity())
+        return table_associativity_witness(self.product, gens)
 
     def identity(self) -> Optional[int]:
         for e in range(self.n):

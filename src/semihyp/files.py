@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional
 
-from .algebra import ConvolutionTable, PointSpace, Semihypergroup, Support
+from .algebra import ConvolutionTable, PointSpace, Semihypergroup, Support, format_rational
 from .actions import AffineAction, AffineMap, Carrier, Hull, Simplex
 from .construct import CayleyTable, GroupAction
 
@@ -40,14 +40,11 @@ def parse_rational(value: Any) -> Fraction:
     raise FileFormatError(f"not a rational: {value!r} (use 'p/q' or an integer)")
 
 
-def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
-
-
 def _load_json(text: str) -> Any:
     try:
         return json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, an integer past the digit limit, or deep nesting
         raise FileFormatError(f"invalid JSON: {exc}") from None
 
 

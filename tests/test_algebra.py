@@ -6,11 +6,13 @@ import functools
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semihyp import algebra
 from semihyp.algebra import (
     ConvolutionTable,
     DimensionMismatch,
@@ -468,3 +470,59 @@ def test_kernels_never_build_the_dense_view():
         assert check_action_axiom(canonical_means_action(shg)).passed
         canonical_structure_json(shg)
         assert "entries" not in vars(shg.table)
+
+
+# ---------------------------------------------------------------------------
+# point-mass tables: Light's test on the integer table
+
+
+def test_point_table_reads_point_masses_only(t3):
+    s4 = symmetric_group(4)
+    assert from_semigroup(s4).table.point_table == s4.product
+    assert t3.table.point_table is None
+    space = PointSpace(("a", "b"))
+    for near in (((1, F(2)),), ((0, F(1, 2)), (1, F(1, 2))), ((1, F(-1)),)):
+        supports = (((0, F(1)),), near), (((1, F(1)),), ((1, F(1)),))
+        assert ConvolutionTable(space, supports).point_table is None
+
+
+def spying_on_combine():
+    """Patch `algebra._combine` with a wrapper that records every call."""
+    return mock.patch.object(algebra, "_combine", wraps=algebra._combine)
+
+
+@pytest.mark.parametrize("table", [symmetric_group(4), left_zero_semigroup(24)],
+                         ids=["s4", "lz24"])
+def test_passing_point_mass_check_sums_no_supports(table):
+    built = from_semigroup(table)
+    shg = Semihypergroup(built.space, built.table)  # no cached report
+    with spying_on_combine() as spy:
+        assert check_associativity(shg).passed
+        assert shg.generators == tuple(table_generators(table.product, table.identity()))
+    assert spy.call_count == 0
+
+
+@st.composite
+def near_point_mass_tables(draw):
+    """A `point_mass_tables` draw with one entry off a point mass: weight 2,
+    or split into two halves."""
+    n, table = draw(point_mass_tables())
+    x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    z = table[(x, y)].index(F(1))
+    if n == 1 or draw(st.booleans()):
+        table[(x, y)] = tuple(2 * w for w in table[(x, y)])
+    else:
+        k = draw(st.integers(0, n - 1).filter(lambda k: k != z))
+        table[(x, y)] = tuple(F(1, 2) * (a + b) for a, b in
+                              zip(oracle_point(z, n), oracle_point(k, n)))
+    return n, table
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_point_mass_tables())
+def test_near_point_mass_tables_take_the_measure_path(drawn):
+    shg = structure_of(*drawn)
+    assert shg.table.point_table is None
+    with spying_on_combine() as spy:
+        assert_associativity_matches_oracle(shg)
+    assert spy.call_count > 0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semihyp.algebra import DimensionMismatch, PreconditionError, opposite
+from semihyp.algebra import DimensionMismatch, PreconditionError, format_rational, opposite
 from semihyp.amenability import (
     Mean,
     find_left_invariant_mean,
@@ -211,6 +211,16 @@ def test_verify_right_mean_failure_report():
     assert not report.passed
     assert report.detail == "m(L_b 1_a) = 0 but m(1_a) = 1"
     assert report.witness == {"point": "b", "indicator": "a", "lhs": 0, "rhs": 1}
+
+
+def test_verify_failure_report_past_the_digit_limit(z2):
+    # w's denominator has about 8000 digits, past the int-string limit
+    w = F(1, int("1" * 4000 + "3") * int("1" * 4000 + "7"))
+    report = verify_left_invariant_mean((w, 1 - w), z2)
+    assert not report.passed
+    assert report.witness == {"point": "1", "indicator": "0", "lhs": 1 - w, "rhs": w}
+    assert report.detail == (
+        f"m(L_1 1_0) = {format_rational(1 - w)} but m(1_0) = {format_rational(w)}")
 
 
 def test_verify_rejects_a_candidate_that_is_too_long(z2):

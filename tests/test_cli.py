@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
+import decimal
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semihyp.cli as cli
 from semihyp.construct import from_semigroup, left_zero_semigroup
@@ -377,3 +383,175 @@ def test_overlong_triple_parameter_exit_2(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == "error: rational too long: 5002 characters\n"
     assert not out.exists()
+
+
+DEEP = "[" * 100000  # past the interpreter's recursion limit for json.loads
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "deep.json"],
+    ["fixpoint", str(FIXTURES / "z2.json"), "deep.json"],
+    ["construct", "semigroup", "--group", "deep.json", "--out", "out.json"],
+    ["construct", "orbit", "--action", "deep.json", "--out", "out.json"],
+], ids=["structure", "affine-action", "group", "group-action"])
+def test_deeply_nested_json_exit_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.json").write_text(DEEP)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: invalid JSON: ")
+    assert not (tmp_path / "out.json").exists()
+
+
+def _exact_text(k: int) -> str:
+    """Decimal digits of k, independent of the int-string digit limit."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        return str(decimal.Decimal(k))
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_overlong_witness_is_reported(as_json, tmp_path, capsys):
+    # a*a = W p_b, a*b = p_b, b*a = W p_a, b*b = p_a: the associativity
+    # witness at (a, a, a) has lhs W^2 p_a, past the digit limit
+    w = int("7" * 3000)
+    conv = {"a|a": ("b", str(w)), "a|b": ("b", "1"), "b|a": ("a", str(w)), "b|b": ("a", "1")}
+    doc = {"name": "big", "points": ["a", "b"],
+           "convolution": {k: [{"point": z, "weight": v}] for k, (z, v) in conv.items()}}
+    target = tmp_path / "big.json"
+    target.write_text(json.dumps(doc))
+    code = cli.main(["check", str(target)] + ["--json"] * as_json)
+    out = capsys.readouterr().out
+    assert code == 1
+    if as_json:
+        checks = json.loads(out)["checks"]
+        witness = checks["associativity"]["witness"]
+    else:
+        assert "verdict: fail" in out
+        assert "detail: (p_a*p_a)*p_a differs from p_a*(p_a*p_a)" in out
+        witness = dict(line.strip().split(": ", 1) for line in out.splitlines()
+                       if line.strip().startswith(("lhs:", "rhs:")))
+    assert witness["lhs"] == f"{_exact_text(w * w)}, 0"
+    assert witness["rhs"] == f"0, {w}"
+
+
+def test_overlong_probability_total_is_reported(tmp_path, capsys):
+    # two weights with coprime 4001-digit denominators sum to a total whose
+    # denominator has about 8000 digits
+    d1, d2 = int("1" * 4000 + "3"), int("1" * 4000 + "7")
+    items = [{"point": "a", "weight": f"1/{d1}"}, {"point": "a", "weight": f"1/{d2}"}]
+    target = tmp_path / "total.json"
+    target.write_text(json.dumps({"name": "t", "points": ["a"], "convolution": {"a|a": items}}))
+    assert cli.main(["check", str(target)]) == 1
+    total = Fraction(1, d1) + Fraction(1, d2)
+    expected = f"{_exact_text(total.numerator)}/{_exact_text(total.denominator)}"
+    assert f"detail: entry (a, a) has total {expected} or a negative weight" in (
+        capsys.readouterr().out)
+
+
+def test_overlong_operator_seminorm_is_reported(tmp_path, capsys):
+    # column 0 of A sums to 1 + 1/d1 + 1/d2, so the l1 seminorm, the bound
+    # and the failing detail have about 8000-digit denominators
+    d1, d2 = int("1" * 4000 + "3"), int("1" * 4000 + "7")
+    doc = json.loads((FIXTURES / "z2-canonical-action.json").read_text())
+    doc["maps"]["1"]["A"] = [[f"{d1 + 1}/{d1}", "0"], [f"1/{d2}", "1"]]
+    action = tmp_path / "act.json"
+    action.write_text(json.dumps(doc))
+    assert cli.main(["fixpoint", str(FIXTURES / "z2.json"), str(action)]) == 1
+    out = capsys.readouterr().out
+    norm = 1 + Fraction(1, d1) + Fraction(1, d2)
+    text = f"{_exact_text(norm.numerator)}/{_exact_text(norm.denominator)}"
+    assert f"detail: map at 1 has l1 operator seminorm {text}\n" in out
+    assert f"equicontinuity_bound: {text}\n" in out
+    assert "verdict: not an action\n" in out
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract on mutated documents
+
+
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3),
+    st.sampled_from(["0", "1", "1/2", "-1", "2", "a", "b", "e", "0|1", "a|b", "simplex",
+                     "point", "weight", "hull", "A", "b"]),
+    st.text(max_size=3),
+)
+VALUES = st.recursive(
+    LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6,
+)
+
+# (fixture to mutate, argv with {} for the mutated file)
+FUZZ_TARGETS = [
+    ("z2.json", ["check", "{}"]),
+    ("t3.json", ["check", "{}", "--json"]),
+    ("rps.json", ["check", "{}"]),
+    ("lz2.json", ["lim", "{}"]),
+    ("t3.json", ["lim", "{}", "--method", "both"]),
+    ("z2-canonical-action.json", ["fixpoint", str(FIXTURES / "z2.json"), "{}"]),
+    ("z2-hull-action.json", ["fixpoint", str(FIXTURES / "z2.json"), "{}"]),
+    ("lz2-canonical-action.json", ["fixpoint", str(FIXTURES / "lz2.json"), "{}",
+                                   "--iterate", "1e-6", "50"]),
+    ("z4-group.json", ["construct", "semigroup", "--group", "{}", "--out", "out.json"]),
+    ("s3.json", ["construct", "coset", "--group", "{}", "--subgroup", "e,(12)",
+                 "--out", "out.json"]),
+    ("s3.json", ["construct", "doublecoset", "--group", "{}", "--subgroup", "e,(12)",
+                 "--out", "out.json"]),
+    ("z3-inversion.json", ["construct", "orbit", "--action", "{}", "--out", "out.json"]),
+]
+
+
+def _paths(value, path=()):
+    """Every position in a JSON document, as a tuple of keys and indices."""
+    yield path
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _paths(v, path + (k,))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _paths(v, path + (i,))
+
+
+def _mutate(data, doc):
+    """Replace, delete or duplicate the value at one drawn position."""
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    if not path:
+        return data.draw(VALUES)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    op = data.draw(st.sampled_from(["replace", "delete", "duplicate"]))
+    if op == "replace":
+        parent[key] = data.draw(VALUES)
+    elif op == "delete":
+        del parent[key]
+    elif isinstance(parent, list):
+        parent.insert(key, parent[key])
+    else:
+        parent[data.draw(st.text(max_size=3))] = parent[key]
+    return doc
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_cli_keeps_its_exit_codes_on_mutated_documents(tmp_path_factory, data):
+    fixture, argv = data.draw(st.sampled_from(FUZZ_TARGETS))
+    doc = json.loads((FIXTURES / fixture).read_text())
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = _mutate(data, doc)
+    workdir = tmp_path_factory.mktemp("fuzz")
+    (workdir / "doc.json").write_text(json.dumps(doc))
+    argv = [str(workdir / "doc.json") if a == "{}" else a for a in argv]
+    argv = [str(workdir / a) if a == "out.json" else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")

@@ -72,6 +72,24 @@ def test_cayley_associativity_witness_matches_brute_force(table):
     assert cayley.associativity_witness() == oracle_cayley_witness(table)
 
 
+@settings(max_examples=300, deadline=None)
+@given(magma_tables())
+def test_cayley_witness_and_check_associativity_agree(table):
+    # the two run one kernel on the integer table: same first triple
+    n = len(table)
+    cayley = CayleyTable(tuple(f"p{i}" for i in range(n)), table)
+    masses = [((z, Fraction(1)),) for z in range(n)]
+    conv = ConvolutionTable(cayley.space, tuple(tuple(masses[z] for z in row) for row in table))
+    report = check_associativity(Semihypergroup(cayley.space, conv))
+    witness = cayley.associativity_witness()
+    assert report.passed == (witness is None)
+    if witness is not None:
+        x, y, z = witness
+        assert report.witness["triple"] == tuple(cayley.labels[i] for i in witness)
+        assert report.witness["lhs"] == point_mass(cayley.space, table[table[x][y]][z]).weights
+        assert report.witness["rhs"] == point_mass(cayley.space, table[x][table[y][z]]).weights
+
+
 def test_order_120_light_test_keeps_the_first_witness():
     s5 = symmetric_group(5)
     assert s5.is_group()

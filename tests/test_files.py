@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import json
 from fractions import Fraction
 
@@ -44,6 +45,24 @@ def test_format_rational_lowest_terms():
     assert format_rational(F(2, 4)) == "1/2"
     assert format_rational(F(4, 2)) == "2"
     assert format_rational(F(-6, 8)) == "-3/4"
+
+
+def _exact_text(k: int) -> str:
+    """Decimal digits of k, independent of the int-string digit limit."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        return str(decimal.Decimal(k))
+
+
+@pytest.mark.parametrize("value", [
+    F(10**5000 + 1), F(-(10**9000) - 7), F(7**9000), F(1, 10**4400 + 3),
+    F(-(10**6000) - 3, 10**4400 + 1), F(2**30000 - 1, 3),
+], ids=["zeros", "negative", "power", "denominator", "both", "mersenne"])
+def test_format_rational_past_the_digit_limit(value):
+    text = _exact_text(value.numerator)
+    if value.denominator != 1:
+        text += "/" + _exact_text(value.denominator)
+    assert format_rational(value) == text
 
 
 def test_structure_round_trip(t3):
