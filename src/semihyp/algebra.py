@@ -46,10 +46,13 @@ def as_fraction(value: RationalLike) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """`str` of the Fraction, also past the interpreter's digit limit."""
+    """`str` of the Fraction, also past the interpreter's int-string digit limit."""
     value = Fraction(value)
-    text = _decimal(value.numerator)
-    return text if value.denominator == 1 else f"{text}/{_decimal(value.denominator)}"
+    try:
+        return str(value)
+    except ValueError:
+        text = _decimal(value.numerator)
+        return text if value.denominator == 1 else f"{text}/{_decimal(value.denominator)}"
 
 
 def _decimal(k: int) -> str:
