@@ -1,23 +1,27 @@
 """Exact rational linear algebra and linear-programming feasibility.
 
 The kernel decides feasibility of {A x = b, x_j >= 0 for flagged j} with
-`fractions.Fraction` arithmetic throughout.  It first row-reduces the
-equality system (tracking row combinations, so a linear-level contradiction
-already yields a checkable certificate), then runs a phase-1 simplex with
-Bland's anti-cycling rule on the reduced system.  Both outcomes are
-self-verified before being returned: a witness is substituted into the
-original constraints, and an infeasibility certificate y is checked to
-satisfy y.A <= 0 on nonnegative columns, y.A = 0 on free columns, and
-y.b > 0.
+`fractions.Fraction` arithmetic throughout.  One sparse elimination,
+`_row_reduce`, brings rows to reduced echelon form.  The LP reduces
+[A | b | I]: the identity block never pivots, so each kept row carries its
+combination of the input rows as ordinary entries, and a certificate is
+read off those columns.  A row that reduces to 0 = r != 0 is already a
+certificate; otherwise a phase-1 simplex with Bland's anti-cycling rule runs
+on the kept rows, and an infeasible optimum combines their blocks with the
+final reduced costs.  `solve_linear_system` reduces [A | b] alone, as it
+returns no certificate.  Both LP outcomes are self-verified before being
+returned: a witness is substituted into the original constraints, and an
+infeasibility certificate y is checked to satisfy y.A <= 0 on nonnegative
+columns, y.A = 0 on free columns, and y.b > 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .algebra import RationalLike, as_fraction
+from .algebra import RationalLike, _combine, as_fraction
 
 Row = tuple[Fraction, ...]
 
@@ -100,74 +104,64 @@ def _verify_certificate(problem: LPProblem, y: Sequence[Fraction]) -> None:
             raise AssertionError("certificate fails on a free column")
 
 
-def _row_reduce(problem: LPProblem):
-    """Incremental reduction of [A | b] with sparse combination tracking.
+def _augmented(problem: LPProblem) -> list[dict[int, Fraction]]:
+    """Rows of [A | b] as {column: value} over their nonzeros, b at column n."""
+    return [{j: a for j, a in enumerate((*row, b)) if a}
+            for row, b in zip(problem.matrix, problem.rhs)]
 
-    Returns either ("infeasible", certificate) when a row reduces to
-    0 = nonzero, or ("reduced", rows, rhs, combos, pivot_cols) with the
-    surviving independent rows; combos[i] maps original row indices to the
-    coefficients expressing reduced row i.  A combination involves only kept
-    rows and the row being reduced (<= rank + 1 entries), so the pass costs
-    O(m * rank * (n + rank)) rather than O(m^2 * rank) for dense length-m
-    combinations; only an outgoing certificate is expanded to length m.
+
+def _row_reduce(
+    rows: Iterable[dict[int, Fraction]], n: int
+) -> tuple[dict[int, dict[int, Fraction]], Optional[dict[int, Fraction]]]:
+    """Incremental reduced echelon form of sparse rows {column: value}.
+
+    Columns below n are variables and pivot; every column from n on rides
+    along, so a row [A | b | I] (b at column n, identity at n+1...) keeps its
+    combination of input rows in the identity block.  Returns the kept rows
+    by pivot column, in the order they were kept, and None; or, when a row
+    reduces to 0 = r with r != 0, the rows kept so far and that row scaled to
+    r > 0, whose identity block is then a Farkas certificate.  The reduced
+    echelon form is unique and the columns from n on never pivot, so the
+    kept rows, their pivots and their [A | b] part are the same with or
+    without the block.  Rows are dicts of nonzeros, a row meets only the
+    kept rows at its own pivot columns, and a block combination has
+    <= rank + 1 entries.
     """
-    n = problem.n_vars
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    combos: list[dict[int, Fraction]] = []
-    pivot_cols: list[int] = []
-
-    for i, (v, r) in enumerate(zip(problem.matrix, problem.rhs)):
-        combo = {i: Fraction(1)}
-        for k, pc in enumerate(pivot_cols):
-            f = v[pc]
-            if f != 0:
-                v = [a - f * bk if bk else a for a, bk in zip(v, rows[k])]
-                r -= f * rhs[k]
-                for j, c in combos[k].items():
-                    combo[j] = combo.get(j, 0) - f * c
-        pc = next((j for j in range(n) if v[j] != 0), None)
+    kept: dict[int, dict[int, Fraction]] = {}
+    for v in rows:
+        eliminate = [(kept[c].items(), -a) for c, a in v.items() if c in kept]
+        if eliminate:
+            v = _combine([(v.items(), 1), *eliminate])
+        pc = min((j for j in v if j < n), default=None)
         if pc is None:
-            if r != 0:
-                return ("infeasible", _dense(problem, [(1 if r > 0 else -1, combo)]))
+            if v.get(n):
+                return kept, _combine(((v.items(), 1 if v[n] > 0 else -1),))
             continue  # redundant row
-        inv = v[pc]
-        v = [a / inv for a in v]
-        r = r / inv
-        combo = {j: c / inv for j, c in combo.items()}
-        # keep earlier rows reduced as well (full reduced echelon form)
-        for k in range(len(rows)):
-            f = rows[k][pc]
-            if f != 0:
-                rows[k] = [a - f * bk if bk else a for a, bk in zip(rows[k], v)]
-                rhs[k] -= f * r
-                for j, c in combo.items():
-                    combos[k][j] = combos[k].get(j, 0) - f * c
-        rows.append(v)
-        rhs.append(r)
-        combos.append(combo)
-        pivot_cols.append(pc)
-    return ("reduced", rows, rhs, combos, pivot_cols)
-
-
-def _dense(problem: LPProblem, terms) -> Row:
-    # sum of coef * combo over (coef, combo) terms, as a length-m row vector
-    out = [Fraction(0)] * problem.n_rows
-    for coef, combo in terms:
-        for j, c in combo.items():
-            out[j] += coef * c
-    return tuple(out)
+        v = _combine(((v.items(), 1 / v[pc]),))
+        for c, row in kept.items():
+            if pc in row:
+                kept[c] = _combine(((row.items(), 1), (v.items(), -row[pc])))
+        kept[pc] = v
+    return kept, None
 
 
 def solve_lp_feasibility(problem: LPProblem) -> LPSolution:
     """Exact phase-1 simplex with Bland's rule on the row-reduced system."""
-    n = problem.n_vars
-    reduced = _row_reduce(problem)
-    if reduced[0] == "infeasible":
-        certificate = reduced[1]
+    n, m = problem.n_vars, problem.n_rows
+    rows = _augmented(problem)
+    for i, row in enumerate(rows):
+        row[n + 1 + i] = Fraction(1)
+    kept, contradiction = _row_reduce(rows, n)
+
+    def infeasible(v: dict[int, Fraction], pivots: int) -> LPSolution:
+        certificate = tuple(v.get(n + 1 + i, Fraction(0)) for i in range(m))
         _verify_certificate(problem, certificate)
-        return LPSolution(status="infeasible", certificate=certificate)
-    _, rows, rhs, combos, _ = reduced
+        return LPSolution(status="infeasible", certificate=certificate, pivots=pivots)
+
+    if contradiction is not None:
+        return infeasible(contradiction, 0)
+    # sign-normalize right-hand sides, each row with its combination
+    rows = [_combine(((v.items(), -1),)) if v.get(n, 0) < 0 else v for v in kept.values()]
     k = len(rows)
 
     # split free variables into positive and negative parts
@@ -178,30 +172,19 @@ def solve_lp_feasibility(problem: LPProblem) -> LPSolution:
             colmap.append((j, -1))
     ns = len(colmap)
 
-    # sign-normalize right-hand sides, folding flips into the combinations
-    for i in range(k):
-        if rhs[i] < 0:
-            rows[i] = [-a for a in rows[i]]
-            rhs[i] = -rhs[i]
-            combos[i] = {j: -a for j, a in combos[i].items()}
-
-    if k == 0:
-        witness = tuple(Fraction(0) for _ in range(n))
-        _verify_witness(problem, witness)
-        return LPSolution(status="feasible", witness=witness)
-
     # tableau: split columns, artificial identity block, rhs column
+    zero = Fraction(0)
     tableau = [
-        [rows[i][j] * sign for (j, sign) in colmap]
+        [v.get(j, zero) * sign for (j, sign) in colmap]
         + [Fraction(1 if t == i else 0) for t in range(k)]
-        + [rhs[i]]
-        for i in range(k)
+        + [v.get(n, zero)]
+        for i, v in enumerate(rows)
     ]
     basis = [ns + i for i in range(k)]
     # reduced costs for minimizing the artificial sum
     cost = [-sum(tableau[i][c] for i in range(k)) for c in range(ns)]
     cost += [Fraction(0)] * k
-    cost.append(-sum(rhs))
+    cost.append(-sum(t[-1] for t in tableau))
 
     pivots = 0
     while True:
@@ -224,11 +207,8 @@ def solve_lp_feasibility(problem: LPProblem) -> LPSolution:
 
     objective = -cost[-1]
     if objective > 0:
-        certificate = _dense(
-            problem, [(Fraction(1) - cost[ns + i], combos[i]) for i in range(k)]
-        )
-        _verify_certificate(problem, certificate)
-        return LPSolution(status="infeasible", certificate=certificate, pivots=pivots)
+        combination = _combine((v.items(), 1 - cost[ns + i]) for i, v in enumerate(rows))
+        return infeasible(combination, pivots)
 
     # drive any zero-level artificials out of the basis
     for i in range(k):
@@ -290,26 +270,27 @@ def solve_linear_system(
 ) -> Optional[tuple[Row, tuple[Row, ...]]]:
     """Solve A x = b exactly; returns (particular, null-space basis) or None.
 
-    Reads the reduced row echelon form off `_row_reduce` with every variable
-    free: its kept rows are zero before their pivot, 1 at it and 0 at the
-    other pivot columns.  The particular solution sets every free variable
-    to zero; the null-space basis has one vector per free column in the
-    standard echelon pattern.  Rows of unequal length are a ValueError.
+    Reads the reduced row echelon form of [A | b] off `_row_reduce`, with no
+    identity block since nothing is certified: its kept rows are zero before
+    their pivot, 1 at it and 0 at the other pivot columns.  The particular
+    solution sets every free variable to zero; the null-space basis has one
+    vector per free column in the standard echelon pattern.  Rows of unequal
+    length are a ValueError.
     """
     n = len(matrix[0]) if matrix else 0
-    reduced = _row_reduce(LPProblem(matrix, rhs, nonneg=(False,) * n))
-    if reduced[0] == "infeasible":
+    problem = LPProblem(matrix, rhs, nonneg=(False,) * n)
+    kept, contradiction = _row_reduce(_augmented(problem), n)
+    if contradiction is not None:
         return None
-    _, rows, b, _, pivot_cols = reduced
-    particular = [Fraction(0)] * n
-    for i, c in enumerate(pivot_cols):
-        particular[c] = b[i]
-    free_cols = [c for c in range(n) if c not in pivot_cols]
+    zero = Fraction(0)
+    particular = [zero] * n
+    for c, v in kept.items():
+        particular[c] = v.get(n, zero)
     null_basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * n
+    for fc in (c for c in range(n) if c not in kept):
+        vec = [zero] * n
         vec[fc] = Fraction(1)
-        for i, c in enumerate(pivot_cols):
-            vec[c] = -rows[i][fc]
+        for c, v in kept.items():
+            vec[c] = -v.get(fc, zero)
         null_basis.append(tuple(vec))
     return tuple(particular), tuple(null_basis)

@@ -13,11 +13,13 @@ from semihyp.amenability import left_invariance_problem
 from semihyp.linprog import (
     LPProblem,
     LPSolution,
+    _augmented,
+    _row_reduce,
     solve_linear_system,
     solve_lp_feasibility,
 )
 
-from oracles import oracle_feasible, oracle_solve
+from oracles import oracle_feasible, oracle_is_farkas, oracle_solve
 
 F = Fraction
 
@@ -108,6 +110,10 @@ def test_empty_system():
     sol = solve_lp_feasibility(problem([], [], [True, True, False]))
     assert sol.feasible
     assert sol.witness == (F(0), F(0), F(0))
+    # every row redundant: nothing is kept, so phase 1 has an empty tableau
+    sol = solve_lp_feasibility(problem([[0, 0], [0, 0]], [0, 0], [True, True]))
+    assert sol.feasible and sol.pivots == 0
+    assert sol.witness == (F(0), F(0))
 
 
 def test_degenerate_zero_rhs():
@@ -191,3 +197,29 @@ def test_solve_linear_system_matches_oracle(data):
         rows.append([2 * a - b for a, b in zip(rows[0], rows[-1])])  # dependent
     rhs = data.draw(st.lists(RATIONALS, min_size=len(rows), max_size=len(rows)))
     assert solve_linear_system(rows, rhs) == oracle_solve(rows, rhs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_identity_block_rides_along_the_reduction(data):
+    # the block columns n+1... never pivot, so [A | b] reduces the same with
+    # or without them, and a contradiction's block is a Farkas certificate
+    n = data.draw(st.integers(1, 5))
+    rows = data.draw(st.lists(
+        st.lists(RATIONALS, min_size=n, max_size=n), min_size=1, max_size=6
+    ))
+    if data.draw(st.booleans()):
+        rows.append([a + b for a, b in zip(rows[0], rows[-1])])  # dependent
+    rhs = data.draw(st.lists(RATIONALS, min_size=len(rows), max_size=len(rows)))
+    p = problem(rows, rhs, [True] * n)
+    plain = _augmented(p)
+    blocked = [{**row, n + 1 + i: F(1)} for i, row in enumerate(_augmented(p))]
+    kept, contradiction = _row_reduce(plain, n)
+    kept_blocked, contradiction_blocked = _row_reduce(blocked, n)
+    assert list(kept) == list(kept_blocked)
+    for c, row in kept_blocked.items():
+        assert {j: a for j, a in row.items() if j <= n} == kept[c]
+    assert (contradiction is None) == (contradiction_blocked is None)
+    if contradiction_blocked is not None:
+        y = [contradiction_blocked.get(n + 1 + i, F(0)) for i in range(len(rows))]
+        assert oracle_is_farkas(rows, rhs, y)
