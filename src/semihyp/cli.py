@@ -42,7 +42,6 @@ from .construct import (
     ConstraintViolation,
     NotASubgroupError,
     NotAssociativeError,
-    RepresentativeDependenceError,
     coset_space,
     double_coset_space,
     from_semigroup,
@@ -375,9 +374,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         payload, code = handlers[args.command](args)
     except (FileFormatError, UnknownLabel, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except RepresentativeDependenceError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     payload["timing"] = {
         "elapsed_ms": round((time.perf_counter() - started) * 1000.0, 3)

@@ -6,7 +6,9 @@ subgroup, and orbit spaces of a finite group action.  Every factory refuses
 to hand back an unverified structure.  `from_semigroup` checks associativity
 on the integer table, which for point masses is the same fact; the other
 factories run the exact probability and associativity checks on the
-convolution table before returning.
+convolution table before returning.  A quotient entry is computed from one
+pair of representatives: the group, subgroup and action-homomorphism checks
+that precede it make every other pair give the same entry (`_quotient`).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations, product
+from itertools import permutations
 from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import (
@@ -57,14 +59,6 @@ class NotASubgroupError(ValueError):
 
 class InvalidActionError(ValueError):
     pass
-
-
-class RepresentativeDependenceError(RuntimeError):
-    """Coset/orbit convolution depended on the chosen representatives.
-
-    Signals an implementation bug, not bad user input: the defining averages
-    are provably representative-independent.
-    """
 
 
 @dataclass(frozen=True)
@@ -297,36 +291,29 @@ def _quotient(
     """Quotient of G's points by a partition, with averaged convolution.
 
     Entry (A, B) is the uniform average of the point masses at the classes of
-    the elements samples(x, y), for any x in A and y in B.  The class counts
-    are recomputed in integers for every representative pair; a mismatch
-    would be an implementation bug and raises RepresentativeDependenceError.
-    The result must pass the probability and associativity checks.
+    the elements samples(min(A), min(B)).  One pair of representatives
+    suffices, because the checks that built the classes make every pair give
+    the same multiset of classes.  For cosets, x.h1.t.y.h2 lies in (x.t'.y)H
+    with t' = h1.t, and for double cosets h0.x.h1.t.h2.y.h3 lies in
+    H(x.t'.y)H with t' = h1.t.h2; t -> t' permutes the subgroup H.  For
+    orbits, act[r][act[h][x]] = act[r.h][x] by the homomorphism check, and
+    r -> r.h permutes H.  The result must pass the probability and
+    associativity checks.
     """
     k = len(classes)
     cls = [0] * g.n
     for i, c in enumerate(classes):
         for x in c:
             cls[x] = i
-    labels = [label(c) for c in classes]
-    space = PointSpace(tuple(labels))
-    members = [sorted(c) for c in classes]
-
-    def counts(x: int, y: int) -> list[int]:
-        out = [0] * k
-        for z in samples(x, y):
-            out[cls[z]] += 1
-        return out
+    space = PointSpace(tuple(label(c) for c in classes))
+    reps = [min(c) for c in classes]
 
     def entry(a: int, b: int) -> Support:
-        pairs = product(members[a], members[b])
-        reference = counts(*next(pairs))
-        for x, y in pairs:
-            if counts(x, y) != reference:
-                raise RepresentativeDependenceError(
-                    f"entry ({labels[a]}, {labels[b]}) depends on representatives"
-                )
-        total = sum(reference)
-        return tuple((i, Fraction(c, total)) for i, c in enumerate(reference) if c)
+        counts = [0] * k
+        for z in samples(reps[a], reps[b]):
+            counts[cls[z]] += 1
+        total = sum(counts)
+        return tuple((i, Fraction(c, total)) for i, c in enumerate(counts) if c)
 
     table = ConvolutionTable(space, tuple(tuple(entry(a, b) for b in range(k)) for a in range(k)))
     s = Semihypergroup(space=space, table=table, name=name)

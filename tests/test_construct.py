@@ -23,9 +23,6 @@ from semihyp.construct import (
     InvalidActionError,
     NotAssociativeError,
     NotASubgroupError,
-    RepresentativeDependenceError,
-    _classes,
-    _quotient,
     coset_space,
     cyclic_group,
     double_coset_space,
@@ -464,13 +461,31 @@ def test_orbit_space_inversion_matches_oracle(n):
     )
 
 
-def test_quotient_rejects_representative_dependent_rule(s3_group):
-    # xH -> (x.y)H is not well defined for the non-normal H = {e, (12)}
-    p = s3_group.product
-    h = [s3_group.index("e"), s3_group.index("(12)")]
-    classes = _classes(s3_group.n, lambda x: frozenset(p[x][t] for t in h))
-    with pytest.raises(RepresentativeDependenceError, match="depends on representatives"):
-        _quotient(s3_group, classes, lambda c: str(min(c)), lambda x, y: [p[x][y]], "bad")
+@pytest.mark.parametrize(
+    "action",
+    [
+        GroupAction(group=cyclic_group(2), carrier=cyclic_group(4),
+                    act=(tuple(range(4)), (1, 0, 2, 3))),
+        inversion_action(symmetric_group(3)),
+        inversion_action(symmetric_group(4)),
+    ],
+    ids=["swap01-z4", "inversion-s3", "inversion-s4"],
+)
+def test_orbit_space_of_a_non_automorphism_reports_the_oracle_witness(action):
+    # entries come from one representative pair, which needs only the
+    # homomorphism check, not automorphisms: the oracle compares every pair
+    # and still agrees, and so does the failing triple
+    g = action.carrier
+    oracle = oracle_orbit_space(g.product, action.act)
+    assert oracle is not None
+    classes, table = oracle
+    x, y, z, lhs, rhs = oracle_associativity_witness(table, len(classes))
+    label = lambda c: "{" + ",".join(sorted(g.labels[i] for i in c)) + "}"
+    with pytest.raises(NotAssociativeError) as err:
+        orbit_space(action)
+    witness = err.value.report.witness
+    assert witness["triple"] == tuple(label(classes[i]) for i in (x, y, z))
+    assert (witness["lhs"], witness["rhs"]) == (lhs, rhs)
 
 
 def test_from_semigroup_checks_the_integer_table_only(s3_group, monkeypatch):
