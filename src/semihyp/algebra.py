@@ -4,9 +4,9 @@ A finite semihypergroup is a point space together with a table assigning to
 each ordered pair of points the probability measure that plays the role of
 their product.  Convolution of arbitrary measures is the bilinear extension
 of that table, which stores each product by its support; the kernels read
-the supports, and dense `Measure`s appear only at the API boundary.  All
-scalars are `fractions.Fraction`; every check in this module is exact, so
-the verdicts can serve as oracles for the rest of the toolkit.
+its `scaled` integer view, and dense `Measure`s appear only at the API
+boundary.  Every scalar a caller sees is a `fractions.Fraction`, and every
+check in this module is exact, so the verdicts can serve as oracles.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from math import gcd, lcm
 from operator import ne
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -155,7 +156,7 @@ class ConvolutionTable:
     supports[x][y] is the `Support` of p_x * p_y: its (index, weight) pairs
     with weight != 0, indices ascending.  `from_measures` and `entry` are the
     dense boundary; `entries` is the dense view, for callers outside the
-    kernels.
+    kernels, which read `point_table` or, on other tables, `scaled`.
     """
 
     space: PointSpace
@@ -199,6 +200,13 @@ class ConvolutionTable:
         if all(len(e) == 1 and e[0][1] == 1 for row in self.supports for e in row):
             return tuple(tuple(e[0][0] for e in row) for row in self.supports)
         return None
+
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
+        """(D, ints): D the least common denominator of all weights, ints the supports times D."""
+        d = lcm(*{w.denominator for row in self.supports for e in row for _, w in e})
+        return d, tuple(tuple(tuple((k, w.numerator * d // w.denominator) for k, w in e)
+                              for e in row) for row in self.supports)
 
 
 def translation_transpose(table: ConvolutionTable, s: int) -> list[list[Fraction]]:
@@ -325,12 +333,12 @@ def convolve_sets(
 
 
 def check_probability(s: Semihypergroup) -> CheckReport:
-    """Every table entry must be a probability measure (nonnegative, total 1).
-
-    An entry is read off its support, in O(d) rather than O(n)."""
-    for x, row in enumerate(s.table.supports):
+    """Every table entry must be a probability measure (nonnegative, total 1),
+    read off its `scaled` support in O(d): the weights times D must sum to D."""
+    d, ints = s.table.scaled if s.table.point_table is None else (1, ())  # masses of 1 pass
+    for x, row in enumerate(ints):
         for y, sup in enumerate(row):
-            if any(w < 0 for _, w in sup) or sum(w for _, w in sup) != 1:
+            if any(w < 0 for _, w in sup) or sum(w for _, w in sup) != d:
                 m = s.table.entry(x, y)
                 return CheckReport(
                     check="probability",
@@ -358,19 +366,19 @@ def check_associativity(s: Semihypergroup) -> CheckReport:
     whose every point is a generator, runs the exhaustive ordered scan for
     the first failing triple and its dense lhs and rhs.  A point-mass table
     runs both on its `point_table`, where (p_x*p_y)*p_z = p_{(xy)z}; other
-    tables sum both sides over supports, compared with exact zeros removed:
-    signed weights cancel.
+    tables compare D^2 times both sides, summed over the `scaled` supports as
+    ints with exact zeros removed: signed weights cancel.
     """
-    n, sup, points = s.n, s.table.supports, s.table.point_table
+    n, table, gens = s.n, s.table, s.generators
 
-    def sides(x: int, y: int, z: int) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
-        return (_combine((sup[u][z], a) for u, a in sup[x][y]),
-                _combine((sup[x][v], b) for v, b in sup[y][z]))
+    def sides(x: int, y: int, z: int) -> tuple[dict[int, int], dict[int, int]]:
+        ints = table.scaled[1]
+        return (_combine((ints[u][z], a) for u, a in ints[x][y]),
+                _combine((ints[x][v], b) for v, b in ints[y][z]))
 
-    gens = s.generators
     at_gens = (sides(x, g, z) for g in gens for x, z in product(range(n), repeat=2))
-    if points is not None:
-        triple = table_associativity_witness(points, gens)
+    if table.point_table is not None:
+        triple = table_associativity_witness(table.point_table, gens)
     elif len(gens) < n and all(lhs == rhs for lhs, rhs in at_gens):
         triple = None
     else:
@@ -378,7 +386,8 @@ def check_associativity(s: Semihypergroup) -> CheckReport:
     if triple is None:
         return CheckReport(check="associativity", passed=True)
     a, b, c = (s.space.label(i) for i in triple)
-    lhs, rhs = (tuple(d.get(k, Fraction(0)) for k in range(n)) for d in sides(*triple))
+    dd = table.scaled[0] ** 2
+    lhs, rhs = (tuple(Fraction(v.get(k, 0), dd) for k in range(n)) for v in sides(*triple))
     return CheckReport(
         check="associativity",
         passed=False,
@@ -408,27 +417,27 @@ def generating_points(s: Semihypergroup) -> list[int]:
     the span under products with the chosen points on both sides, until it
     is R^n.  The span starts at the identity, which lies in every middle
     nucleus and is never a generator.  Point-mass tables run
-    `table_generators` on their `point_table`; others keep an exact echelon
-    basis, each row scaled to 1 at its first nonzero coordinate.
+    `table_generators` on their `point_table`; others keep an echelon basis
+    of primitive int rows over `scaled`, as scaling keeps every span.
     """
-    sup, points = s.table.supports, s.table.point_table
-    if points is not None:
-        return table_generators(points, s.identity)
-    basis: dict[int, dict[int, Fraction]] = {}
+    if s.table.point_table is not None:
+        return table_generators(s.table.point_table, s.identity)
+    ints, basis = s.table.scaled[1], {}  # basis: pivot column -> primitive row
 
-    def insert(v: dict[int, Fraction]) -> Optional[dict[int, Fraction]]:
+    def insert(v: dict[int, int]) -> Optional[dict[int, int]]:
         while v:
             k = min(v)
             if k not in basis:
-                basis[k] = v = {j: w / v[k] for j, w in v.items()}
+                g = gcd(*v.values())
+                basis[k] = v = {j: w // g for j, w in v.items()}
                 return v
-            v = _combine(((v.items(), 1), (basis[k].items(), -v[k])))
+            v = _combine(((v.items(), basis[k][k]), (basis[k].items(), -v[k])))
         return None
 
-    def times(u: dict[int, Fraction], v: dict[int, Fraction]) -> dict[int, Fraction]:
-        return _combine((sup[x][y], a * b) for x, a in u.items() for y, b in v.items())
+    def times(u: dict[int, int], v: dict[int, int]) -> dict[int, int]:
+        return _combine((ints[x][y], a * b) for x, a in u.items() for y, b in v.items())
 
-    return _greedy_generators(s.n, lambda i: {i: Fraction(1)}, insert, times, s.identity)
+    return _greedy_generators(s.n, lambda i: {i: 1}, insert, times, s.identity)
 
 
 def table_generators(product: Sequence[Sequence[int]], identity: Optional[int]) -> list[int]:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -34,9 +36,12 @@ from semihyp.algebra import (
 )
 from semihyp.construct import (
     coset_space,
+    cyclic_group,
     double_coset_space,
     from_semigroup,
+    inversion_action,
     left_zero_semigroup,
+    orbit_space,
     symmetric_group,
     triple_hypergroup,
 )
@@ -486,9 +491,19 @@ def test_point_table_reads_point_masses_only(t3):
         assert ConvolutionTable(space, supports).point_table is None
 
 
+@contextlib.contextmanager
 def spying_on_combine():
-    """Patch `algebra._combine` with a wrapper that records every call."""
-    return mock.patch.object(algebra, "_combine", wraps=algebra._combine)
+    """Patch `algebra._combine` with a wrapper that records every call, its
+    terms as a list of (support, coefficient) pairs."""
+    combine, spy = algebra._combine, mock.Mock()
+
+    def listed(terms):
+        terms = [(list(support), coef) for support, coef in terms]
+        spy(terms)
+        return combine(terms)
+
+    with mock.patch.object(algebra, "_combine", listed):
+        yield spy
 
 
 @pytest.mark.parametrize("table", [symmetric_group(4), left_zero_semigroup(24)],
@@ -526,3 +541,90 @@ def test_near_point_mass_tables_take_the_measure_path(drawn):
     with spying_on_combine() as spy:
         assert_associativity_matches_oracle(shg)
     assert spy.call_count > 0
+
+
+# ---------------------------------------------------------------------------
+# other tables: the kernels read the D-scaled integer supports
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    signed_tables().map(lambda drawn: structure_of(*drawn)),
+    point_mass_tables().map(lambda drawn: structure_of(*drawn)),
+    st.deferred(lambda: st.sampled_from(quotients_and_triples())),
+))
+def test_scaled_view_is_the_lcd_scaling(shg):
+    d, ints = shg.table.scaled
+    weights = [w for row in shg.table.supports for e in row for _, w in e]
+    assert all(type(w) is int for row in ints for e in row for _, w in e)
+    assert tuple(tuple(tuple((k, F(w, d)) for k, w in e) for e in row)
+                 for row in ints) == shg.table.supports
+    # D is a common denominator, and no D / p is: the cofactors share no prime
+    assert d > 0 and all(d % w.denominator == 0 for w in weights)
+    assert math.gcd(d, *(d // w.denominator for w in weights)) == 1
+
+
+@pytest.mark.parametrize("built", [
+    lambda: coset_space(symmetric_group(4), ["e", "(12)"]),
+    lambda: coset_space(symmetric_group(5), [
+        p for p in symmetric_group(5).labels if "5" not in p]),
+    lambda: orbit_space(inversion_action(cyclic_group(24))),
+], ids=["s4-mod-12", "s5-mod-s4", "z24-inversion-orbits"])
+def test_passing_fractional_check_multiplies_no_fractions(built):
+    built = built()
+    shg = Semihypergroup(built.space, built.table)  # no cached report
+    assert built.table.point_table is None and built.table.scaled[0] > 1
+    with spying_on_combine() as spy:
+        assert check_associativity(shg).passed
+        assert generating_points(shg)
+    assert spy.call_count > 0
+    for (terms,), _ in spy.call_args_list:
+        assert all(type(c) is int and all(type(w) is int for _, w in support)
+                   for support, c in terms)
+
+
+def coprime_denominators(count: int) -> list[int]:
+    """`count` pairwise-coprime 60-digit integers."""
+    out: list[int] = []
+    k = 10 ** 59
+    while len(out) < count:
+        k += 1
+        if all(math.gcd(k, d) == 1 for d in out):
+            out.append(k)
+    return out
+
+
+def conjugated_cyclic_table(n: int) -> dict:
+    """Z_n in the basis e'_i = e_i / d_i, the d_i pairwise-coprime 60-digit
+    integers: p'_x * p'_y = (d_z / (d_x d_y)) p'_z for z = x + y, an
+    associative table with no identity and a D of about 400 digits."""
+    d = coprime_denominators(n)
+    return {(x, y): tuple(F(d[z], d[x] * d[y]) if z == (x + y) % n else F(0)
+                          for z in range(n))
+            for x, y in itertools.product(range(n), repeat=2)}
+
+
+def random_coprime_table(n: int) -> dict:
+    """Signed weights r / d, one pairwise-coprime 60-digit d per point."""
+    d, rng = coprime_denominators(n), random.Random(12)
+    return {(x, y): tuple(F(rng.randint(-3, 3), d[z]) for z in range(n))
+            for x, y in itertools.product(range(n), repeat=2)}
+
+
+def broken_entry(table: dict) -> dict:
+    out = dict(table)
+    out[(1, 2)] = tuple(w + F(1, 3) for w in out[(1, 2)])
+    return out
+
+
+@pytest.mark.parametrize("table", [
+    conjugated_cyclic_table(4),
+    broken_entry(conjugated_cyclic_table(4)),
+    random_coprime_table(3),
+], ids=["associative-4", "one-entry-off-4", "random-signed-3"])
+def test_huge_coprime_denominators_match_the_oracles(table):
+    n = len(table[(0, 0)])
+    shg = structure_of(n, table)
+    assert shg.table.scaled[0] > 10 ** 170
+    assert_associativity_matches_oracle(shg)
+    assert generating_points(shg) == oracle_generating_points(table, n)
