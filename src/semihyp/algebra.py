@@ -335,7 +335,7 @@ def convolve_sets(
 def check_probability(s: Semihypergroup) -> CheckReport:
     """Every table entry must be a probability measure (nonnegative, total 1),
     read off its `scaled` support in O(d): the weights times D must sum to D."""
-    d, ints = s.table.scaled if s.table.point_table is None else (1, ())  # masses of 1 pass
+    d, ints = s.table.scaled if s.table.point_table is None else (1, ())  # point masses pass
     for x, row in enumerate(ints):
         for y, sup in enumerate(row):
             if any(w < 0 for _, w in sup) or sum(w for _, w in sup) != d:
@@ -372,7 +372,7 @@ def check_associativity(s: Semihypergroup) -> CheckReport:
     n, table, gens = s.n, s.table, s.generators
 
     def sides(x: int, y: int, z: int) -> tuple[dict[int, int], dict[int, int]]:
-        ints = table.scaled[1]
+        ints = table.scaled[1]  # built on first use: point masses never need it
         return (_combine((ints[u][z], a) for u, a in ints[x][y]),
                 _combine((ints[x][v], b) for v, b in ints[y][z]))
 
