@@ -109,10 +109,7 @@ def carrier_contains(carrier: Carrier, x: Sequence[Fraction]) -> bool:
     d = len(vertices[0])
     rows = [tuple(p[i] for p in vertices) for i in range(d)]
     rows.append((Fraction(1),) * len(vertices))
-    rhs = list(vec) + [Fraction(1)]
-    problem = LPProblem(
-        matrix=tuple(rows), rhs=tuple(rhs), nonneg=(True,) * len(vertices)
-    )
+    problem = LPProblem.from_dense(rows, (*vec, Fraction(1)), (True,) * len(vertices))
     return solve_lp_feasibility(problem).feasible
 
 
@@ -515,24 +512,18 @@ def common_fixed_point_problem(action: AffineAction) -> LPProblem:
     """
     _require_verified(action)
     vertices = carrier_vertices(action.carrier)
-    # by_coord[j]: the (vertex, coordinate) pairs with v[j] != 0, so each
-    # entry a of A_s meets only the vertices it contributes to
-    by_coord = [[(k, v[j]) for k, v in enumerate(vertices) if v[j]]
+    # by_coord[j]: the (vertex, coordinate) pairs with v[j] != 0, so row i of
+    # (A_s - I) V sums only the vertices that each entry of row i meets
+    by_coord = [tuple((k, v[j]) for k, v in enumerate(vertices) if v[j])
                 for j in range(carrier_dim(action.carrier))]
     maps = [action.maps[s] for s in action.structure.kept_points]
-    rows: list[Vector] = []
-    for m in maps:
-        for i, row in enumerate(m.sparse_rows):
-            out = [-v[i] for v in vertices]
-            for j, a in row:
-                for k, c in by_coord[j]:
-                    out[k] += a * c
-            rows.append(tuple(out))
+    rows = [tuple(_combine([(by_coord[i], -1), *((by_coord[j], a) for j, a in row)]).items())
+            for m in maps for i, row in enumerate(m.sparse_rows)]
     rhs = [-b for m in maps for b in m.offset]
     k = len(vertices)
-    rows.append((Fraction(1),) * k)
+    rows.append(tuple((v, Fraction(1)) for v in range(k)))
     rhs.append(Fraction(1))
-    return LPProblem(matrix=tuple(rows), rhs=tuple(rhs), nonneg=(True,) * k)
+    return LPProblem(rows=tuple(rows), rhs=tuple(rhs), nonneg=(True,) * k)
 
 
 def common_fixed_point_solution(
@@ -587,11 +578,13 @@ def canonical_means_action(shg: Semihypergroup) -> AffineAction:
 
 def _translation_transposes(shg: Semihypergroup) -> tuple[AffineMap, ...]:
     """The linear maps u -> M_s^T u, where M_s[y][z] = (p_s*p_y)(z) is the
-    left-translation matrix of s."""
-    zero = (Fraction(0),) * shg.n
+    left-translation matrix of s, the one dense copy of its sparse rows."""
+    n, zero = shg.n, Fraction(0)
     return tuple(
-        AffineMap(matrix=tuple(map(tuple, translation_transpose(shg.table, s))), offset=zero)
-        for s in range(shg.n)
+        AffineMap(matrix=tuple(tuple(row.get(y, zero) for y in range(n))
+                               for row in translation_transpose(shg.table, s)),
+                  offset=(zero,) * n)
+        for s in range(n)
     )
 
 
@@ -717,16 +710,20 @@ def mean_via_dual_action(
         return Mean(shg.space, (Fraction(1),))
 
     # w = sum_k c_k (e_k - e_{n-1}) on the trace-zero subspace; with the
-    # linear part L = M_s^T, L[i][k] = (p_s*p_k)(i), row (s, i) of
-    # (T_s - I) w = 0 reads sum_k c_k (L[i][k] - L[i][n-1] - [i==k] + [i==n-1])
-    # = [i==b] - L[i][b], for the kept s (as in `common_fixed_point_problem`)
-    rows: list[list[Fraction]] = []
+    # linear part L = M_s^T, L[i][k] = (p_s*p_k)(i), and N = L - I, row
+    # (s, i) of (T_s - I) w = 0 reads sum_k c_k (N[i][k] - N[i][n-1])
+    # = -N[i][b], for the kept s (as in `common_fixed_point_problem`)
+    zero = Fraction(0)
+    ones = tuple((k, Fraction(1)) for k in range(n - 1))
+    rows: list[Support] = []
     rhs: list[Fraction] = []
     for s in shg.kept_points:
-        for i, li in enumerate(translation_transpose(shg.table, s)):
-            rows.append([li[k] - li[n - 1] - (i == k) + (i == n - 1) for k in range(n - 1)])
-            rhs.append((i == b) - li[b])
-    solved = solve_linear_system(rows, rhs)
+        for i, ni in enumerate(translation_transpose(shg.table, s)):
+            ni[i] = ni.get(i, zero) - 1
+            rhs.append(-ni.get(b, zero))
+            t = ni.pop(n - 1, zero)  # subtracted at every k
+            rows.append(tuple(_combine(((ni.items(), 1), (ones if t else (), -t))).items()))
+    solved = solve_linear_system(rows, rhs, n - 1)
     if solved is None:
         return None
     alpha, null_basis = solved
@@ -746,9 +743,9 @@ def mean_via_dual_action(
     k = len(directions)
     rows2 = [tuple(d[i] for d in directions) + tuple(Fraction(-(j == i)) for j in range(n))
              for i in range(n)]
-    solution = solve_lp_feasibility(
-        LPProblem(tuple(rows2), tuple(-v for v in base_mean), (False,) * k + (True,) * n)
-    )
+    solution = solve_lp_feasibility(LPProblem.from_dense(
+        rows2, tuple(-v for v in base_mean), (False,) * k + (True,) * n
+    ))
     if not solution.feasible:
         return None
     beta = solution.witness[:k]

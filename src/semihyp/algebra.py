@@ -209,11 +209,10 @@ class ConvolutionTable:
                               for e in row) for row in self.supports)
 
 
-def translation_transpose(table: ConvolutionTable, s: int) -> list[list[Fraction]]:
-    """The dense matrix L[z][y] = (p_s*p_y)(z), the transpose of the
-    left-translation matrix of s, scattered from the supports of row s."""
-    n = table.space.n
-    out = [[Fraction(0)] * n for _ in range(n)]
+def translation_transpose(table: ConvolutionTable, s: int) -> list[dict[int, Fraction]]:
+    """The rows {y: w} of L[z][y] = (p_s*p_y)(z), w != 0, the transpose of
+    the left-translation matrix of s, gathered from the supports of row s."""
+    out: list[dict[int, Fraction]] = [{} for _ in range(table.space.n)]
     for y, support in enumerate(table.supports[s]):
         for z, w in support:
             out[z][y] = w
@@ -491,8 +490,12 @@ def _combine(terms: Iterable[tuple[Support, Fraction]]) -> dict[int, Fraction]:
     """Sum of coef * support over (support, coef) terms, exact zeros removed."""
     out: dict[int, Fraction] = {}
     for support, coef in terms:
-        for k, w in support:
-            out[k] = out[k] + coef * w if k in out else coef * w
+        if coef == 1:  # the same sum, without a multiplication per entry
+            for k, w in support:
+                out[k] = out[k] + w if k in out else w
+        else:
+            for k, w in support:
+                out[k] = out[k] + coef * w if k in out else coef * w
     return {k: w for k, w in out.items() if w}
 
 

@@ -68,15 +68,15 @@ def left_invariance_problem(shg: Semihypergroup) -> LPProblem:
     """
     require_associative(shg)
     # rows sum_y (p_s*p_y)(z) m_y - m_z = 0 for every kept s and every z
-    n = shg.n
+    n, zero, one = shg.n, Fraction(0), Fraction(1)
     rows = []
     for s in shg.kept_points:
         for z, row in enumerate(translation_transpose(shg.table, s)):
-            row[z] -= 1
-            rows.append(tuple(row))
-    rhs = (Fraction(0),) * len(rows) + (Fraction(1),)
-    rows.append((Fraction(1),) * n)
-    return LPProblem(matrix=tuple(rows), rhs=rhs, nonneg=(True,) * n)
+            row[z] = row.get(z, zero) - one
+            rows.append(tuple((y, w) for y, w in row.items() if w))
+    rhs = (zero,) * len(rows) + (one,)
+    rows.append(tuple((y, one) for y in range(n)))
+    return LPProblem(rows=tuple(rows), rhs=rhs, nonneg=(True,) * n)
 
 
 def left_invariant_mean_solution(shg: Semihypergroup) -> LPSolution:

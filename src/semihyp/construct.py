@@ -100,15 +100,21 @@ class CayleyTable:
     def associativity_witness(self) -> Optional[tuple[int, int, int]]:
         """First triple with (x*y)*z != x*(y*z) in (x, y, z) order, or None:
         `table_associativity_witness`, Light's test as `check_associativity`
-        runs it on point-mass tables."""
+        runs it on point-mass tables, run once per table."""
+        return self._associativity_witness
+
+    @cached_property
+    def _associativity_witness(self) -> Optional[tuple[int, int, int]]:
         gens = table_generators(self.product, self.identity())
         return table_associativity_witness(self.product, gens)
 
     def identity(self) -> Optional[int]:
-        for e in range(self.n):
-            if all(self.product[e][x] == x == self.product[x][e] for x in range(self.n)):
-                return e
-        return None
+        return self._identity
+
+    @cached_property
+    def _identity(self) -> Optional[int]:
+        n, t = self.n, self.product
+        return next((e for e in range(n) if all(t[e][x] == x == t[x][e] for x in range(n))), None)
 
     def is_group(self) -> bool:
         if not self.is_associative() or self.identity() is None:

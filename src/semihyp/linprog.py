@@ -1,18 +1,19 @@
 """Exact rational linear algebra and linear-programming feasibility.
 
 The kernel decides feasibility of {A x = b, x_j >= 0 for flagged j} with
-`fractions.Fraction` arithmetic throughout.  One sparse elimination,
-`_row_reduce`, brings rows to reduced echelon form.  The LP reduces
-[A | b | I]: the identity block never pivots, so each kept row carries its
-combination of the input rows as ordinary entries, and a certificate is
-read off those columns.  A row that reduces to 0 = r != 0 is already a
-certificate; otherwise a phase-1 simplex with Bland's anti-cycling rule runs
-on the kept rows, and an infeasible optimum combines their blocks with the
-final reduced costs.  `solve_linear_system` reduces [A | b] alone, as it
-returns no certificate.  Both LP outcomes are self-verified before being
-returned: a witness is substituted into the original constraints, and an
-infeasibility certificate y is checked to satisfy y.A <= 0 on nonnegative
-columns, y.A = 0 on free columns, and y.b > 0.
+`fractions.Fraction` arithmetic throughout.  Each row of A is a `Support` of
+its nonzeros from the builders to the pivots; `LPProblem.from_dense` is the
+one dense entry point.  One sparse elimination, `_row_reduce`, brings rows
+to reduced echelon form.  The LP reduces [A | b | I]: the identity block
+never pivots, so each kept row carries its combination of the input rows as
+ordinary entries, and a certificate is read off those columns.  A row that
+reduces to 0 = r != 0 is already a certificate; otherwise a phase-1 simplex
+with Bland's anti-cycling rule runs on the kept rows, and an infeasible
+optimum combines their blocks with the final reduced costs.
+`solve_linear_system` reduces [A | b] alone, as it returns no certificate.
+Both LP outcomes are self-verified before being returned: a witness is
+substituted into the original constraints, and a certificate y is checked
+to satisfy y.A <= 0 on nonnegative columns, y.A = 0 on free ones, y.b > 0.
 """
 
 from __future__ import annotations
@@ -21,33 +22,46 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .algebra import RationalLike, _combine, as_fraction
+from .algebra import RationalLike, Support, _combine, as_fraction
 
 Row = tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
 class LPProblem:
-    """Equality constraints `matrix @ x = rhs` with per-variable sign flags."""
+    """Equality constraints sum_j a_ij x_j = rhs_i with per-variable sign flags.
 
-    matrix: tuple[Row, ...]
+    Row i is the `Support` of its nonzero (j, a_ij): distinct columns in
+    0..n_vars-1, in any order, with nonzero `Fraction` values.  Any other
+    row, or a row count other than len(rhs), is a ValueError.
+    """
+
+    rows: tuple[Support, ...]
     rhs: tuple[Fraction, ...]
     nonneg: tuple[bool, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "matrix",
-            tuple(tuple(as_fraction(v) for v in row) for row in self.matrix),
-        )
+        object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
         object.__setattr__(self, "rhs", tuple(as_fraction(v) for v in self.rhs))
         object.__setattr__(self, "nonneg", tuple(bool(f) for f in self.nonneg))
         n = len(self.nonneg)
-        if len(self.matrix) != len(self.rhs):
-            raise ValueError("matrix and rhs have different row counts")
-        for row in self.matrix:
-            if len(row) != n:
-                raise ValueError("matrix row length does not match variable count")
+        if len(self.rows) != len(self.rhs):
+            raise ValueError("rows and rhs have different counts")
+        for row in self.rows:
+            if len({j for j, _ in row}) != len(row) or not all(
+                    isinstance(j, int) and 0 <= j < n and isinstance(a, Fraction) and a
+                    for j, a in row):
+                raise ValueError(f"row needs distinct columns in 0..{n - 1} and nonzero "
+                                 f"Fraction values: {row!r}")
+
+    @classmethod
+    def from_dense(cls, matrix: Sequence[Sequence[RationalLike]],
+                   rhs: Sequence[RationalLike], nonneg: Sequence[bool]) -> "LPProblem":
+        """The problem `matrix @ x = rhs`; a row not len(nonneg) long is a ValueError."""
+        if any(len(row) != len(nonneg) for row in matrix):
+            raise ValueError("matrix row length does not match variable count")
+        return cls(tuple(tuple((j, a) for j, a in enumerate(map(as_fraction, row)) if a)
+                         for row in matrix), rhs, nonneg)
 
     @property
     def n_vars(self) -> int:
@@ -55,7 +69,7 @@ class LPProblem:
 
     @property
     def n_rows(self) -> int:
-        return len(self.matrix)
+        return len(self.rows)
 
 
 @dataclass(frozen=True)
@@ -83,8 +97,8 @@ class LPSolution:
 
 
 def _verify_witness(problem: LPProblem, x: Sequence[Fraction]) -> None:
-    for row, b in zip(problem.matrix, problem.rhs):
-        if sum((a * v for a, v in zip(row, x) if a), Fraction(0)) != b:
+    for row, b in zip(problem.rows, problem.rhs):
+        if sum((a * x[j] for j, a in row), Fraction(0)) != b:
             raise AssertionError("witness does not satisfy an equality row")
     for v, flag in zip(x, problem.nonneg):
         if flag and v < 0:
@@ -94,20 +108,17 @@ def _verify_witness(problem: LPProblem, x: Sequence[Fraction]) -> None:
 def _verify_certificate(problem: LPProblem, y: Sequence[Fraction]) -> None:
     if sum((yi * b for yi, b in zip(y, problem.rhs)), Fraction(0)) <= 0:
         raise AssertionError("certificate does not separate the right-hand side")
-    used = [(yi, row) for yi, row in zip(y, problem.matrix) if yi]
-    for j in range(problem.n_vars):
-        g = sum((yi * row[j] for yi, row in used), Fraction(0))
-        if problem.nonneg[j]:
-            if g > 0:
-                raise AssertionError("certificate fails on a nonnegative column")
-        elif g != 0:
+    for j, g in _combine((row, yi) for yi, row in zip(y, problem.rows) if yi).items():
+        if not problem.nonneg[j]:
             raise AssertionError("certificate fails on a free column")
+        if g > 0:
+            raise AssertionError("certificate fails on a nonnegative column")
 
 
 def _augmented(problem: LPProblem) -> list[dict[int, Fraction]]:
     """Rows of [A | b] as {column: value} over their nonzeros, b at column n."""
-    return [{j: a for j, a in enumerate((*row, b)) if a}
-            for row, b in zip(problem.matrix, problem.rhs)]
+    n = problem.n_vars
+    return [{**dict(row), n: b} if b else dict(row) for row, b in zip(problem.rows, problem.rhs)]
 
 
 def _row_reduce(
@@ -146,88 +157,79 @@ def _row_reduce(
 
 
 def solve_lp_feasibility(problem: LPProblem) -> LPSolution:
-    """Exact phase-1 simplex with Bland's rule on the row-reduced system."""
-    n, m = problem.n_vars, problem.n_rows
-    rows = _augmented(problem)
-    for i, row in enumerate(rows):
-        row[n + 1 + i] = Fraction(1)
+    """Exact phase-1 simplex with Bland's rule on the row-reduced system.
+
+    The tableau is the [A | b] part of the kept rows as dicts, negated where
+    b < 0, with artificial i at column n+1+i, and a last row of minus their
+    sum.  Pivots keep that row -y.T T for multipliers y of the first rows T:
+    the artificial sum's reduced costs, but -y on the artificials, so an
+    infeasible optimum certifies with y.  Free x_j = x_j+ - x_j- keeps only
+    x_j+'s column, as x_j-'s is its negation.  Bland's rule ranks split
+    column (j, sign) 2j + (sign < 0) and artificial i 2n + i, in order.
+    """
+    n, m, zero = problem.n_vars, problem.n_rows, Fraction(0)
+    rows = [{**row, n + 1 + i: Fraction(1)} for i, row in enumerate(_augmented(problem))]
     kept, contradiction = _row_reduce(rows, n)
 
     def infeasible(v: dict[int, Fraction], pivots: int) -> LPSolution:
-        certificate = tuple(v.get(n + 1 + i, Fraction(0)) for i in range(m))
+        certificate = tuple(v.get(n + 1 + i, zero) for i in range(m))
         _verify_certificate(problem, certificate)
         return LPSolution(status="infeasible", certificate=certificate, pivots=pivots)
 
     if contradiction is not None:
         return infeasible(contradiction, 0)
     # sign-normalize right-hand sides, each row with its combination
-    rows = [_combine(((v.items(), -1),)) if v.get(n, 0) < 0 else v for v in kept.values()]
-    k = len(rows)
-
-    # split free variables into positive and negative parts
-    colmap: list[tuple[int, int]] = []
-    for j in range(n):
-        colmap.append((j, 1))
-        if not problem.nonneg[j]:
-            colmap.append((j, -1))
-    ns = len(colmap)
-
-    # tableau: split columns, artificial identity block, rhs column
-    zero = Fraction(0)
-    tableau = [
-        [v.get(j, zero) * sign for (j, sign) in colmap]
-        + [Fraction(1 if t == i else 0) for t in range(k)]
-        + [v.get(n, zero)]
-        for i, v in enumerate(rows)
-    ]
-    basis = [ns + i for i in range(k)]
-    # reduced costs for minimizing the artificial sum
-    cost = [-sum(tableau[i][c] for i in range(k)) for c in range(ns)]
-    cost += [Fraction(0)] * k
-    cost.append(-sum(t[-1] for t in tableau))
+    rows = [_combine(((v.items(), -1),)) if v.get(n, zero) < 0 else v for v in kept.values()]
+    tableau = [{j: a for j, a in v.items() if j <= n} | {n + 1 + i: Fraction(1)}
+               for i, v in enumerate(rows)]
+    k = len(tableau)
+    tableau.append(_combine((v.items(), -1) for v in tableau))
+    basis = [2 * n + i for i in range(k)]
 
     pivots = 0
     while True:
-        enter = next((c for c in range(ns) if cost[c] < 0), None)
+        cost = tableau[k]
+        enter = min((j for j, c in cost.items() if j < n and (c < 0 or not problem.nonneg[j])),
+                    default=None)
         if enter is None:
             break
-        best: Optional[tuple[Fraction, int, int]] = None
-        for i in range(k):
-            a = tableau[i][enter]
-            if a > 0:
-                ratio = tableau[i][-1] / a
-                key = (ratio, basis[i])
-                if best is None or key < (best[0], best[1]):
-                    best = (ratio, basis[i], i)
+        sign = 1 if cost[enter] < 0 else -1
+        best = min(((v.get(n, zero) / (sign * v[enter]), basis[i], i) for i, v in
+                    enumerate(tableau[:k]) if enter in v and sign * v[enter] > 0), default=None)
         if best is None:
             raise AssertionError("phase-1 objective cannot be unbounded")
-        leave = best[2]
-        _pivot(tableau, cost, basis, leave, enter)
+        _pivot(tableau, basis, best[2], enter, sign)
         pivots += 1
 
-    objective = -cost[-1]
-    if objective > 0:
-        combination = _combine((v.items(), 1 - cost[ns + i]) for i, v in enumerate(rows))
-        return infeasible(combination, pivots)
+    if cost.get(n, zero) < 0:  # the artificial sum stays positive
+        y = (-cost.get(n + 1 + i, zero) for i in range(k))
+        return infeasible(_combine((v.items(), c) for v, c in zip(rows, y)), pivots)
 
     # drive any zero-level artificials out of the basis
-    for i in range(k):
-        if basis[i] >= ns:
-            enter = next((c for c in range(ns) if tableau[i][c] != 0), None)
-            if enter is None:
-                raise AssertionError("reduced rows should be independent")
-            _pivot(tableau, cost, basis, i, enter)
-            pivots += 1
+    for i in [i for i in range(k) if basis[i] >= 2 * n]:
+        enter = min((j for j in tableau[i] if j < n), default=None)
+        if enter is None:
+            raise AssertionError("reduced rows should be independent")
+        _pivot(tableau, basis, i, enter, 1)
+        pivots += 1
 
-    x_split = [Fraction(0)] * ns
-    for i in range(k):
-        x_split[basis[i]] = tableau[i][-1]
-    witness_list = [Fraction(0)] * n
-    for c, (j, sign) in enumerate(colmap):
-        witness_list[j] += sign * x_split[c]
-    witness = tuple(witness_list)
+    witness = [zero] * n
+    for key, v in zip(basis, tableau):
+        j, negative = divmod(key, 2)
+        witness[j] += -v.get(n, zero) if negative else v.get(n, zero)
     _verify_witness(problem, witness)
-    return LPSolution(status="feasible", witness=witness, pivots=pivots)
+    return LPSolution(status="feasible", witness=tuple(witness), pivots=pivots)
+
+
+def _pivot(tableau: list[dict[int, Fraction]], basis: list[int], row: int, col: int,
+           sign: int) -> None:
+    """Bring split column (col, sign) into the basis at `row`: scale the row
+    to 1 there and clear the column from every other row, costs included."""
+    pivot = tableau[row] = _combine(((tableau[row].items(), sign / tableau[row][col]),))
+    for i, v in enumerate(tableau):
+        if i != row and col in v:
+            tableau[i] = _combine(((v.items(), 1), (pivot.items(), -sign * v[col])))
+    basis[row] = 2 * col + (sign < 0)
 
 
 def pad_certificate(
@@ -245,52 +247,27 @@ def pad_certificate(
     return replace(solution, certificate=tuple(full))
 
 
-def _pivot(
-    tableau: list[list[Fraction]],
-    cost: list[Fraction],
-    basis: list[int],
-    row: int,
-    col: int,
-) -> None:
-    piv = tableau[row][col]
-    tableau[row] = [a / piv for a in tableau[row]]
-    for i in range(len(tableau)):
-        if i != row and tableau[i][col] != 0:
-            f = tableau[i][col]
-            tableau[i] = [a - f * b for a, b in zip(tableau[i], tableau[row])]
-    if cost[col] != 0:
-        f = cost[col]
-        for c in range(len(cost)):
-            cost[c] -= f * tableau[row][c]
-    basis[row] = col
-
-
 def solve_linear_system(
-    matrix: Sequence[Sequence[RationalLike]], rhs: Sequence[RationalLike]
+    rows: Sequence[Support], rhs: Sequence[RationalLike], n: int
 ) -> Optional[tuple[Row, tuple[Row, ...]]]:
-    """Solve A x = b exactly; returns (particular, null-space basis) or None.
+    """Solve A x = b exactly, for A's sparse rows over n columns as in
+    `LPProblem`; returns (particular, null-space basis) or None.
 
     Reads the reduced row echelon form of [A | b] off `_row_reduce`, with no
     identity block since nothing is certified: its kept rows are zero before
     their pivot, 1 at it and 0 at the other pivot columns.  The particular
     solution sets every free variable to zero; the null-space basis has one
-    vector per free column in the standard echelon pattern.  Rows of unequal
-    length are a ValueError.
+    vector per free column in the standard echelon pattern.  A row that
+    `LPProblem` rejects, such as one with a column outside 0..n-1, is a
+    ValueError.
     """
-    n = len(matrix[0]) if matrix else 0
-    problem = LPProblem(matrix, rhs, nonneg=(False,) * n)
+    problem = LPProblem(rows, rhs, nonneg=(False,) * n)
     kept, contradiction = _row_reduce(_augmented(problem), n)
     if contradiction is not None:
         return None
     zero = Fraction(0)
-    particular = [zero] * n
-    for c, v in kept.items():
-        particular[c] = v.get(n, zero)
-    null_basis = []
-    for fc in (c for c in range(n) if c not in kept):
-        vec = [zero] * n
-        vec[fc] = Fraction(1)
-        for c, v in kept.items():
-            vec[c] = -v.get(fc, zero)
-        null_basis.append(tuple(vec))
-    return tuple(particular), tuple(null_basis)
+    particular = tuple(kept[c].get(n, zero) if c in kept else zero for c in range(n))
+    return particular, tuple(
+        tuple(-kept[c].get(fc, zero) if c in kept else Fraction(c == fc) for c in range(n))
+        for fc in range(n) if fc not in kept
+    )

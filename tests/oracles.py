@@ -283,6 +283,76 @@ def oracle_solve(rows, rhs):
     return tuple(sol), tuple(null)
 
 
+def oracle_bland_phase1(rows, rhs, nonneg):
+    """(status, witness, certificate, pivots) of {A x = b, x_j >= 0 where
+    nonneg[j]}, by a dense phase 1 on a list tableau.  The first independent
+    rows of [A | b | I] are kept in reduced echelon form, in the order kept;
+    a row reducing to 0 = r != 0 is certified by its identity block, scaled
+    to r > 0.  Otherwise Bland's rule runs on split columns (x_j+, and x_j-
+    for a free j), an artificial identity block and the right-hand side,
+    with rows negated where b < 0, and an infeasible optimum combines the
+    rows' identity blocks with 1 minus the artificials' reduced costs.
+    """
+    m, n = len(rows), len(nonneg)
+    kept = []  # (pivot column, [A | b | I] row)
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        v = [Fraction(a) for a in row] + [Fraction(b)] + [Fraction(int(t == i)) for t in range(m)]
+        for c, u in kept:
+            if v[c] != 0:
+                f = v[c]
+                v = [a - f * w for a, w in zip(v, u)]
+        pc = next((j for j in range(n) if v[j] != 0), None)
+        if pc is None:
+            if v[n] != 0:
+                sign = 1 if v[n] > 0 else -1
+                return "infeasible", None, tuple(sign * a for a in v[n + 1:]), 0
+            continue
+        v = [a / v[pc] for a in v]
+        kept = [(c, [a - u[pc] * w for a, w in zip(u, v)]) for c, u in kept]
+        kept.append((pc, v))
+    base = [[-a for a in u] if u[n] < 0 else u for _, u in kept]
+    k = len(base)
+    colmap = [(j, s) for j in range(n) for s in ((1,) if nonneg[j] else (1, -1))]
+    ns = len(colmap)
+    tableau = [[u[j] * s for j, s in colmap] + [Fraction(int(t == i)) for t in range(k)] + [u[n]]
+               for i, u in enumerate(base)]
+    basis = [ns + i for i in range(k)]
+    cost = [-sum((t[c] for t in tableau), Fraction(0)) for c in range(ns)]
+    cost += [Fraction(0)] * k + [-sum((t[-1] for t in tableau), Fraction(0))]
+
+    def pivot(r, col):
+        p = tableau[r][col]
+        tableau[r] = [a / p for a in tableau[r]]
+        for i in range(k):
+            if i != r and tableau[i][col] != 0:
+                f = tableau[i][col]
+                tableau[i] = [a - f * w for a, w in zip(tableau[i], tableau[r])]
+        f = cost[col]
+        cost[:] = [a - f * w for a, w in zip(cost, tableau[r])]
+        basis[r] = col
+
+    pivots = 0
+    while (enter := next((c for c in range(ns) if cost[c] < 0), None)) is not None:
+        ratios = [(tableau[i][-1] / tableau[i][enter], basis[i], i)
+                  for i in range(k) if tableau[i][enter] > 0]
+        pivot(min(ratios)[2], enter)
+        pivots += 1
+    if cost[-1] < 0:
+        y = [1 - cost[ns + i] for i in range(k)]
+        return "infeasible", None, tuple(
+            sum((yi * u[n + 1 + r] for yi, u in zip(y, base)), Fraction(0)) for r in range(m)
+        ), pivots
+    for i in range(k):
+        if basis[i] >= ns:
+            pivot(i, next(c for c in range(ns) if tableau[i][c] != 0))
+            pivots += 1
+    witness = [Fraction(0)] * n
+    for i, c in enumerate(basis):
+        j, s = colmap[c]
+        witness[j] += s * tableau[i][-1]
+    return "feasible", tuple(witness), None, pivots
+
+
 def oracle_lim_feasible(table: Table, n: int) -> bool:
     return bool(oracle_invariant_mean_vertices(table, n))
 

@@ -125,8 +125,9 @@ def test_criterion_4_negative_witness():
         assert sum(y * b for y, b in zip(certificate, problem.rhs)) > 0
         for j in range(problem.n_vars):
             g = sum(
-                certificate[i] * problem.matrix[i][j]
+                certificate[i] * a
                 for i in range(problem.n_rows)
+                for c, a in problem.rows[i] if c == j
             )
             assert g <= 0
         result = iterate_fixed_point(
@@ -223,24 +224,15 @@ def _within_linf_of_fixed_set(action, point, eps: Fraction) -> bool:
     base = common_fixed_point_problem(action)
     n = base.n_vars
     x = [Fraction(v) for v in point]  # exact binary value of each float
-    rows = []
-    rhs = []
-    for row, b in zip(base.matrix, base.rhs):
-        rows.append(tuple(row) + (F(0),) * (2 * n))
-        rhs.append(b)
+    rows = list(base.rows)  # the slack columns n..3n-1 are zero on them
+    rhs = list(base.rhs)
     for i in range(n):
-        upper = [F(0)] * (3 * n)
-        upper[i] = F(1)
-        upper[n + i] = F(1)
-        rows.append(tuple(upper))
+        rows.append(((i, F(1)), (n + i, F(1))))
         rhs.append(x[i] + eps)
-        lower = [F(0)] * (3 * n)
-        lower[i] = F(1)
-        lower[2 * n + i] = F(-1)
-        rows.append(tuple(lower))
+        rows.append(((i, F(1)), (2 * n + i, F(-1))))
         rhs.append(x[i] - eps)
     problem = LPProblem(
-        matrix=tuple(rows), rhs=tuple(rhs), nonneg=(True,) * (3 * n)
+        rows=tuple(rows), rhs=tuple(rhs), nonneg=(True,) * (3 * n)
     )
     return solve_lp_feasibility(problem).feasible
 

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 
-from semihyp import algebra
+from semihyp import algebra, construct
 from semihyp.algebra import (
     CheckReport,
     ConvolutionTable,
@@ -520,3 +520,23 @@ def test_from_semigroup_cached_report_equals_the_check_on_random_tables(table):
         return
     shg = from_semigroup(cayley)
     assert vars(shg)["associativity_report"] == check_associativity(shg)
+
+
+def test_each_table_is_proved_associative_once(monkeypatch):
+    # the group checks of an action and of two quotients of one table reuse
+    # the table's cached witness and identity
+    calls = []
+
+    def counting(product, generators):
+        calls.append(product)
+        return algebra.table_associativity_witness(product, generators)
+
+    monkeypatch.setattr(construct, "table_associativity_witness", counting)
+    s4 = symmetric_group(4)
+    inversion_action(s4)  # proves S4 and the acting Z2
+    assert calls == [s4.product, cyclic_group(2).product]
+    s3 = symmetric_group(3)
+    coset_space(s3, ["e", "(12)"])
+    double_coset_space(s3, ["e", "(12)"])
+    assert s3.identity() == 0 and s3.is_group() and s3.associativity_witness() is None
+    assert calls[2:] == [s3.product]

@@ -19,23 +19,28 @@ from semihyp.linprog import (
     solve_lp_feasibility,
 )
 
-from oracles import oracle_feasible, oracle_is_farkas, oracle_solve
+from oracles import oracle_bland_phase1, oracle_feasible, oracle_is_farkas, oracle_solve
 
 F = Fraction
 
 
 def problem(rows, rhs, nonneg):
-    return LPProblem(
-        matrix=tuple(tuple(F(v) for v in r) for r in rows),
-        rhs=tuple(F(v) for v in rhs),
-        nonneg=tuple(nonneg),
-    )
+    return LPProblem.from_dense(rows, rhs, nonneg)
+
+
+def sparse(rows):
+    """The `Support` of each dense row."""
+    return tuple(tuple((j, F(a)) for j, a in enumerate(row) if a) for row in rows)
+
+
+def solve_dense(rows, rhs):
+    return solve_linear_system(sparse(rows), rhs, len(rows[0]) if rows else 0)
 
 
 def check_certificate(p: LPProblem, y):
     assert sum(yi * b for yi, b in zip(y, p.rhs)) > 0
     for j in range(p.n_vars):
-        g = sum(y[i] * p.matrix[i][j] for i in range(p.n_rows))
+        g = sum(yi * a for yi, row in zip(y, p.rows) for c, a in row if c == j)
         if p.nonneg[j]:
             assert g <= 0
         else:
@@ -122,10 +127,29 @@ def test_degenerate_zero_rhs():
 
 
 def test_dimension_validation():
-    with pytest.raises(ValueError):
-        LPProblem(matrix=((F(1),),), rhs=(), nonneg=(True,))
-    with pytest.raises(ValueError):
-        LPProblem(matrix=((F(1), F(2)),), rhs=(F(1),), nonneg=(True,))
+    # a row lists its nonzeros in any order
+    assert LPProblem((((2, F(-1)), (0, F(1))),), (F(0),), (True,) * 3).rows == (
+        ((2, F(-1)), (0, F(1))),
+    )
+    with pytest.raises(ValueError, match="counts"):
+        LPProblem(rows=(((0, F(1)),),), rhs=(), nonneg=(True,))
+    with pytest.raises(ValueError, match="row length"):
+        LPProblem.from_dense(((F(1), F(2)),), (F(1),), (True,))
+    with pytest.raises(ValueError, match="row length"):
+        LPProblem.from_dense(((F(1),), ()), (F(1), F(0)), (True,))
+
+
+@pytest.mark.parametrize("row", [
+    ((0, F(1)), (0, F(2))),  # duplicate column
+    ((-1, F(1)),),
+    ((3, F(1)),),  # out of range
+    ((1, F(0)),),
+    ((1, 1),),  # an int, not a Fraction
+    ((1, "1/2"),),
+])
+def test_rows_must_be_supports(row):
+    with pytest.raises(ValueError, match="distinct columns"):
+        LPProblem((row,), (F(0),), (True,) * 3)
 
 
 def test_determinism(z4):
@@ -153,7 +177,7 @@ def test_random_systems_match_enumeration_oracle():
 
 
 def test_solve_linear_system_unique():
-    out = solve_linear_system([[2, 0], [0, 4]], [6, 8])
+    out = solve_dense([[2, 0], [0, 4]], [6, 8])
     assert out is not None
     particular, null = out
     assert particular == (F(3), F(2))
@@ -161,7 +185,7 @@ def test_solve_linear_system_unique():
 
 
 def test_solve_linear_system_underdetermined():
-    out = solve_linear_system([[1, 1, 0]], [5])
+    out = solve_dense([[1, 1, 0]], [5])
     assert out is not None
     particular, null = out
     assert particular == (F(5), F(0), F(0))
@@ -171,16 +195,15 @@ def test_solve_linear_system_underdetermined():
 
 
 def test_solve_linear_system_inconsistent():
-    assert solve_linear_system([[1, 1], [1, 1]], [1, 2]) is None
+    assert solve_dense([[1, 1], [1, 1]], [1, 2]) is None
 
 
-def test_solve_linear_system_rejects_ragged_rows():
-    # the longer row's third column used to be ignored; a short row ended
-    # in an IndexError
-    with pytest.raises(ValueError, match="row length"):
-        solve_linear_system([[1, 2], [1, 2, 3]], [1, 1])
-    with pytest.raises(ValueError, match="row length"):
-        solve_linear_system([[1, 2], [1]], [1, 1])
+def test_solve_linear_system_rejects_out_of_range_columns():
+    # a column past n, or below 0, is not silently dropped or wrapped
+    with pytest.raises(ValueError, match="distinct columns"):
+        solve_linear_system(sparse([[1, 2], [1, 2, 3]]), [1, 1], 2)
+    with pytest.raises(ValueError, match="distinct columns"):
+        solve_linear_system(sparse([[1, 2]]) + (((-1, F(1)),),), [1, 1], 2)
 
 
 RATIONALS = st.builds(F, st.integers(-2, 2), st.integers(1, 3))
@@ -196,7 +219,7 @@ def test_solve_linear_system_matches_oracle(data):
     if data.draw(st.booleans()):
         rows.append([2 * a - b for a, b in zip(rows[0], rows[-1])])  # dependent
     rhs = data.draw(st.lists(RATIONALS, min_size=len(rows), max_size=len(rows)))
-    assert solve_linear_system(rows, rhs) == oracle_solve(rows, rhs)
+    assert solve_dense(rows, rhs) == oracle_solve(rows, rhs)
 
 
 @settings(max_examples=300, deadline=None)
@@ -223,3 +246,41 @@ def test_identity_block_rides_along_the_reduction(data):
     if contradiction_blocked is not None:
         y = [contradiction_blocked.get(n + 1 + i, F(0)) for i in range(len(rows))]
         assert oracle_is_farkas(rows, rhs, y)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_bland_phase1_matches_the_dense_oracle(data):
+    # mixed free and nonnegative columns, redundant and contradictory rows
+    # and zero right-hand sides: the sparse tableau takes the dense one's
+    # path, pivot for pivot
+    n = data.draw(st.integers(1, 5))
+    rows = data.draw(st.lists(
+        st.lists(RATIONALS, min_size=n, max_size=n), min_size=0, max_size=5
+    ))
+    rhs = data.draw(st.lists(RATIONALS, min_size=len(rows), max_size=len(rows)))
+    if rows and data.draw(st.booleans()):  # redundant
+        rows.append([a + 2 * b for a, b in zip(rows[0], rows[-1])])
+        rhs.append(rhs[0] + 2 * rhs[-1])
+    if rows and data.draw(st.booleans()):  # contradicts row 0
+        rows.append(list(rows[0]))
+        rhs.append(rhs[0] + 1)
+    if data.draw(st.booleans()):
+        rhs = [F(0)] * len(rows)
+    nonneg = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    sol = solve_lp_feasibility(problem(rows, rhs, nonneg))
+    expected = oracle_bland_phase1(rows, rhs, nonneg)
+    assert (sol.status, sol.witness, sol.certificate, sol.pivots) == expected
+
+
+@pytest.mark.parametrize("rows, rhs, nonneg", [
+    ([[2, 0, -1], [-1, -1, 0]], [-1, 0], [True] * 3),
+    ([[-1, -2, 0], [1, 1, 1]], [0, -1], [True, True, False]),
+])
+def test_zero_level_artificial_is_driven_out_as_the_oracle_does(rows, rhs, nonneg):
+    # phase 1 ends with an artificial still basic at level 0, and one more
+    # pivot replaces it; random draws rarely reach this path
+    sol = solve_lp_feasibility(problem(rows, rhs, nonneg))
+    expected = oracle_bland_phase1(rows, rhs, nonneg)
+    assert (sol.status, sol.witness, sol.certificate, sol.pivots) == expected
+    assert sol.pivots == 3

@@ -72,7 +72,7 @@ def full_solution(shg):
     """The LP over every row (s, z), as the unreduced kernel posed it."""
     table, n = table_of(shg)
     rows, rhs = oracle_invariance_rows(table, n)
-    return rows, rhs, solve_lp_feasibility(LPProblem(rows, rhs, (True,) * n))
+    return rows, rhs, solve_lp_feasibility(LPProblem.from_dense(rows, rhs, (True,) * n))
 
 
 @settings(max_examples=150, deadline=None)
@@ -93,8 +93,8 @@ def test_reduced_dual_system_matches_the_full_one(shg, data):
     base = data.draw(st.integers(0, shg.n - 1))
     seen = []
 
-    def spy(rows, rhs):
-        seen.append((len(rows), solve_linear_system(rows, rhs)))
+    def spy(rows, rhs, n):
+        seen.append((len(rows), solve_linear_system(rows, rhs, n)))
         return seen[-1][1]
 
     with mock.patch("semihyp.actions.solve_linear_system", spy):
