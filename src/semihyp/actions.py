@@ -24,10 +24,12 @@ from .algebra import (
     CheckReport,
     PointRef,
     PreconditionError,
+    RationalLike,
     Semihypergroup,
     Support,
     _combine,
     as_fraction,
+    check_supports,
     format_rational,
     require_associative,
     translation_transpose,
@@ -128,36 +130,45 @@ def carrier_centroid(carrier: Carrier) -> Vector:
 
 @dataclass(frozen=True)
 class AffineMap:
-    """x -> matrix @ x + offset with exact rational entries."""
+    """x -> A x + offset, exact: row i of A is the `Support` of its nonzero
+    (j, A_ij) (see `algebra.check_supports`), one row per offset entry.
+    `from_dense` and `matrix` are the dense boundary."""
 
-    matrix: Matrix
+    rows: tuple[Support, ...]
     offset: Vector
 
     def __post_init__(self) -> None:
-        m = tuple(tuple(as_fraction(v) for v in row) for row in self.matrix)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
         object.__setattr__(self, "offset", tuple(as_fraction(v) for v in self.offset))
-        d = len(self.offset)
-        if len(m) != d or any(len(row) != d for row in m):
+        if len(self.rows) != len(self.offset):
+            raise ValueError("affine map needs one row per offset entry")
+        check_supports(self.rows, len(self.offset))
+
+    @classmethod
+    def from_dense(cls, matrix: Sequence[Sequence[RationalLike]],
+                   offset: Sequence[RationalLike]) -> "AffineMap":
+        """x -> matrix @ x + offset; a matrix that is not d-square is a ValueError."""
+        if any(len(row) != len(offset) for row in matrix):
             raise ValueError("affine map must be square and match its offset")
+        return cls(tuple(tuple((j, a) for j, a in enumerate(map(as_fraction, row)) if a)
+                         for row in matrix), offset)
 
     @property
     def dim(self) -> int:
         return len(self.offset)
 
     @cached_property
-    def sparse_rows(self) -> tuple[Support, ...]:
-        """The nonzero (column, entry) pairs of each matrix row, columns ascending."""
-        return tuple(
-            tuple((j, a) for j, a in enumerate(row) if a) for row in self.matrix
-        )
+    def matrix(self) -> Matrix:
+        """The dense d x d view of A."""
+        zero = Fraction(0)
+        return tuple(tuple(r.get(j, zero) for j in range(self.dim)) for r in map(dict, self.rows))
 
     @cached_property
     def augmented_rows(self) -> tuple[Support, ...]:
         """Sparse rows of the (d+1)-square matrix [[A, b], [0, 1]]: the offset
         is column d, and the last row is the identity row ((d, 1),)."""
         d = self.dim
-        rows = zip(self.sparse_rows, self.offset)
+        rows = zip(self.rows, self.offset)
         return tuple(row + ((d, b),) if b else row for row, b in rows) + (
             ((d, Fraction(1)),),
         )
@@ -166,7 +177,7 @@ class AffineMap:
     def _float_rows(self) -> tuple[tuple[tuple[tuple[int, float], ...], float], ...]:
         return tuple(
             (tuple((j, float(a)) for j, a in row), float(b))
-            for row, b in zip(self.sparse_rows, self.offset)
+            for row, b in zip(self.rows, self.offset)
         )
 
     def apply(self, x: Sequence[Fraction]) -> Vector:
@@ -175,7 +186,7 @@ class AffineMap:
         vec = tuple(as_fraction(v) for v in x)
         return tuple(
             sum((a * vec[j] for j, a in row), b)
-            for row, b in zip(self.sparse_rows, self.offset)
+            for row, b in zip(self.rows, self.offset)
         )
 
     def apply_float(self, x: Sequence[float]) -> tuple[float, ...]:
@@ -200,6 +211,8 @@ class AffineFunctional:
         object.__setattr__(self, "constant", as_fraction(self.constant))
 
     def apply(self, x: Sequence[Fraction]) -> Fraction:
+        if len(x) != len(self.coeffs):
+            raise ValueError("point dimension does not match the functional")
         return (
             sum((c * as_fraction(v) for c, v in zip(self.coeffs, x)), Fraction(0))
             + self.constant
@@ -207,12 +220,7 @@ class AffineFunctional:
 
 
 def identity_map(dim: int) -> AffineMap:
-    return AffineMap(
-        matrix=tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(dim)) for i in range(dim)
-        ),
-        offset=(Fraction(0),) * dim,
-    )
+    return AffineMap(tuple(((i, Fraction(1)),) for i in range(dim)), (Fraction(0),) * dim)
 
 
 @dataclass(frozen=True)
@@ -245,7 +253,7 @@ class AffineAction:
     def operator_norms(self, p: Seminorm) -> tuple[Optional[Fraction], ...]:
         """`operator_seminorm` of every map under p, computed once per action."""
         if p not in self._norms:
-            self._norms[p] = tuple(operator_seminorm(m.matrix, p) for m in self.maps)
+            self._norms[p] = tuple(operator_seminorm(m.rows, p) for m in self.maps)
         return self._norms[p]
 
 
@@ -337,7 +345,7 @@ def _first_escaping_vertex(m: AffineMap) -> Optional[int]:
     (b_i alone where A_ij = 0) and entries summing to 1."""
     d = m.dim
     sums, bad = [sum(m.offset, Fraction(0))] * d, set()
-    for row, b in zip(m.sparse_rows, m.offset):
+    for row, b in zip(m.rows, m.offset):
         if b < 0:
             bad.update(set(range(d)).difference(j for j, _ in row))
         bad.update(j for j, a in row if a + b < 0)
@@ -395,13 +403,10 @@ class Seminorm:
             raise SeminormError("seminorm weights must be nonnegative")
 
     def value(self, x: Sequence[Fraction]) -> Fraction:
-        if self.kind == "l1":
-            return sum((w * abs(as_fraction(v)) for w, v in zip(self.weights, x)),
-                       Fraction(0))
-        return max(
-            (w * abs(as_fraction(v)) for w, v in zip(self.weights, x)),
-            default=Fraction(0),
-        )
+        if len(x) != len(self.weights):
+            raise SeminormError("point dimension does not match the seminorm")
+        terms = [w * abs(as_fraction(v)) for w, v in zip(self.weights, x)]
+        return sum(terms, Fraction(0)) if self.kind == "l1" else max(terms, default=Fraction(0))
 
 
 def uniform_seminorms(dim: int) -> tuple[Seminorm, ...]:
@@ -409,8 +414,9 @@ def uniform_seminorms(dim: int) -> tuple[Seminorm, ...]:
     return (Seminorm("l1", ones), Seminorm("linf", ones))
 
 
-def operator_seminorm(matrix: Matrix, seminorm: Seminorm) -> Optional[Fraction]:
-    """Exact operator seminorm of the matrix on the ambient space.
+def operator_seminorm(rows: Sequence[Support], seminorm: Seminorm) -> Optional[Fraction]:
+    """Exact operator seminorm of the matrix with these sparse rows (as in
+    `AffineMap.rows`) on the ambient space, summed over nonzero entries.
 
     Weighted l1 is the largest weighted absolute column sum over its weight;
     weighted l-infinity is the largest weighted absolute row sum.  Returns
@@ -418,33 +424,19 @@ def operator_seminorm(matrix: Matrix, seminorm: Seminorm) -> Optional[Fraction]:
     value bounds the map on differences of carrier points, and for the
     stochastic-transpose actions built here it is attained there.
     """
-    d = len(matrix)
-    w = seminorm.weights
+    d, w = len(rows), seminorm.weights
     if len(w) != d:
         raise SeminormError("seminorm dimension does not match the matrix")
     if seminorm.kind == "l1":
-        best = Fraction(0)
-        for j in range(d):
-            colsum = sum((w[i] * abs(matrix[i][j]) for i in range(d)), Fraction(0))
-            if w[j] == 0:
-                if colsum != 0:
-                    return None
-                continue
-            best = max(best, colsum / w[j])
-        return best
-    best = Fraction(0)
-    for i in range(d):
-        if w[i] == 0:
-            continue
-        total = Fraction(0)
-        for j in range(d):
-            if matrix[i][j] == 0:
-                continue
-            if w[j] == 0:
-                return None
-            total += abs(matrix[i][j]) / w[j]
-        best = max(best, w[i] * total)
-    return best
+        colsums = _combine((tuple((j, abs(a)) for j, a in row), wi)
+                           for row, wi in zip(rows, w) if wi)
+        if any(w[j] == 0 for j in colsums):
+            return None
+        return max((c / w[j] for j, c in colsums.items()), default=Fraction(0))
+    if any(w[j] == 0 for row, wi in zip(rows, w) if wi for j, _ in row):
+        return None
+    return max((wi * sum((abs(a) / w[j] for j, a in row), Fraction(0))
+                for row, wi in zip(rows, w) if wi), default=Fraction(0))
 
 
 def equicontinuity_bound(
@@ -518,7 +510,7 @@ def common_fixed_point_problem(action: AffineAction) -> LPProblem:
                 for j in range(carrier_dim(action.carrier))]
     maps = [action.maps[s] for s in action.structure.kept_points]
     rows = [tuple(_combine([(by_coord[i], -1), *((by_coord[j], a) for j, a in row)]).items())
-            for m in maps for i, row in enumerate(m.sparse_rows)]
+            for m in maps for i, row in enumerate(m.rows)]
     rhs = [-b for m in maps for b in m.offset]
     k = len(vertices)
     rows.append(tuple((v, Fraction(1)) for v in range(k)))
@@ -578,14 +570,10 @@ def canonical_means_action(shg: Semihypergroup) -> AffineAction:
 
 def _translation_transposes(shg: Semihypergroup) -> tuple[AffineMap, ...]:
     """The linear maps u -> M_s^T u, where M_s[y][z] = (p_s*p_y)(z) is the
-    left-translation matrix of s, the one dense copy of its sparse rows."""
-    n, zero = shg.n, Fraction(0)
-    return tuple(
-        AffineMap(matrix=tuple(tuple(row.get(y, zero) for y in range(n))
-                               for row in translation_transpose(shg.table, s)),
-                  offset=(zero,) * n)
-        for s in range(n)
-    )
+    left-translation matrix of s, by the rows of `translation_transpose`."""
+    zero = (Fraction(0),) * shg.n
+    transposes = (translation_transpose(shg.table, s) for s in range(shg.n))
+    return tuple(AffineMap(tuple(tuple(r.items()) for r in t), zero) for t in transposes)
 
 
 def induced_function(
@@ -627,10 +615,7 @@ class DualAction:
 
     @property
     def v0(self) -> Vector:
-        n = self.structure.n
-        return tuple(
-            Fraction(1 if i == self.base_point else 0) for i in range(n)
-        )
+        return tuple(Fraction(i == self.base_point) for i in range(self.structure.n))
 
     @cached_property
     def _transposes(self) -> tuple[AffineMap, ...]:
@@ -675,16 +660,10 @@ class DualAction:
     def orbit_bound(self, u0: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
         """(max_s ||T_s u0||_1, ||u0 + v0||_1 + ||v0||_1); the first never
         exceeds the second because each M_s^T contracts the l1 norm."""
-        vec = tuple(as_fraction(v) for v in u0)
-        sup = max(
-            sum((abs(v) for v in self.map(s, vec)), Fraction(0))
-            for s in range(self.structure.n)
-        )
-        v0 = self.v0
-        bound = sum(
-            (abs(a + b) for a, b in zip(vec, v0)), Fraction(0)
-        ) + sum((abs(b) for b in v0), Fraction(0))
-        return sup, bound
+        vec, v0 = tuple(as_fraction(v) for v in u0), self.v0
+        sup = max(sum((abs(v) for v in self.map(s, vec)), Fraction(0))
+                  for s in range(self.structure.n))
+        return sup, sum((abs(a + b) for a, b in zip(vec, v0)), Fraction(0)) + sum(map(abs, v0))
 
 
 def dual_action(shg: Semihypergroup, base_point: PointRef = 0) -> DualAction:

@@ -166,12 +166,7 @@ class ConvolutionTable:
         n = self.space.n
         if len(self.supports) != n or any(len(row) != n for row in self.supports):
             raise DimensionMismatch("convolution table must be n-by-n")
-        for support in (e for row in self.supports for e in row):
-            ks = [k for k, _ in support]
-            if not all(isinstance(k, int) and 0 <= k < n for k in ks) or ks != sorted(set(ks)):
-                raise DimensionMismatch(f"support indices not ascending in 0..{n - 1}: {support!r}")
-            if not all(isinstance(w, Fraction) and w != 0 for _, w in support):
-                raise ValueError(f"support weights must be nonzero Fractions: {support!r}")
+        check_supports((e for row in self.supports for e in row), n)
 
     @classmethod
     def from_measures(
@@ -207,6 +202,17 @@ class ConvolutionTable:
         d = lcm(*{w.denominator for row in self.supports for e in row for _, w in e})
         return d, tuple(tuple(tuple((k, w.numerator * d // w.denominator) for k, w in e)
                               for e in row) for row in self.supports)
+
+
+def check_supports(supports: Iterable[Support], n: int) -> None:
+    """Table entries and affine-map rows: indices ascending in 0..n-1 (else
+    a DimensionMismatch), weights nonzero `Fraction`s (else a ValueError)."""
+    for support in supports:
+        ks = [k for k, _ in support]
+        if not all(isinstance(k, int) and 0 <= k < n for k in ks) or ks != sorted(set(ks)):
+            raise DimensionMismatch(f"support indices not ascending in 0..{n - 1}: {support!r}")
+        if not all(isinstance(w, Fraction) and w != 0 for _, w in support):
+            raise ValueError(f"support weights must be nonzero Fractions: {support!r}")
 
 
 def translation_transpose(table: ConvolutionTable, s: int) -> list[dict[int, Fraction]]:

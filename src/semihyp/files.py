@@ -259,9 +259,9 @@ def parse_affine_action(text: str, shg: Semihypergroup) -> AffineAction:
             raise FileFormatError(f"map {label!r}: A must be {dim}x{dim}")
         if not isinstance(b_vec, list) or len(b_vec) != dim:
             raise FileFormatError(f"map {label!r}: b must have length {dim}")
-        maps[shg.space.index(label)] = AffineMap(
-            matrix=tuple(tuple(parse_rational(v) for v in row) for row in a_rows),
-            offset=tuple(parse_rational(v) for v in b_vec),
+        maps[shg.space.index(label)] = AffineMap.from_dense(
+            [[parse_rational(v) for v in row] for row in a_rows],
+            [parse_rational(v) for v in b_vec],
         )
     return AffineAction(structure=shg, carrier=carrier, maps=tuple(maps))  # type: ignore[arg-type]
 

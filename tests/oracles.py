@@ -156,6 +156,37 @@ def oracle_invariance_failure(mats, offs):
     return None
 
 
+def oracle_operator_seminorm(matrix, kind, weights):
+    """Dense operator seminorm of a square matrix: weighted l1 ("l1") is the
+    largest weighted absolute column sum over its weight, weighted
+    l-infinity ("linf") the largest weighted absolute row sum; None when a
+    zero-weight direction makes it unbounded."""
+    d, w = len(matrix), weights
+    if kind == "l1":
+        best = Fraction(0)
+        for j in range(d):
+            colsum = sum((w[i] * abs(matrix[i][j]) for i in range(d)), Fraction(0))
+            if w[j] == 0:
+                if colsum != 0:
+                    return None
+                continue
+            best = max(best, colsum / w[j])
+        return best
+    best = Fraction(0)
+    for i in range(d):
+        if w[i] == 0:
+            continue
+        total = Fraction(0)
+        for j in range(d):
+            if matrix[i][j] == 0:
+                continue
+            if w[j] == 0:
+                return None
+            total += abs(matrix[i][j]) / w[j]
+        best = max(best, w[i] * total)
+    return best
+
+
 def oracle_gauss_solve(rows, rhs):
     """Unique-solution Gaussian solve; None if inconsistent or undetermined."""
     solved = oracle_solve(rows, rhs)

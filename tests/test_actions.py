@@ -18,6 +18,7 @@ from semihyp.actions import (
     CarrierError,
     Hull,
     Seminorm,
+    SeminormError,
     Simplex,
     canonical_means_action,
     carrier_centroid,
@@ -61,7 +62,12 @@ from semihyp.construct import (
 from semihyp.functions import left_translate
 
 from conftest import make_t3, random_triple_params, right_zero_semigroup
-from oracles import oracle_action_axiom_failure, oracle_invariance_failure, table_of
+from oracles import (
+    oracle_action_axiom_failure,
+    oracle_invariance_failure,
+    oracle_operator_seminorm,
+    table_of,
+)
 
 F = Fraction
 
@@ -69,7 +75,7 @@ F = Fraction
 def constant_action(shg, c):
     d = len(c)
     zero = tuple(tuple(F(0) for _ in range(d)) for _ in range(d))
-    m = AffineMap(matrix=zero, offset=tuple(F(v) for v in c))
+    m = AffineMap.from_dense(matrix=zero, offset=tuple(F(v) for v in c))
     return AffineAction(structure=shg, carrier=Simplex(d), maps=(m,) * shg.n)
 
 
@@ -141,7 +147,7 @@ def test_constant_action_fails_identity_condition(z2):
 
 
 def test_non_involutive_map_fails_axiom(z2):
-    t1 = AffineMap(
+    t1 = AffineMap.from_dense(
         matrix=((F(0), F(1)), (F(1, 2), F(1, 2))), offset=(F(0), F(0))
     )
     action = AffineAction(
@@ -165,7 +171,7 @@ def test_action_axiom_ignores_the_augmented_identity_row():
     ))
     doubled = Semihypergroup(space=space, table=table, name="z2-doubled")
     assert doubled.is_associative and doubled.identity is None
-    twice = AffineMap(matrix=((F(2), F(0)), (F(0), F(2))), offset=(F(0), F(0)))
+    twice = AffineMap.from_dense(matrix=((F(2), F(0)), (F(0), F(2))), offset=(F(0), F(0)))
     action = AffineAction(structure=doubled, carrier=Simplex(2), maps=(twice, twice))
     assert check_action_axiom(action).passed
 
@@ -260,7 +266,7 @@ def structure_maps(draw):
 def test_action_axiom_matches_oracle(drawn):
     shg, mats, offs = drawn
     maps = tuple(
-        AffineMap(matrix=tuple(map(tuple, m)), offset=tuple(b))
+        AffineMap.from_dense(matrix=tuple(map(tuple, m)), offset=tuple(b))
         for m, b in zip(mats, offs)
     )
     carrier = Simplex(len(offs[0]))
@@ -283,7 +289,7 @@ def test_action_axiom_matches_oracle(drawn):
 
 def test_invariance_identity_and_doubling(z2):
     assert check_invariance(identity_action(z2, Simplex(2))).passed
-    doubling = AffineMap(matrix=((F(2), F(0)), (F(0), F(1))), offset=(F(0), F(0)))
+    doubling = AffineMap.from_dense(matrix=((F(2), F(0)), (F(0), F(1))), offset=(F(0), F(0)))
     action = AffineAction(
         structure=z2, carrier=Simplex(2), maps=(identity_map(2), doubling)
     )
@@ -294,10 +300,10 @@ def test_invariance_identity_and_doubling(z2):
 
 def test_invariance_hull_carrier(z2):
     h = Hull(((F(0), F(0)), (F(1), F(0)), (F(0), F(1))))
-    swap = AffineMap(matrix=((F(0), F(1)), (F(1), F(0))), offset=(F(0), F(0)))
+    swap = AffineMap.from_dense(matrix=((F(0), F(1)), (F(1), F(0))), offset=(F(0), F(0)))
     action = AffineAction(structure=z2, carrier=h, maps=(identity_map(2), swap))
     assert check_invariance(action).passed
-    shift = AffineMap(
+    shift = AffineMap.from_dense(
         matrix=identity_map(2).matrix, offset=(F(2), F(0))
     )
     bad = AffineAction(structure=z2, carrier=h, maps=(identity_map(2), shift))
@@ -351,7 +357,7 @@ def test_simplex_invariance_matches_the_vertex_loop(maps):
     mats, offs = maps
     shg = from_semigroup(cyclic_group(len(mats)))
     carrier = Simplex(len(offs[0]))
-    action = AffineAction(shg, carrier, tuple(AffineMap(m, b) for m, b in zip(mats, offs)))
+    action = AffineAction(shg, carrier, tuple(AffineMap.from_dense(m, b) for m, b in zip(mats, offs)))
     report = check_invariance(action)
     failure = oracle_invariance_failure(mats, offs)
     assert report.passed == (failure is None)
@@ -370,7 +376,7 @@ def test_simplex_invariance_matches_the_vertex_loop(maps):
 
 
 def test_operator_seminorm_formulas():
-    m = ((F(0), F(3, 2)), (F(1), F(0)))
+    m = (((1, F(3, 2)),), ((0, F(1)),))  # [[0, 3/2], [1, 0]]
     ones = (F(1), F(1))
     assert operator_seminorm(m, Seminorm("l1", ones)) == F(3, 2)
     assert operator_seminorm(m, Seminorm("linf", ones)) == F(3, 2)
@@ -380,9 +386,61 @@ def test_operator_seminorm_formulas():
 
 
 def test_operator_seminorm_zero_weight_unbounded():
-    m = ((F(1), F(1)), (F(0), F(1)))
+    m = (((0, F(1)), (1, F(1))), ((1, F(1)),))  # [[1, 1], [0, 1]]
     p = Seminorm("l1", (F(1), F(0)))
     assert operator_seminorm(m, p) is None
+
+
+SPARSE_ENTRIES = st.sampled_from(
+    [F(0)] * 6 + [F(1), F(-1), F(1, 2), F(-3, 2), F(2, 3), F(5)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda d: st.tuples(
+    st.lists(st.lists(SPARSE_ENTRIES, min_size=d, max_size=d), min_size=d, max_size=d),
+    st.lists(st.sampled_from([F(0), F(0), F(1), F(1, 3), F(2), F(7, 4)]),
+             min_size=d, max_size=d),
+)))
+def test_sparse_operator_seminorm_matches_the_dense_oracle(drawn):
+    matrix, weights = drawn
+    m = AffineMap.from_dense(matrix, (F(0),) * len(weights))
+    assert m.matrix == tuple(map(tuple, matrix))
+    for kind in ("l1", "linf"):
+        assert operator_seminorm(m.rows, Seminorm(kind, weights)) == \
+            oracle_operator_seminorm(matrix, kind, weights)
+
+
+@pytest.mark.parametrize("rows", [
+    (((1, F(1)), (0, F(1))), ()),  # unsorted columns
+    (((0, F(1)), (0, F(2))), ()),  # duplicate column
+    (((-1, F(1)),), ()),  # negative column
+    (((2, F(1)),), ()),  # column out of range
+    (((0, F(0)),), ()),  # zero entry
+    (((0, 1),), ()),  # int entry
+    (((0, 0.5),), ()),  # float entry
+    ((),),  # too few rows
+    ((), (), ()),  # too many rows
+])
+def test_affine_map_rejects_invalid_sparse_rows(rows):
+    with pytest.raises(ValueError):
+        AffineMap(rows, (F(0), F(0)))
+
+
+@pytest.mark.parametrize("matrix", [
+    ((F(1), F(0)), (F(1),)),  # ragged
+    ((F(1), F(0), F(0)), (F(0), F(1), F(0))),  # 2 x 3
+    ((F(1), F(0)), (F(0), F(1)), (F(0), F(0))),  # 3 x 2
+])
+def test_from_dense_rejects_a_matrix_that_is_not_square(matrix):
+    with pytest.raises(ValueError):
+        AffineMap.from_dense(matrix, (F(0), F(0)))
+
+
+def test_seminorm_value_rejects_a_point_of_another_dimension():
+    # zip used to stop after the one weight: the l1 value of (3, 4) was 3
+    for kind in ("l1", "linf"):
+        with pytest.raises(SeminormError):
+            Seminorm(kind, (F(1),)).value((F(3), F(4)))
 
 
 def test_equicontinuity_bound_canonical(corpus):
@@ -396,7 +454,7 @@ def test_equicontinuity_bound_identity_and_doubling(z2):
     assert equicontinuity_bound(
         identity_action(z2, Simplex(2)), uniform_seminorms(2)
     ) == 1
-    doubled = AffineMap(matrix=((F(2), F(0)), (F(0), F(2))), offset=(F(0), F(0)))
+    doubled = AffineMap.from_dense(matrix=((F(2), F(0)), (F(0), F(2))), offset=(F(0), F(0)))
     action = AffineAction(
         structure=z2,
         carrier=Hull(((F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1)))),
@@ -415,7 +473,7 @@ def test_nonexpansive_canonical_l1(corpus):
 def test_nonexpansive_contraction(lz2):
     # x -> x/2 + c/2 with c in the carrier
     c = (F(1, 2), F(1, 2))
-    half = AffineMap(
+    half = AffineMap.from_dense(
         matrix=((F(1, 2), F(0)), (F(0), F(1, 2))),
         offset=(c[0] / 2, c[1] / 2),
     )
@@ -424,7 +482,7 @@ def test_nonexpansive_contraction(lz2):
 
 
 def test_nonexpansive_fails_with_witness(z2):
-    stretch = AffineMap(matrix=((F(1), F(1, 2)), (F(0), F(1))), offset=(F(0), F(0)))
+    stretch = AffineMap.from_dense(matrix=((F(1), F(1, 2)), (F(0), F(1))), offset=(F(0), F(0)))
     action = AffineAction(
         structure=z2, carrier=Simplex(2), maps=(identity_map(2), stretch)
     )
@@ -484,7 +542,7 @@ def test_fixed_point_matches_mean_feasibility(corpus):
 
 def test_fixed_point_hull_carrier(z2):
     h = Hull(((F(0), F(0)), (F(1), F(0)), (F(0), F(1))))
-    swap = AffineMap(matrix=((F(0), F(1)), (F(1), F(0))), offset=(F(0), F(0)))
+    swap = AffineMap.from_dense(matrix=((F(0), F(1)), (F(1), F(0))), offset=(F(0), F(0)))
     action = AffineAction(structure=z2, carrier=h, maps=(identity_map(2), swap))
     point = find_common_fixed_point(action)
     assert point is not None
@@ -493,7 +551,7 @@ def test_fixed_point_hull_carrier(z2):
 
 
 def test_fixed_point_requires_verified_action(z2):
-    doubling = AffineMap(matrix=((F(2), F(0)), (F(0), F(1))), offset=(F(0), F(0)))
+    doubling = AffineMap.from_dense(matrix=((F(2), F(0)), (F(0), F(1))), offset=(F(0), F(0)))
     action = AffineAction(
         structure=z2, carrier=Simplex(2), maps=(identity_map(2), doubling)
     )
@@ -557,6 +615,16 @@ def test_induced_function_constant_action(lz2):
     f = AffineFunctional(coeffs=(F(5), F(-1)), constant=F(2))
     out = induced_function(action, (F(1), F(0)), f)
     assert all(v == f.apply(c) for v in out.values)
+
+
+def test_affine_functional_rejects_a_point_of_another_dimension(t3):
+    # zip used to drop the extra coordinate: (1,) applied to (3, 4) gave 3,
+    # and induced_function passed that on
+    with pytest.raises(ValueError, match="dimension"):
+        AffineFunctional((F(1),)).apply((F(3), F(4)))
+    action = canonical_means_action(t3)
+    with pytest.raises(ValueError, match="dimension"):
+        induced_function(action, carrier_centroid(action.carrier), AffineFunctional((F(1),)))
 
 
 def test_induced_function_outside_carrier(t3):
@@ -663,7 +731,7 @@ def test_iterate_z2_converges(z2):
 
 
 def test_iterate_single_contraction_on_segment():
-    halve = AffineMap(
+    halve = AffineMap.from_dense(
         matrix=((F(1, 2), F(0)), (F(0), F(1, 2))), offset=(F(0), F(0))
     )
     segment = Hull(((F(0), F(0)), (F(1), F(0))))
@@ -682,7 +750,7 @@ def test_iterate_left_zero_diverges(lz2):
 
 
 def test_iterate_spot_check_rejects_escaping_map(z2):
-    doubling = AffineMap(matrix=((F(2), F(0)), (F(0), F(2))), offset=(F(0), F(0)))
+    doubling = AffineMap.from_dense(matrix=((F(2), F(0)), (F(0), F(2))), offset=(F(0), F(0)))
     with pytest.raises(CarrierError):
         iterate_fixed_point([doubling], Simplex(2))
 
@@ -746,8 +814,8 @@ def test_iterate_pinned_weighted(t3):
 def test_iterate_pinned_hull_with_negative_coordinates():
     hull = Hull(((F(-1), F(2)), (F(3), F(-1)), (F(0), F(-2))))
     maps = [
-        AffineMap(((F(1, 2), F(1, 4)), (F(-1, 4), F(1, 2))), (F(1, 3), F(-1, 5))),
-        AffineMap(((F(0), F(-1, 2)), (F(1, 2), F(0))), (F(1, 7), F(1, 4))),
+        AffineMap.from_dense(((F(1, 2), F(1, 4)), (F(-1, 4), F(1, 2))), (F(1, 3), F(-1, 5))),
+        AffineMap.from_dense(((F(0), F(-1, 2)), (F(1, 2), F(0))), (F(1, 7), F(1, 4))),
     ]
     result = iterate_fixed_point(maps, hull, max_iter=300)
     assert repr(result) == (

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semihyp import amenability
 from semihyp.algebra import DimensionMismatch, PreconditionError, format_rational, opposite
 from semihyp.amenability import (
     Mean,
@@ -27,6 +28,7 @@ from semihyp.construct import (
     symmetric_group,
     triple_hypergroup,
 )
+from semihyp.functions import PointFunction
 
 from conftest import make_t3, random_triple_params, right_zero_semigroup
 from oracles import (
@@ -221,6 +223,21 @@ def test_verify_failure_report_past_the_digit_limit(z2):
     assert report.witness == {"point": "1", "indicator": "0", "lhs": 1 - w, "rhs": w}
     assert report.detail == (
         f"m(L_1 1_0) = {format_rational(1 - w)} but m(1_0) = {format_rational(w)}")
+
+
+def test_mean_rejects_a_function_on_another_space(z2, t3):
+    # zip used to stop after two values: the uniform mean of Z2 took (1, 2, 3) to 3/2
+    with pytest.raises(DimensionMismatch):
+        uniform_mean(z2.space)(PointFunction(t3.space, (F(1), F(2), F(3))))
+
+
+def test_verify_pushes_only_the_kept_points_on_a_pass(monkeypatch, s4_structure):
+    # a pass on the generators is a pass on every point (see `kept_points`)
+    calls = []
+    original = amenability._combine
+    monkeypatch.setattr(amenability, "_combine", lambda terms: calls.append(1) or original(terms))
+    assert verify_left_invariant_mean(uniform_mean(s4_structure.space), s4_structure).passed
+    assert len(calls) == len(s4_structure.kept_points) == 3
 
 
 def test_verify_rejects_a_candidate_that_is_too_long(z2):

@@ -131,7 +131,7 @@ def test_reduced_action_axiom_matches_oracle(shg, data):
         s, i, j = (data.draw(st.integers(0, n - 1)) for _ in range(3))
         mats[s][i][j] += data.draw(st.sampled_from([F(1), F(-1, 2)]))
     offs = [[F(0)] * n for _ in range(n)]
-    maps = tuple(AffineMap(tuple(map(tuple, m)), tuple(b)) for m, b in zip(mats, offs))
+    maps = tuple(AffineMap.from_dense(tuple(map(tuple, m)), tuple(b)) for m, b in zip(mats, offs))
     report = check_action_axiom(AffineAction(shg, Simplex(n), maps))
     expected = oracle_action_axiom_failure(*table_of(shg), mats, offs)
     assert report.passed == (expected is None)
@@ -156,9 +156,9 @@ def test_action_axiom_scans_every_pair_when_the_identity_is_not_fixed():
     shg = from_semigroup(CayleyTable(("e", "x", "y"), ((0, 1, 2), (1, 1, 1), (2, 2, 2))))
     assert shg.generators == (1, 2)
     maps = (
-        AffineMap(((F(1), F(0)), (F(0), F(2))), (F(0), F(0))),
-        AffineMap(((F(0), F(0)), (F(0), F(0))), (F(0), F(0))),
-        AffineMap(((F(0), F(0)), (F(0), F(0))), (F(1), F(0))),
+        AffineMap.from_dense(((F(1), F(0)), (F(0), F(2))), (F(0), F(0))),
+        AffineMap.from_dense(((F(0), F(0)), (F(0), F(0))), (F(0), F(0))),
+        AffineMap.from_dense(((F(0), F(0)), (F(0), F(0))), (F(1), F(0))),
     )
     report = check_action_axiom(AffineAction(shg, Simplex(2), maps))
     assert report.witness == {"pair": ("e", "e"), "part": "matrix"}
