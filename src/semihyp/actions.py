@@ -239,9 +239,6 @@ class AffineAction:
         if any(m.dim != d for m in self.maps):
             raise ValueError("map dimension does not match the carrier")
 
-    def map_for(self, s: PointRef) -> AffineMap:
-        return self.maps[self.structure.space.index(s)]
-
     @cached_property
     def axiom_report(self) -> CheckReport:
         return check_action_axiom(self)
@@ -678,16 +675,13 @@ def mean_via_dual_action(
     """Left invariant mean recovered from the dual-space fixed-point route.
 
     Solves the exact linear system {T_s w = w for s in `kept_points`} on
-    trace-zero coordinates by elimination, translates the solution set by v0,
-    and intersects it with the probability simplex by LP.  The route shares
-    only the generic LP kernel with the direct mean search, so the two act
-    as independent oracles for each other.
+    trace-zero coordinates by elimination (n - 1 unknowns, none when n = 1),
+    translates the solution set by v0, and intersects it with the probability
+    simplex by LP.  The route shares only the generic LP kernel with the
+    direct mean search, so the two act as independent oracles for each other.
     """
     action = dual_action(shg, base_point)
     n, b = shg.n, action.base_point
-    if n == 1:
-        return Mean(shg.space, (Fraction(1),))
-
     # w = sum_k c_k (e_k - e_{n-1}) on the trace-zero subspace; with the
     # linear part L = M_s^T, L[i][k] = (p_s*p_k)(i), and N = L - I, row
     # (s, i) of (T_s - I) w = 0 reads sum_k c_k (N[i][k] - N[i][n-1])
@@ -706,32 +700,20 @@ def mean_via_dual_action(
     if solved is None:
         return None
     alpha, null_basis = solved
+    # a vector c of trace-zero coordinates is the functional (*c, -sum(c))
+    base_mean = tuple(a + v for a, v in zip((*alpha, -sum(alpha, zero)), action.v0))
+    if not null_basis:
+        return Mean(shg.space, base_mean) if all(v >= 0 for v in base_mean) else None
 
-    def expand(c: Sequence[Fraction]) -> Vector:
-        return (*c, -sum(c))
-
-    base_mean = tuple(a + v for a, v in zip(expand(alpha), action.v0))
-    directions = [expand(nb) for nb in null_basis]
-
-    if not directions:
-        if all(v >= 0 for v in base_mean):
-            return Mean(shg.space, base_mean)
-        return None
-
-    # feasibility of base + sum beta_l * dir_l - slack = 0 with beta free
-    k = len(directions)
-    rows2 = [tuple(d[i] for d in directions) + tuple(Fraction(-(j == i)) for j in range(n))
-             for i in range(n)]
-    solution = solve_lp_feasibility(LPProblem.from_dense(
-        rows2, tuple(-v for v in base_mean), (False,) * k + (True,) * n
-    ))
-    if not solution.feasible:
-        return None
-    beta = solution.witness[:k]
-    return Mean(shg.space, tuple(
-        v + sum((b * d[i] for b, d in zip(beta, directions) if b), Fraction(0))
-        for i, v in enumerate(base_mean)
-    ))
+    # base + sum_l beta_l d_l - m = 0 with beta free and slack m >= 0: the
+    # verified witness's slack is a mean on the fixed-point set
+    k = len(null_basis)
+    directions = [(*c, -sum(c, zero)) for c in null_basis]
+    rows = [(*((l, d[i]) for l, d in enumerate(directions) if d[i]), (k + i, Fraction(-1)))
+            for i in range(n)]
+    solution = solve_lp_feasibility(LPProblem(
+        rows, tuple(-v for v in base_mean), (False,) * k + (True,) * n))
+    return Mean(shg.space, solution.witness[k:]) if solution.feasible else None
 
 
 # ---------------------------------------------------------------------------

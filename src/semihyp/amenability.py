@@ -50,9 +50,6 @@ class Mean:
             raise DimensionMismatch("mean and function live on different point spaces")
         return sum((w * v for w, v in zip(self.weights, f.values)), Fraction(0))
 
-    def as_measure(self) -> Measure:
-        return Measure(self.space, self.weights)
-
 
 def uniform_mean(space: PointSpace) -> Mean:
     return Mean(space, (Fraction(1, space.n),) * space.n)

@@ -196,6 +196,15 @@ def cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
     return payload, EXIT_PASS if ok else EXIT_FAIL
 
 
+def _mean_doc(shg: Semihypergroup, mean: Optional[Mean]) -> dict:
+    """One route's report: whether it found a mean, the mean, and whether
+    `verify_left_invariant_mean` accepts it."""
+    if mean is None:
+        return {"exists": False}
+    return {"exists": True, "mean": _vector_text(mean.weights),
+            "verified": verify_left_invariant_mean(mean, shg).passed}
+
+
 def cmd_lim(args: argparse.Namespace) -> tuple[dict, int]:
     shg = parse_structure(_read(args.structure))
     if not (shg.probability_report.passed and shg.associativity_report.passed):
@@ -209,41 +218,26 @@ def cmd_lim(args: argparse.Namespace) -> tuple[dict, int]:
         "method": args.method,
     }
 
-    direct_mean: Optional[Mean] = None
-    dual_mean: Optional[Mean] = None
-    if args.method in ("direct", "both"):
+    docs: dict[str, dict] = {}
+    if args.method != "dual":
         solution = left_invariant_mean_solution(shg)
-        direct_mean = (
-            Mean(shg.space, solution.witness) if solution.feasible else None
-        )
-        doc: dict = {"exists": solution.feasible}
-        if direct_mean is not None:
-            doc["mean"] = _vector_text(direct_mean.weights)
-            doc["verified"] = verify_left_invariant_mean(direct_mean, shg).passed
-        elif solution.certificate is not None:
-            doc["certificate"] = _vector_text(solution.certificate)
-        payload["direct"] = doc
-    if args.method in ("dual", "both"):
-        dual_mean = mean_via_dual_action(shg)
-        doc = {"exists": dual_mean is not None}
-        if dual_mean is not None:
-            doc["mean"] = _vector_text(dual_mean.weights)
-            doc["verified"] = verify_left_invariant_mean(dual_mean, shg).passed
-        payload["dual"] = doc
+        docs["direct"] = _mean_doc(shg, Mean(shg.space, solution.witness)
+                                   if solution.feasible else None)
+        if not solution.feasible:
+            docs["direct"]["certificate"] = _vector_text(solution.certificate)
+    if args.method != "direct":
+        docs["dual"] = _mean_doc(shg, mean_via_dual_action(shg))
+    payload.update(docs)
 
-    if args.method == "direct":
-        exists = direct_mean is not None
-    elif args.method == "dual":
-        exists = dual_mean is not None
-    else:
-        agree = (direct_mean is None) == (dual_mean is None)
-        if agree and direct_mean is not None:
-            agree = payload["direct"]["verified"] and payload["dual"]["verified"]
+    exists = any(doc["exists"] for doc in docs.values())
+    if args.method == "both":
+        # found means agree only when each passes the independent check
+        agree = all(doc["exists"] == exists and doc.get("verified", True)
+                    for doc in docs.values())
         payload["oracles_agree"] = agree
         if not agree:
             payload["verdict"] = "disagree"
             return payload, EXIT_DISAGREE
-        exists = direct_mean is not None
     payload["exists"] = exists
     payload["verdict"] = "mean found" if exists else "no mean exists"
     return payload, EXIT_PASS if exists else EXIT_FAIL

@@ -166,7 +166,11 @@ def canonical_structure_json(shg: Semihypergroup) -> str:
 
 
 def parse_group(text: str) -> CayleyTable:
-    doc = _load_json(text)
+    return _group_table(_load_json(text))
+
+
+def _group_table(doc: Any) -> CayleyTable:
+    """The Cayley table of a parsed group document."""
     _expect_keys(doc, {"labels", "table"}, "group")
     labels = doc["labels"]
     table = doc["table"]
@@ -194,8 +198,7 @@ def parse_group_action(text: str) -> GroupAction:
     """Orbit-construction input: acting group, carrier group, action table."""
     doc = _load_json(text)
     _expect_keys(doc, {"acting", "carrier", "act"}, "group action")
-    acting = parse_group(json.dumps(doc["acting"]))
-    carrier = parse_group(json.dumps(doc["carrier"]))
+    acting, carrier = _group_table(doc["acting"]), _group_table(doc["carrier"])
     act = doc["act"]
     if not isinstance(act, list) or any(not isinstance(row, list) for row in act):
         raise FileFormatError("act must be a list of rows, one per acting element")

@@ -43,6 +43,7 @@ from semihyp.algebra import (
     PointSpace,
     PreconditionError,
     Semihypergroup,
+    opposite,
 )
 from semihyp.amenability import (
     Mean,
@@ -716,6 +717,28 @@ def test_dual_route_base_point_choice(t3):
         mean = mean_via_dual_action(t3, base)
         assert mean is not None
         assert verify_left_invariant_mean(mean, t3).passed
+
+
+@pytest.mark.parametrize("w", [F(1), F(2), F(-1), F(1, 2)])
+def test_dual_route_on_one_point_tables_matches_direct(w):
+    # p_a * p_a = w p_a is a probability table only for w = 1
+    space = PointSpace(("a",))
+    shg = Semihypergroup(space, ConvolutionTable(space, ((((0, w),),),)))
+    direct = find_left_invariant_mean(shg)
+    assert (direct is None) == (w != 1)
+    assert mean_via_dual_action(shg) == direct
+
+
+def test_dual_route_slack_lp_vertex(monkeypatch):
+    # every mean of opposite(lz3) is left invariant, so the fixed points form
+    # a plane (a 2-vector null basis) and the slack LP picks the mean
+    shg = opposite(from_semigroup(left_zero_semigroup(3)))
+    sizes, solve = [], actions.solve_lp_feasibility
+    monkeypatch.setattr(actions, "solve_lp_feasibility",
+                        lambda problem: sizes.append(problem.n_vars) or solve(problem))
+    for base in range(3):
+        assert mean_via_dual_action(shg, base).weights == (1, 0, 0)
+    assert sizes == [2 + 3] * 3
 
 
 # ---------------------------------------------------------------------------

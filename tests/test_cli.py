@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semihyp.cli as cli
+from semihyp.amenability import Mean
 from semihyp.construct import from_semigroup, left_zero_semigroup
 from semihyp.files import canonical_structure_json
 from cli_cases import CASES, FIXTURES, GOLDEN, CliCase, normalize, run_case
@@ -119,6 +120,18 @@ def test_method_both_disagreement_exit_3(monkeypatch, capsys):
     code = cli.main(["lim", str(FIXTURES / "z2.json"), "--method", "both"])
     assert code == 3
     assert "oracles_agree: false" in capsys.readouterr().out
+
+
+def test_method_both_unverified_mean_exit_3(monkeypatch, capsys):
+    # both routes find a mean, but the dual one fails the independent check
+    monkeypatch.setattr(cli, "mean_via_dual_action",
+                        lambda shg, base_point=0: Mean(shg.space, (1, 0)))
+    code = cli.main(["lim", str(FIXTURES / "z2.json"), "--method", "both", "--json"])
+    assert code == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["dual"] == {"exists": True, "mean": "1, 0", "verified": False}
+    assert payload["direct"]["verified"] is True
+    assert (payload["oracles_agree"], payload["verdict"]) == (False, "disagree")
 
 
 def test_construct_write_failure_exit_2(tmp_path, capsys):
