@@ -424,16 +424,19 @@ def operator_seminorm(rows: Sequence[Support], seminorm: Seminorm) -> Optional[F
     d, w = len(rows), seminorm.weights
     if len(w) != d:
         raise SeminormError("seminorm dimension does not match the matrix")
+    unit = [wi == 1 for wi in w]  # no division or product by these weights
     if seminorm.kind == "l1":
         colsums = _combine((tuple((j, abs(a)) for j, a in row), wi)
                            for row, wi in zip(rows, w) if wi)
         if any(w[j] == 0 for j in colsums):
             return None
-        return max((c / w[j] for j, c in colsums.items()), default=Fraction(0))
-    if any(w[j] == 0 for row, wi in zip(rows, w) if wi for j, _ in row):
+        return max((c if unit[j] else c / w[j] for j, c in colsums.items()),
+                   default=Fraction(0))
+    if any(not unit[j] and w[j] == 0 for row, wi in zip(rows, w) if wi for j, _ in row):
         return None
-    return max((wi * sum((abs(a) / w[j] for j, a in row), Fraction(0))
-                for row, wi in zip(rows, w) if wi), default=Fraction(0))
+    totals = [(sum((abs(a) if unit[j] else abs(a) / w[j] for j, a in row), Fraction(0)), wi, u)
+              for row, wi, u in zip(rows, w, unit) if wi]
+    return max((t if u else wi * t for t, wi, u in totals), default=Fraction(0))
 
 
 def equicontinuity_bound(

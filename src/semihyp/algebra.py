@@ -166,7 +166,8 @@ class ConvolutionTable:
         n = self.space.n
         if len(self.supports) != n or any(len(row) != n for row in self.supports):
             raise DimensionMismatch("convolution table must be n-by-n")
-        check_supports((e for row in self.supports for e in row), n)
+        # each distinct support object once, in first-occurrence order
+        check_supports({id(e): e for row in self.supports for e in row}.values(), n)
 
     @classmethod
     def from_measures(

@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .algebra import ConvolutionTable, PointSpace, Semihypergroup, Support, format_rational
 from .actions import AffineAction, AffineMap, Carrier, Hull, Simplex
@@ -40,6 +40,19 @@ def parse_rational(value: Any) -> Fraction:
     raise FileFormatError(f"not a rational: {value!r} (use 'p/q' or an integer)")
 
 
+def _rational_memo() -> Callable[[Any], Fraction]:
+    """`parse_rational` for one document, parsing each distinct string once;
+    an error is raised each time, never stored."""
+    memo: dict[str, Fraction] = {}
+
+    def parse(value: Any) -> Fraction:
+        if not isinstance(value, str):
+            return parse_rational(value)
+        return memo[value] if value in memo else memo.setdefault(value, parse_rational(value))
+
+    return parse
+
+
 def _load_json(text: str) -> Any:
     try:
         return json.loads(text)
@@ -52,10 +65,8 @@ def _expect_keys(doc: dict, keys: set[str], kind: str) -> None:
     if not isinstance(doc, dict):
         raise FileFormatError(f"{kind} document must be a JSON object")
     if set(doc) != keys:
-        raise FileFormatError(
-            f"{kind} document must have exactly the keys {sorted(keys)}, "
-            f"got {sorted(doc)}"
-        )
+        raise FileFormatError(f"{kind} document must have exactly the keys {sorted(keys)}, "
+                              f"got {sorted(doc)}")
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +77,9 @@ def parse_structure(text: str) -> Semihypergroup:
     """Parse a structure document; requires a complete convolution table.
 
     Axiom violations (bad row sums, negative weights, non-associativity) are
-    deliberately not parse errors: the checks report on them.
+    deliberately not parse errors: the checks report on them.  Each distinct
+    weight string is parsed once per document, and equal supports share one
+    tuple, which `ConvolutionTable` then validates once.
     """
     doc = _load_json(text)
     _expect_keys(doc, {"name", "points", "convolution"}, "structure")
@@ -74,11 +87,7 @@ def parse_structure(text: str) -> Semihypergroup:
     if not isinstance(name, str) or not name:
         raise FileFormatError("structure name must be a nonempty string")
     points = doc["points"]
-    if (
-        not isinstance(points, list)
-        or not points
-        or any(not isinstance(p, str) for p in points)
-    ):
+    if not isinstance(points, list) or not points or any(not isinstance(p, str) for p in points):
         raise FileFormatError("points must be a nonempty list of labels")
     if len(set(points)) != len(points):
         raise FileFormatError("point labels must be distinct")
@@ -88,6 +97,8 @@ def parse_structure(text: str) -> Semihypergroup:
         raise FileFormatError("convolution must be an object keyed by 'x|y'")
 
     supports: dict[tuple[int, int], Support] = {}
+    shared: dict[Support, Support] = {}
+    parse = _rational_memo()
     for key, items in conv.items():
         parts = key.split("|")
         if len(parts) != 2:
@@ -102,23 +113,17 @@ def parse_structure(text: str) -> Semihypergroup:
         weights: dict[int, Fraction] = {}
         for item in items:
             if not isinstance(item, dict) or set(item) != {"point", "weight"}:
-                raise FileFormatError(
-                    f"entry {key!r} items need exactly 'point' and 'weight'"
-                )
+                raise FileFormatError(f"entry {key!r} items need exactly 'point' and 'weight'")
             z = space.positions.get(item["point"]) if isinstance(item["point"], str) else None
             if z is None:
-                raise FileFormatError(
-                    f"entry {key!r} references unknown point {item['point']!r}"
-                )
-            weights[z] = weights.get(z, 0) + parse_rational(item["weight"])
-        supports[(x, y)] = tuple(sorted((z, w) for z, w in weights.items() if w))
+                raise FileFormatError(f"entry {key!r} references unknown point {item['point']!r}")
+            w = parse(item["weight"])
+            weights[z] = weights[z] + w if z in weights else w
+        support = tuple(sorted((z, w) for z, w in weights.items() if w))
+        supports[(x, y)] = shared.setdefault(support, support)
 
-    missing = [
-        f"{points[x]}|{points[y]}"
-        for x in range(space.n)
-        for y in range(space.n)
-        if (x, y) not in supports
-    ]
+    missing = [f"{points[x]}|{points[y]}" for x in range(space.n) for y in range(space.n)
+               if (x, y) not in supports]
     if missing:
         raise FileFormatError(f"convolution table incomplete; missing {missing[:4]}")
     table = ConvolutionTable(space, tuple(
@@ -218,6 +223,7 @@ def parse_group_action(text: str) -> GroupAction:
 
 def parse_affine_action(text: str, shg: Semihypergroup) -> AffineAction:
     doc = _load_json(text)
+    parse = _rational_memo()
     _expect_keys(doc, {"dimension", "carrier", "maps"}, "action")
     dim = doc["dimension"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
@@ -230,7 +236,7 @@ def parse_affine_action(text: str, shg: Semihypergroup) -> AffineAction:
         hull = carrier_doc["hull"]
         if not isinstance(hull, list) or any(not isinstance(p, list) for p in hull):
             raise FileFormatError("hull must be a list of points")
-        pts = tuple(tuple(parse_rational(v) for v in p) for p in hull)
+        pts = tuple(tuple(map(parse, p)) for p in hull)
         if any(len(p) != dim for p in pts):
             raise FileFormatError("hull points must match the stated dimension")
         try:
@@ -263,8 +269,7 @@ def parse_affine_action(text: str, shg: Semihypergroup) -> AffineAction:
         if not isinstance(b_vec, list) or len(b_vec) != dim:
             raise FileFormatError(f"map {label!r}: b must have length {dim}")
         maps[shg.space.index(label)] = AffineMap.from_dense(
-            [[parse_rational(v) for v in row] for row in a_rows],
-            [parse_rational(v) for v in b_vec],
+            [list(map(parse, row)) for row in a_rows], list(map(parse, b_vec)),
         )
     return AffineAction(structure=shg, carrier=carrier, maps=tuple(maps))  # type: ignore[arg-type]
 

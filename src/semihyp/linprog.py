@@ -7,9 +7,11 @@ one dense entry point.  One sparse elimination, `_row_reduce`, brings rows
 to reduced echelon form.  The LP reduces [A | b | I]: the identity block
 never pivots, so each kept row carries its combination of the input rows as
 ordinary entries, and a certificate is read off those columns.  A row that
-reduces to 0 = r != 0 is already a certificate; otherwise a phase-1 simplex
-with Bland's anti-cycling rule runs on the kept rows, and an infeasible
-optimum combines their blocks with the final reduced costs.
+reduces to 0 = r != 0 is already a certificate.  Kept rows of rank n fix the
+only solution: if it meets the sign flags it is the witness, with no pivots.
+Otherwise a phase-1 simplex with Bland's anti-cycling rule runs on the kept
+rows, and an infeasible optimum combines their blocks with the final
+reduced costs.
 `solve_linear_system` reduces [A | b] alone, as it returns no certificate.
 Both LP outcomes are self-verified before being returned: a witness is
 substituted into the original constraints, and a certificate y is checked
@@ -159,6 +161,9 @@ def _row_reduce(
 def solve_lp_feasibility(problem: LPProblem) -> LPSolution:
     """Exact phase-1 simplex with Bland's rule on the row-reduced system.
 
+    When the kept rows have rank n and their [A | b] column is >= 0 on every
+    nonnegative column, that column is the only feasible point, so it is
+    Bland's witness too: it is returned without phase 1, with pivots = 0.
     The tableau is the [A | b] part of the kept rows as dicts, negated where
     b < 0, with artificial i at column n+1+i, and a last row of minus their
     sum.  Pivots keep that row -y.T T for multipliers y of the first rows T:
@@ -178,6 +183,11 @@ def solve_lp_feasibility(problem: LPProblem) -> LPSolution:
 
     if contradiction is not None:
         return infeasible(contradiction, 0)
+    if len(kept) == n and all(v.get(n, zero) >= 0 for c, v in kept.items() if problem.nonneg[c]):
+        # rank n: the reduction fixes the only solution, and it is feasible
+        witness = tuple(kept[c].get(n, zero) for c in range(n))
+        _verify_witness(problem, witness)
+        return LPSolution(status="feasible", witness=witness)
     # sign-normalize right-hand sides, each row with its combination
     rows = [_combine(((v.items(), -1),)) if v.get(n, zero) < 0 else v for v in kept.values()]
     tableau = [{j: a for j, a in v.items() if j <= n} | {n + 1 + i: Fraction(1)}

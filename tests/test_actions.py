@@ -411,6 +411,20 @@ def test_sparse_operator_seminorm_matches_the_dense_oracle(drawn):
             oracle_operator_seminorm(matrix, kind, weights)
 
 
+@pytest.mark.parametrize("weights, l1, linf", [
+    ((F(1),) * 3, F(2), F(5, 3)),  # uniform: no weight divides or multiplies
+    ((F(1), F(2), F(1)), F(3), F(3)),
+    ((F(1), F(0), F(1)), None, None),
+])
+def test_operator_seminorm_pinned(weights, l1, linf):
+    matrix = [[F(1, 2), F(-1, 3), F(0)], [F(1, 2), F(0), F(1)], [F(0), F(2, 3), F(-1)]]
+    m = AffineMap.from_dense(matrix, (F(0),) * 3)
+    assert operator_seminorm(m.rows, Seminorm("l1", weights)) == l1
+    assert operator_seminorm(m.rows, Seminorm("linf", weights)) == linf
+    assert (l1, linf) == tuple(oracle_operator_seminorm(matrix, kind, weights)
+                               for kind in ("l1", "linf"))
+
+
 @pytest.mark.parametrize("rows", [
     (((1, F(1)), (0, F(1))), ()),  # unsorted columns
     (((0, F(1)), (0, F(2))), ()),  # duplicate column

@@ -7,6 +7,7 @@ import functools
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -90,6 +91,15 @@ def test_measure_basics(t3):
     assert zero_measure(space).support() == ()
     with pytest.raises(DimensionMismatch):
         Measure(space, (F(1),))
+
+
+def test_measure_difference(t3, z2):
+    m = Measure(t3.space, (F(1, 2), F(-1, 4), F(3, 4)))
+    n = Measure(t3.space, (F(1, 3), F(1, 4), F(0)))
+    assert (m - n).weights == (F(1, 6), F(-1, 2), F(3, 4))
+    assert (m - m).weights == zero_measure(t3.space).weights
+    with pytest.raises(DimensionMismatch):
+        m - point_mass(z2.space, "0")
 
 
 def test_convolve_group_law(z2):
@@ -439,6 +449,19 @@ def test_convolution_table_rejects_malformed_support(bad):
     space = PointSpace(("a", "b"))
     with pytest.raises(ValueError):
         ConvolutionTable(space, ((ONE, ONE), (ONE, bad)))
+
+
+def test_a_bad_support_shared_by_many_cells_is_rejected():
+    # each distinct support object is checked once; the first bad one in
+    # row-major order is still the one reported
+    space = PointSpace(("a", "b", "c"))
+    unsorted, int_weight = ((1, F(1)), (0, F(1))), ((0, 1),)
+    cells = [ONE, int_weight, unsorted, unsorted, ONE, unsorted, int_weight, unsorted, ONE]
+    with pytest.raises(ValueError, match="nonzero Fractions") as info:
+        ConvolutionTable(space, tuple(tuple(cells[3 * x:3 * x + 3]) for x in range(3)))
+    assert not isinstance(info.value, DimensionMismatch)
+    with pytest.raises(DimensionMismatch, match=re.escape(repr(unsorted))):
+        ConvolutionTable(space, ((ONE, unsorted, unsorted),) * 3)
 
 
 @pytest.mark.parametrize("supports", [((ONE, ONE),), ((ONE,), (ONE, ONE)), ((ONE, ONE, ONE),) * 2])

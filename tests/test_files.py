@@ -5,12 +5,14 @@ from __future__ import annotations
 import decimal
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_document_table, oracle_sorted_table
+from semihyp import files
 from semihyp.files import (
     FileFormatError,
     ReportDocument,
@@ -177,6 +179,44 @@ def test_structure_round_trip_property(doc):
     assert ordered.space.labels == tuple(sorted_labels)
     assert {(x, y): ordered.table.entry(x, y).weights
             for x in range(n) for y in range(n)} == sorted_dense
+
+
+# repeated, equivalent, int-typed and invalid weights
+MEMO_WEIGHTS = st.sampled_from(["1", "1", "1/2", "2/4", "-1/3", "-2/6", "0", 1, 0, -2,
+                                "0.5", "1/0", True, None, [1]])
+
+
+def parsed_or_error(parse, *args):
+    """The first error's message, or the parsed table, or maps and carrier."""
+    try:
+        parsed = parse(*args)
+    except FileFormatError as exc:
+        return str(exc)
+    if parse is parse_structure:
+        return parsed.space, parsed.table
+    return parsed.maps, parsed.carrier
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_memoized_weights_parse_as_parse_rational_per_item(data, z2):
+    labels = data.draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+    item = st.fixed_dictionaries({"point": st.sampled_from(labels), "weight": MEMO_WEIGHTS})
+    structure = json.dumps({"name": "m", "points": labels, "convolution": {
+        f"{x}|{y}": data.draw(st.lists(item, max_size=3)) for x in labels for y in labels}})
+    d = data.draw(st.integers(1, 3))
+    vector = st.lists(MEMO_WEIGHTS, min_size=d, max_size=d)
+    carrier = data.draw(st.one_of(st.just("simplex"), st.builds(
+        lambda pts: {"hull": pts}, st.lists(vector, min_size=1, max_size=3))))
+    action = json.dumps({"dimension": d, "carrier": carrier, "maps": {
+        label: {"A": data.draw(st.lists(vector, min_size=d, max_size=d)), "b": data.draw(vector)}
+        for label in z2.space.labels}})
+    memoized = (parsed_or_error(parse_structure, structure),
+                parsed_or_error(parse_affine_action, action, z2))
+    with mock.patch.object(files, "_rational_memo", lambda: parse_rational):
+        per_item = (parsed_or_error(parse_structure, structure),
+                    parsed_or_error(parse_affine_action, action, z2))
+    assert memoized == per_item
 
 
 def test_parse_group_errors():

@@ -21,6 +21,7 @@ from semihyp.functions import (
     PointFunction,
     averaged_translate,
     constant_function,
+    indicator,
     left_translate,
     translation_matrix,
 )
@@ -250,3 +251,18 @@ def test_dimension_mismatch(z2, t3):
         left_translate("1", fn(t3, 1, 2, 3), z2)
     with pytest.raises(DimensionMismatch):
         averaged_translate(point_mass(t3.space, 0), fn(z2, 1, 2), z2)
+
+
+def test_point_function_sum_scale_and_indicator(t3, z2):
+    f = fn(t3, F(1, 2), -1, 3)
+    g = fn(t3, F(1, 3), 1, F(-1, 4))
+    assert (f + g).values == (F(5, 6), F(0), F(11, 4))
+    assert f.scale(F(-2, 3)).values == (F(-1, 3), F(2, 3), F(-2))
+    assert f.scale(0).values == constant_function(t3.space, 0).values
+    assert indicator(t3.space, 1).values == (F(0), F(1), F(0))
+    assert indicator(t3.space, t3.space.label(2)) == fn(t3, 0, 0, 1)
+    total = sum((indicator(t3.space, i).scale(v) for i, v in enumerate(f.values)),
+                constant_function(t3.space, 0))
+    assert total == f
+    with pytest.raises(DimensionMismatch):
+        f + constant_function(z2.space, 1)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semihyp.amenability import left_invariance_problem
+from semihyp.construct import from_semigroup, symmetric_group
 from semihyp.linprog import (
     LPProblem,
     LPSolution,
@@ -268,9 +269,23 @@ def test_bland_phase1_matches_the_dense_oracle(data):
     if data.draw(st.booleans()):
         rhs = [F(0)] * len(rows)
     nonneg = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    assert_bland_or_read_off(rows, rhs, nonneg)
+
+
+def read_off(rows, rhs, nonneg):
+    """True when the oracle finds exactly one solution and it meets the
+    sign flags, so the kernel reads it off the reduction with no pivots."""
+    solved = oracle_solve(rows, rhs) if rows else None
+    return (solved is not None and not solved[1]
+            and all(v >= 0 for v, flag in zip(solved[0], nonneg) if flag))
+
+
+def assert_bland_or_read_off(rows, rhs, nonneg):
     sol = solve_lp_feasibility(problem(rows, rhs, nonneg))
-    expected = oracle_bland_phase1(rows, rhs, nonneg)
-    assert (sol.status, sol.witness, sol.certificate, sol.pivots) == expected
+    status, witness, certificate, pivots = oracle_bland_phase1(rows, rhs, nonneg)
+    assert (sol.status, sol.witness, sol.certificate) == (status, witness, certificate)
+    assert sol.pivots == (0 if read_off(rows, rhs, nonneg) else pivots)
+    return sol
 
 
 @pytest.mark.parametrize("rows, rhs, nonneg", [
@@ -284,3 +299,28 @@ def test_zero_level_artificial_is_driven_out_as_the_oracle_does(rows, rhs, nonne
     expected = oracle_bland_phase1(rows, rhs, nonneg)
     assert (sol.status, sol.witness, sol.certificate, sol.pivots) == expected
     assert sol.pivots == 3
+
+
+def test_the_s4_mean_lp_is_read_off_the_reduction():
+    # the left invariant mean of a group is unique, so no phase 1 runs
+    sol = solve_lp_feasibility(left_invariance_problem(from_semigroup(symmetric_group(4))))
+    assert sol.feasible and sol.pivots == 0
+    assert sol.witness == (F(1, 24),) * 24
+
+
+@pytest.mark.parametrize("rows, rhs, nonneg, status, pivots", [
+    # rank 2, the only solution (2, -1) breaks a sign: phase 1 certifies
+    ([[1, 1], [1, -1]], [1, 3], [True, True], "infeasible", None),
+    ([[1, 1, 0], [1, -1, 0], [0, 0, 2]], [1, 3, -1], [False, True, True], "infeasible", None),
+    # the negative coordinates are free columns: read off
+    ([[1, 1], [1, -1]], [1, 3], [True, False], "feasible", 0),
+    ([[1, 1, 0], [1, -1, 0], [0, 0, 2]], [1, 3, -1], [True, False, False], "feasible", 0),
+    ([[0, 3], [2, 0], [2, 3]], [-3, 4, 1], [False, False], "feasible", 0),
+])
+def test_rank_n_systems(rows, rhs, nonneg, status, pivots):
+    sol = assert_bland_or_read_off(rows, rhs, nonneg)
+    assert sol.status == status
+    if pivots is None:  # the oracle's Bland path, pivot for pivot
+        assert sol.pivots == oracle_bland_phase1(rows, rhs, nonneg)[3] > 0
+    else:
+        assert sol.pivots == pivots
