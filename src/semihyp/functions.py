@@ -17,7 +17,9 @@ from .algebra import (
     PointSpace,
     RationalLike,
     Semihypergroup,
+    _combine,
     as_fraction,
+    point_mass,
     require_associative,
 )
 
@@ -88,14 +90,7 @@ class TranslationMatrix:
 
 def left_translate(s: PointRef, f: PointFunction, shg: Semihypergroup) -> PointFunction:
     """(L_s f)(y) = integral of f against p_s * p_y."""
-    require_associative(shg)
-    if f.space != shg.space:
-        raise DimensionMismatch("function must live on the structure's space")
-    row = shg.table.supports[shg.space.index(s)]
-    return PointFunction(
-        shg.space,
-        tuple(sum((w * f.values[z] for z, w in support), Fraction(0)) for support in row),
-    )
+    return averaged_translate(point_mass(shg.space, s), f, shg)
 
 
 def translation_matrix(s: PointRef, shg: Semihypergroup) -> TranslationMatrix:
@@ -110,15 +105,13 @@ def translation_matrix(s: PointRef, shg: Semihypergroup) -> TranslationMatrix:
 def averaged_translate(
     mu: Measure, f: PointFunction, shg: Semihypergroup
 ) -> PointFunction:
-    """Average of left translates against mu: sum_x mu(x) L_x f."""
+    """Average of left translates against mu: (sum_x mu(x) L_x f)(y) is the
+    integral of f against mu * p_y, summed over its support."""
     require_associative(shg)
     if mu.space != shg.space or f.space != shg.space:
         raise DimensionMismatch("arguments must live on the structure's space")
-    out = [Fraction(0)] * shg.n
-    for x, wx in enumerate(mu.weights):
-        if wx == 0:
-            continue
-        fx = left_translate(x, f, shg)
-        for y in range(shg.n):
-            out[y] += wx * fx.values[y]
-    return PointFunction(shg.space, tuple(out))
+    sup, terms = shg.table.supports, [(x, w) for x, w in enumerate(mu.weights) if w]
+    return PointFunction(shg.space, tuple(
+        sum((w * f.values[z] for z, w in _combine((sup[x][y], wx) for x, wx in terms).items()),
+            Fraction(0))
+        for y in range(shg.n)))

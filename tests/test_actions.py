@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -60,15 +61,17 @@ from semihyp.construct import (
     symmetric_group,
     triple_hypergroup,
 )
-from semihyp.functions import left_translate
+from semihyp.functions import PointFunction, averaged_translate, left_translate
 
 from conftest import make_t3, random_triple_params, right_zero_semigroup
 from oracles import (
+    _left_matrices,
     oracle_action_axiom_failure,
     oracle_invariance_failure,
     oracle_operator_seminorm,
     table_of,
 )
+from test_algebra import SIGNED, conjugated_cyclic_table, signed_tables, structure_of
 
 F = Fraction
 
@@ -458,6 +461,15 @@ def test_seminorm_value_rejects_a_point_of_another_dimension():
             Seminorm(kind, (F(1),)).value((F(3), F(4)))
 
 
+def test_seminorm_value_weighs_absolute_coordinates():
+    # the zero weight hides the largest coordinate; -3 counts as 3
+    weights, x = (F(2), F(0), F(1, 2)), (F(-3), F(10), F(1, 2))
+    assert Seminorm("l1", weights).value(x) == F(25, 4)
+    assert Seminorm("linf", weights).value(x) == F(6)
+    with pytest.raises(SeminormError):
+        Seminorm("linf", weights).value(x[:2])
+
+
 def test_equicontinuity_bound_canonical(corpus):
     for name, shg in corpus:
         action = canonical_means_action(shg)
@@ -710,6 +722,41 @@ def test_dual_action_orbit_bound(corpus):
             u0 = tuple(head + [-sum(head, F(0))])
             sup, bound = da.orbit_bound(u0)
             assert sup <= bound, name
+
+
+def test_dual_action_orbit_bound_scales_by_the_l1_seminorm():
+    # p*p = 4p is associative but not a probability table: T_p u = 4(u + v0)
+    # - v0, so T_p(0) = 3 and the bound is 4 * ||v0||_1 + ||v0||_1
+    space = PointSpace(("p",))
+    shg = Semihypergroup(space, ConvolutionTable(space, ((((0, F(4)),),),)))
+    assert dual_action(shg).orbit_bound((F(0),)) == (F(3), F(5))
+
+
+ASSOCIATIVE_TABLES = st.one_of(
+    signed_tables().filter(lambda drawn: structure_of(*drawn).is_associative),
+    st.just((4, conjugated_cyclic_table(4))),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ASSOCIATIVE_TABLES, st.booleans(), st.data())
+def test_dual_action_and_translates_follow_the_translation_matrices(drawn, flip, data):
+    # signed tables too: both need associativity only, not probability rows
+    shg = structure_of(*drawn)
+    shg = opposite(shg) if flip else shg
+    table, n = table_of(shg)
+    mats = _left_matrices(table, n)  # M_s[y][z] = (p_s * p_y)(z)
+    transposes = AffineAction(shg, Simplex(n), tuple(
+        AffineMap.from_dense(tuple(zip(*m)), (F(0),) * n) for m in mats))
+    da = dual_action(shg)
+    assert da.translation.maps == transposes.maps
+    assert da.action_report.passed
+    assert da.action_report == replace(check_action_axiom(transposes), check="dual-action-axiom")
+    values = st.lists(SIGNED, min_size=n, max_size=n)
+    mu, f = data.draw(values), data.draw(values)
+    dense = tuple(sum((mu[x] * mats[x][y][z] * f[z] for x in range(n) for z in range(n)), F(0))
+                  for y in range(n))
+    assert averaged_translate(Measure(shg.space, mu), PointFunction(shg.space, f), shg).values == dense
 
 
 def test_dual_route_agrees_with_direct(corpus):

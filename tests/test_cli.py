@@ -94,6 +94,19 @@ def test_mismatched_action_labels_exit_2(capsys, tmp_path):
     assert "error:" in capsys.readouterr().err
 
 
+def test_fixpoint_on_a_structure_that_fails_its_axioms_exit_1(capsys, tmp_path):
+    # t3-corrupted is not associative, so no action file can make an action
+    identity = {"A": [["1"]], "b": ["0"]}
+    action = tmp_path / "identity.json"
+    action.write_text(json.dumps({"carrier": "simplex", "dimension": 1,
+                                  "maps": {p: identity for p in ("e", "a", "b")}}))
+    code = cli.main(["fixpoint", str(FIXTURES / "t3-corrupted.json"), str(action)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "verdict: not an action (structure fails its axioms)\n" in captured.out
+    assert captured.err == ""
+
+
 def test_usage_error_exit_2(capsys):
     assert cli.main(["frobnicate"]) == 2
     assert cli.main([]) == 2
