@@ -1,10 +1,11 @@
 """Interchange formats: structure, group, and action files plus reports.
 
 All weights travel as exact rational strings ("p/q" or an integer string),
-so nothing is lost across serialization.  Canonical output sorts the point
-labels, lists only the support of each product measure in point order,
-renders every rational in lowest terms, and sorts JSON object keys, which
-makes outputs byte-stable and diffable.
+so nothing is lost across serialization.  The canonical structure file is
+the `json.dumps(indent=2, sort_keys=True)` text of the document with sorted
+point labels, each product's support in that order and every rational in
+lowest terms, written directly from the table, so it is byte-stable and
+diffable.  Its labels may not contain "|", which the "x|y" keys reserve.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Optional
 
 from .algebra import ConvolutionTable, PointSpace, Semihypergroup, Support, format_rational
@@ -147,23 +149,45 @@ def sort_points(shg: Semihypergroup) -> Semihypergroup:
     return Semihypergroup(space=space, table=table, name=shg.name)
 
 
-def structure_to_document(shg: Semihypergroup) -> dict:
-    labels = shg.space.labels
-    conv = {
-        f"{labels[x]}|{labels[y]}": [
-            {"point": labels[z], "weight": format_rational(w)} for z, w in support
-        ]
-        for x, row in enumerate(shg.table.supports)
-        for y, support in enumerate(row)
-    }
-    return {"name": shg.name, "points": list(labels), "convolution": conv}
-
-
 def canonical_structure_json(shg: Semihypergroup) -> str:
-    """Byte-stable rendering: sorted points, sorted keys, lowest terms."""
-    return json.dumps(
-        structure_to_document(sort_points(shg)), indent=2, sort_keys=True
-    ) + "\n"
+    """The bytes of `json.dumps(document, indent=2, sort_keys=True)` of the
+    sorted-point document, written straight from `shg.table.supports`.
+
+    Each entry lists its support in sorted-label order, and each distinct
+    support object and weight is rendered once.  A label containing "|"
+    would make the "x|y" keys ambiguous, so it raises `FileFormatError`
+    naming the first such label in point order, before anything is written.
+    """
+    labels = shg.space.labels
+    bad = next((label for label in labels if "|" in label), None)
+    if bad is not None:
+        raise FileFormatError(f"point label {bad!r} contains '|', which the 'x|y' keys reserve")
+    order = sorted(range(shg.n), key=labels.__getitem__)
+    quoted = [encode_basestring_ascii(label) for label in labels]
+    weights: dict[Fraction, str] = {}
+    rendered: dict[int, str] = {}  # id of a support tuple the table holds -> its list
+
+    def render(support: Support) -> str:
+        items = []
+        for z, w in sorted(support, key=lambda zw: labels[zw[0]]):
+            text = weights[w] if w in weights else weights.setdefault(w, format_rational(w))
+            items.append(f'      {{\n        "point": {quoted[z]},\n        "weight": "{text}"\n      }}')
+        return "[\n" + ",\n".join(items) + "\n    ]" if items else "[]"
+
+    # With no "|" in any label, the raw "x|y" keys sort as the pairs
+    # (x + "|", y): neither "x|" is a proper prefix of another.
+    columns = [(y, quoted[y][1:] + ": ") for y in order]
+    lines = []
+    for x in sorted(range(shg.n), key=lambda i: labels[i] + "|"):
+        head, row = "    " + quoted[x][:-1] + "|", shg.table.supports[x]
+        for y, tail in columns:
+            support = row[y]
+            if id(support) not in rendered:
+                rendered[id(support)] = render(support)
+            lines.append(head + tail + rendered[id(support)])
+    points = ",\n".join(f"    {quoted[i]}" for i in order)
+    return ('{\n  "convolution": {\n' + ",\n".join(lines) + '\n  },\n  "name": '
+            + encode_basestring_ascii(shg.name) + ',\n  "points": [\n' + points + "\n  ]\n}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ them.
 
 from __future__ import annotations
 
+import decimal
+import json
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -51,6 +53,33 @@ def oracle_sorted_table(labels: list[str], table: Table) -> tuple[list[str], Tab
         for a, x in enumerate(order)
         for b, y in enumerate(order)
     }
+
+
+def oracle_decimal_text(k: int) -> str:
+    """Decimal digits of k, independent of the int-string digit limit."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        return str(decimal.Decimal(k))
+
+
+def oracle_structure_json(shg) -> str:
+    """The canonical structure file as `json.dumps` writes it: the document
+    with its points in sorted label order, each product's support in that
+    order and each weight in lowest terms, keys sorted by `json` itself."""
+    labels = shg.space.labels
+    order = sorted(range(len(labels)), key=lambda i: labels[i])
+
+    def text(w: Fraction) -> str:
+        num = oracle_decimal_text(w.numerator)
+        return num if w.denominator == 1 else f"{num}/{oracle_decimal_text(w.denominator)}"
+
+    conv = {}
+    for x, y in product(order, repeat=2):
+        weights = dict(shg.table.supports[x][y])
+        conv[f"{labels[x]}|{labels[y]}"] = [
+            {"point": labels[z], "weight": text(weights[z])} for z in order if z in weights]
+    doc = {"name": shg.name, "points": [labels[i] for i in order], "convolution": conv}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def oracle_convolve(mu: Weights, nu: Weights, table: Table, n: int) -> Weights:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import decimal
 import io
 import json
 import os
@@ -22,6 +21,7 @@ from semihyp.amenability import Mean
 from semihyp.construct import from_semigroup, left_zero_semigroup
 from semihyp.files import canonical_structure_json
 from cli_cases import CASES, FIXTURES, GOLDEN, CliCase, normalize, run_case
+from oracles import oracle_decimal_text
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
@@ -69,6 +69,21 @@ def test_construct_round_trip(tmp_path):
     assert canonical_structure_json(
         parse_structure(target.read_text())
     ).encode() == written
+
+
+def test_construct_round_trip_escaped_labels(tmp_path, capsys):
+    # non-ASCII labels and a quote: the written file escapes them as json does
+    labels = ["é", 'q"', "𝔊"]
+    group = {"labels": labels, "table": [[(i + j) % 3 for j in range(3)] for i in range(3)]}
+    (tmp_path / "z3.json").write_text(json.dumps(group), encoding="utf-8")
+    out = tmp_path / "z3-semigroup.json"
+    argv = ["construct", "semigroup", "--group", str(tmp_path / "z3.json"), "--out", str(out)]
+    assert cli.main([*argv, "--json"]) == 0
+    written = json.loads(capsys.readouterr().out)
+    assert cli.main(["check", str(out), "--json"]) == 0
+    checked = json.loads(capsys.readouterr().out)
+    assert written["points"] == checked["points"] == sorted(labels)
+    assert out.read_bytes().isascii()
 
 
 def test_malformed_json_exit_2(capsys):
@@ -431,13 +446,6 @@ def test_deeply_nested_json_exit_2(argv, tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out.json").exists()
 
 
-def _exact_text(k: int) -> str:
-    """Decimal digits of k, independent of the int-string digit limit."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        return str(decimal.Decimal(k))
-
-
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 def test_overlong_witness_is_reported(as_json, tmp_path, capsys):
     # a*a = W p_b, a*b = p_b, b*a = W p_a, b*b = p_a: the associativity
@@ -459,7 +467,7 @@ def test_overlong_witness_is_reported(as_json, tmp_path, capsys):
         assert "detail: (p_a*p_a)*p_a differs from p_a*(p_a*p_a)" in out
         witness = dict(line.strip().split(": ", 1) for line in out.splitlines()
                        if line.strip().startswith(("lhs:", "rhs:")))
-    assert witness["lhs"] == f"{_exact_text(w * w)}, 0"
+    assert witness["lhs"] == f"{oracle_decimal_text(w * w)}, 0"
     assert witness["rhs"] == f"0, {w}"
 
 
@@ -472,7 +480,7 @@ def test_overlong_probability_total_is_reported(tmp_path, capsys):
     target.write_text(json.dumps({"name": "t", "points": ["a"], "convolution": {"a|a": items}}))
     assert cli.main(["check", str(target)]) == 1
     total = Fraction(1, d1) + Fraction(1, d2)
-    expected = f"{_exact_text(total.numerator)}/{_exact_text(total.denominator)}"
+    expected = f"{oracle_decimal_text(total.numerator)}/{oracle_decimal_text(total.denominator)}"
     assert f"detail: entry (a, a) has total {expected} or a negative weight" in (
         capsys.readouterr().out)
 
@@ -488,7 +496,7 @@ def test_overlong_operator_seminorm_is_reported(tmp_path, capsys):
     assert cli.main(["fixpoint", str(FIXTURES / "z2.json"), str(action)]) == 1
     out = capsys.readouterr().out
     norm = 1 + Fraction(1, d1) + Fraction(1, d2)
-    text = f"{_exact_text(norm.numerator)}/{_exact_text(norm.denominator)}"
+    text = f"{oracle_decimal_text(norm.numerator)}/{oracle_decimal_text(norm.denominator)}"
     assert f"detail: map at 1 has l1 operator seminorm {text}\n" in out
     assert f"equicontinuity_bound: {text}\n" in out
     assert "verdict: not an action\n" in out

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import decimal
 import json
 from fractions import Fraction
 from unittest import mock
@@ -11,8 +10,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_document_table, oracle_sorted_table
+from oracles import (
+    oracle_decimal_text,
+    oracle_document_table,
+    oracle_sorted_table,
+    oracle_structure_json,
+)
 from semihyp import files
+from semihyp.algebra import ConvolutionTable, PointSpace, Semihypergroup
+from semihyp.construct import (
+    CayleyTable,
+    coset_space,
+    double_coset_space,
+    from_semigroup,
+    symmetric_group,
+)
 from semihyp.files import (
     FileFormatError,
     ReportDocument,
@@ -24,7 +36,6 @@ from semihyp.files import (
     parse_rational,
     parse_structure,
     sort_points,
-    structure_to_document,
 )
 
 F = Fraction
@@ -49,21 +60,18 @@ def test_format_rational_lowest_terms():
     assert format_rational(F(-6, 8)) == "-3/4"
 
 
-def _exact_text(k: int) -> str:
-    """Decimal digits of k, independent of the int-string digit limit."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        return str(decimal.Decimal(k))
-
-
-@pytest.mark.parametrize("value", [
+# rationals whose numerator or denominator is past the int-string digit limit
+PAST_THE_DIGIT_LIMIT = pytest.mark.parametrize("value", [
     F(10**5000 + 1), F(-(10**9000) - 7), F(7**9000), F(1, 10**4400 + 3),
     F(-(10**6000) - 3, 10**4400 + 1), F(2**30000 - 1, 3),
 ], ids=["zeros", "negative", "power", "denominator", "both", "mersenne"])
+
+
+@PAST_THE_DIGIT_LIMIT
 def test_format_rational_past_the_digit_limit(value):
-    text = _exact_text(value.numerator)
+    text = oracle_decimal_text(value.numerator)
     if value.denominator != 1:
-        text += "/" + _exact_text(value.denominator)
+        text += "/" + oracle_decimal_text(value.denominator)
     assert format_rational(value) == text
 
 
@@ -135,7 +143,7 @@ def test_parse_structure_duplicate_weight_entries_accumulate(t3):
 
 
 def test_structure_document_support_only(t3):
-    doc = structure_to_document(t3)
+    doc = json.loads(canonical_structure_json(t3))
     assert doc["convolution"]["a|b"] == [
         {"point": "a", "weight": "1/2"},
         {"point": "b", "weight": "1/2"},
@@ -179,6 +187,68 @@ def test_structure_round_trip_property(doc):
     assert ordered.space.labels == tuple(sorted_labels)
     assert {(x, y): ordered.table.entry(x, y).weights
             for x in range(n) for y in range(n)} == sorted_dense
+
+
+def structure_of(labels, supports, name="s") -> Semihypergroup:
+    space = PointSpace(tuple(labels))
+    return Semihypergroup(space, ConvolutionTable(space, supports), name=name)
+
+
+# labels that json escapes, and "1", "10", "1a", whose raw "x|y" keys sort
+# in another order than the labels ("10|1" < "1|10")
+WRITER_LABELS = st.sampled_from(
+    ["1", "10", "1a", "2", '"', "\\", 'a"\\', "\x00", "\x1f\x7f", "é", "\u2028", "𝔊"]
+) | LABELS
+
+
+@st.composite
+def written_structures(draw):
+    """Structures with shared and empty supports, signed fractional weights
+    and unicode names, on labels json escapes."""
+    labels = draw(st.lists(WRITER_LABELS, min_size=1, max_size=5, unique=True))
+    n = len(labels)
+    support = st.dictionaries(st.integers(0, n - 1), st.fractions(-3, 3, max_denominator=7)
+                              .filter(bool), max_size=n).map(lambda d: tuple(sorted(d.items())))
+    # cells drawn from a pool, so that one support object fills many cells
+    cell = st.sampled_from(draw(st.lists(support, min_size=1, max_size=4))) | support
+    supports = tuple(tuple(draw(cell) for _ in range(n)) for _ in range(n))
+    name = draw(st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4))
+    return structure_of(labels, supports, name)
+
+
+@settings(max_examples=300, deadline=None)
+@given(written_structures())
+def test_canonical_structure_json_matches_json_dumps(shg):
+    assert canonical_structure_json(shg) == oracle_structure_json(shg)
+
+
+@PAST_THE_DIGIT_LIMIT
+def test_canonical_structure_json_past_the_digit_limit(value):
+    shg = structure_of(["10", "1"], ((((0, value),), ()), ((), ((0, -value), (1, value + 1)))))
+    assert canonical_structure_json(shg) == oracle_structure_json(shg)
+
+
+def _s5_subgroup(*moved: str) -> list[str]:
+    """The permutations of S5 that fix every point not in `moved`."""
+    return [p for p in symmetric_group(5).labels if set(p) <= set("()e" + "".join(moved))]
+
+
+@pytest.mark.parametrize("built", [
+    lambda: from_semigroup(symmetric_group(5)),
+    lambda: coset_space(symmetric_group(5), _s5_subgroup("1234")),
+    lambda: double_coset_space(symmetric_group(5), _s5_subgroup("123")),
+], ids=["s5", "s5-mod-s4", "s5-mod-s3-double"])
+def test_canonical_structure_json_order_120(built):
+    shg = built()
+    assert canonical_structure_json(shg) == oracle_structure_json(shg)
+
+
+def test_canonical_structure_json_rejects_a_bar_in_a_label():
+    # "a|a|b" would be both a * a|b and a|a * b: the keys would collide
+    labels = ("a", "a|b", "b|c", "c")
+    shg = from_semigroup(CayleyTable(labels, tuple((x,) * 4 for x in range(4))))
+    with pytest.raises(ValueError, match=r"label 'a\|b' contains '\|'"):
+        canonical_structure_json(shg)
 
 
 # repeated, equivalent, int-typed and invalid weights
