@@ -748,6 +748,12 @@ def iterate_fixed_point(
     nonzero entries of its matrix (converted to floats once per map); those
     images give both the residual at x and the next average.  The summation
     order is fixed, so results are bit-reproducible.
+
+    When every map is an `AffineMap`, a step is a pure function of x, so a
+    float state that repeats bit for bit (Brent's cycle detection) ends the
+    work exactly: whole periods, whose residuals all exceed tol, are skipped
+    and `iterations` still counts logical steps.  Callables may be stateful
+    and are evaluated once per step.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tolerance must be finite and positive")
@@ -757,6 +763,7 @@ def iterate_fixed_point(
         raise ValueError("need at least one map")
     d = carrier_dim(carrier)
     applied: list[Callable[[tuple[float, ...]], tuple[float, ...]]] = []
+    pure = all(isinstance(m, AffineMap) for m in maps)
     for m in maps:
         if isinstance(m, AffineMap):
             if m.dim != d:
@@ -777,13 +784,20 @@ def iterate_fixed_point(
     x = tuple(float(v) for v in carrier_centroid(carrier))
     images = [fn(x) for fn in applied]
     residual = _residual(images, x)
-    iterations = 0
+    iterations = mark_at = 0
+    mark = x
     while residual > tol and iterations < max_iter:
         averaged = [0.0] * d
         for wi, img in zip(w, images):
             averaged = [a + wi * v for a, v in zip(averaged, img)]
         x = tuple(0.5 * a + 0.5 * b for a, b in zip(x, averaged))
         iterations += 1
+        # repr tells -0.0 from 0.0, so only a bit-identical state counts
+        if pure and x == mark and repr(x) == repr(mark):
+            period = iterations - mark_at
+            iterations += int(max_iter - iterations) // period * period
+        elif not iterations & (iterations - 1):
+            mark, mark_at = x, iterations
         images = [fn(x) for fn in applied]
         residual = _residual(images, x)
     return IterationResult(

@@ -588,3 +588,46 @@ def oracle_generating_points(table: Table, n: int):
         if oracle_rank(span + [oracle_point(i, n)], n) > oracle_rank(span, n):
             gens.append(i)
     return gens
+
+
+def oracle_iterate(maps, vertices, weights=None, tol=1e-9, max_iter=10000):
+    """The averaged float iteration as a plain loop of `max_iter` steps at
+    most, with no cycle skip: (converged, point, residual, iterations).
+
+    `maps` are `AffineMap`s (read through `apply_float`) or callables;
+    `vertices` are the carrier's exact vertices and `weights` the exact map
+    weights (uniform when None).  Each map is first evaluated at each vertex,
+    in the order the package's spot check uses, so a stateful callable sees
+    the same sequence of calls."""
+    applied = [getattr(m, "apply_float", None)
+               or (lambda x, fn=m: tuple(float(v) for v in fn(x))) for m in maps]
+    if weights is None:
+        w = [1.0 / len(applied)] * len(applied)
+    else:
+        w = [float(v) for v in weights]
+    float_vertices = [tuple(float(v) for v in p) for p in vertices]
+    for fn in applied:
+        for p in float_vertices:
+            fn(p)
+    d = len(vertices[0])
+    x = tuple(float(sum((p[i] for p in vertices), Fraction(0)) / len(vertices))
+              for i in range(d))
+
+    def residual_at(images, x):
+        worst = 0.0
+        for img in images:
+            worst = max(worst, max((abs(a - b) for a, b in zip(img, x)), default=0.0))
+        return worst
+
+    images = [fn(x) for fn in applied]
+    residual = residual_at(images, x)
+    iterations = 0
+    while residual > tol and iterations < max_iter:
+        averaged = [0.0] * d
+        for wi, img in zip(w, images):
+            averaged = [a + wi * v for a, v in zip(averaged, img)]
+        x = tuple(0.5 * a + 0.5 * b for a, b in zip(x, averaged))
+        iterations += 1
+        images = [fn(x) for fn in applied]
+        residual = residual_at(images, x)
+    return residual <= tol, x, residual, iterations

@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semihyp import actions
@@ -24,6 +24,7 @@ from semihyp.actions import (
     canonical_means_action,
     carrier_centroid,
     carrier_contains,
+    carrier_vertices,
     check_action_axiom,
     check_invariance,
     check_nonexpansive,
@@ -68,6 +69,7 @@ from oracles import (
     _left_matrices,
     oracle_action_axiom_failure,
     oracle_invariance_failure,
+    oracle_iterate,
     oracle_operator_seminorm,
     table_of,
 )
@@ -895,14 +897,150 @@ def test_iterate_pinned_weighted(t3):
     )
 
 
+NEGATIVE_HULL = Hull(((F(-1), F(2)), (F(3), F(-1)), (F(0), F(-2))))
+NEGATIVE_HULL_MAPS = (
+    AffineMap.from_dense(((F(1, 2), F(1, 4)), (F(-1, 4), F(1, 2))), (F(1, 3), F(-1, 5))),
+    AffineMap.from_dense(((F(0), F(-1, 2)), (F(1, 2), F(0))), (F(1, 7), F(1, 4))),
+)
+
+
 def test_iterate_pinned_hull_with_negative_coordinates():
-    hull = Hull(((F(-1), F(2)), (F(3), F(-1)), (F(0), F(-2))))
-    maps = [
-        AffineMap.from_dense(((F(1, 2), F(1, 4)), (F(-1, 4), F(1, 2))), (F(1, 3), F(-1, 5))),
-        AffineMap.from_dense(((F(0), F(-1, 2)), (F(1, 2), F(0))), (F(1, 7), F(1, 4))),
-    ]
+    hull, maps = NEGATIVE_HULL, list(NEGATIVE_HULL_MAPS)
     result = iterate_fixed_point(maps, hull, max_iter=300)
     assert repr(result) == (
         "IterationResult(converged=False, point=(0.30347490347490347, "
         "0.0839124839124839), residual=0.31782496782496783, iterations=300)"
     )
+
+
+# the cycle skip: a float state that repeats bit for bit ends the work, and
+# the result must still be the plain loop's (`oracles.oracle_iterate`)
+
+
+def _bits(converged, point, residual, iterations):
+    return converged, tuple(map(float.hex, point)), float.hex(residual), iterations
+
+
+def _result_bits(result):
+    return _bits(result.converged, result.point, result.residual, result.iterations)
+
+
+def _map_weights(draw, k):
+    if draw(st.booleans()):
+        return None
+    parts = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+    space = PointSpace(tuple(str(i) for i in range(k)))
+    return Mean(space, tuple(F(p, sum(parts)) for p in parts))
+
+
+@st.composite
+def stochastic_families(draw):
+    """Sparse column-stochastic maps x -> A x on Simplex(d), d <= 5."""
+    d = draw(st.integers(1, 5))
+    maps = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = [[] for _ in range(d)]
+        for j in range(d):
+            support = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d, unique=True))
+            parts = draw(st.lists(st.integers(1, 9), min_size=len(support),
+                                  max_size=len(support)))
+            for i, p in zip(support, parts):
+                rows[i].append((j, F(p, sum(parts))))
+        maps.append(AffineMap(tuple(map(tuple, rows)), (F(0),) * d))
+    return maps, Simplex(d), _map_weights(draw, len(maps))
+
+
+def permutation_family(perms, parts):
+    """Coordinate permutations x -> (x[p[0]], x[p[1]], ...) on the hull of
+    the unit vectors and the interior point `parts / sum(parts)`: the
+    centroid is not uniform, so the float orbit can cycle with period > 1."""
+    d = len(parts)
+    maps = [AffineMap(tuple(((p[i], F(1)),) for i in range(d)), (F(0),) * d) for p in perms]
+    units = tuple(tuple(F(int(i == j)) for j in range(d)) for i in range(d))
+    return maps, Hull((*units, tuple(F(p, sum(parts)) for p in parts)))
+
+
+@st.composite
+def permutation_families(draw):
+    d = draw(st.integers(2, 5))
+    perms = draw(st.lists(st.permutations(range(d)), min_size=1, max_size=3))
+    parts = draw(st.lists(st.integers(1, 9), min_size=d, max_size=d))
+    return (*permutation_family(perms, parts), _map_weights(draw, len(perms)))
+
+
+@st.composite
+def negative_hull_families(draw):
+    return list(NEGATIVE_HULL_MAPS), NEGATIVE_HULL, _map_weights(draw, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    family=st.one_of(stochastic_families(), permutation_families(), negative_hull_families()),
+    tol_exponent=st.integers(1, 300),
+    max_iter=st.integers(1, 3000),
+)
+# a 3-cycle whose float orbit has period 6 from step 64 on: 930 steps are
+# skipped and the last 5 must still run
+@example(family=(*permutation_family([(2, 0, 1)], [9, 4, 8]), None),
+         tol_exponent=300, max_iter=1005)
+# the state holds -0.0 from step 1 on: 0.5 * -2^-1074 rounds to -0.0, and
+# the second coordinate stalls one ulp short of its image
+@example(family=([AffineMap(((), ()), (-F(1, 2 ** 1074), F(1, 2) + F(1, 2 ** 53)))],
+                 Hull(((-F(1, 2 ** 1074), F(0)), (-F(1, 2 ** 1074), F(1)))), None),
+         tol_exponent=300, max_iter=7)
+def test_iterate_equals_the_plain_loop_bit_for_bit(family, tol_exponent, max_iter):
+    maps, carrier, weights = family
+    tol = 10.0 ** -tol_exponent
+    result = iterate_fixed_point(maps, carrier, weights=weights, tol=tol, max_iter=max_iter)
+    expected = oracle_iterate(maps, carrier_vertices(carrier),
+                              weights and weights.weights, tol, max_iter)
+    assert _result_bits(result) == _bits(*expected)
+
+
+@pytest.mark.parametrize("max_iter", [1005, 1005.0, 1005.5])
+def test_iterate_takes_a_float_step_budget_across_a_skip(max_iter):
+    maps, hull = permutation_family([(2, 0, 1)], [9, 4, 8])
+    result = iterate_fixed_point(maps, hull, tol=1e-300, max_iter=max_iter)
+    expected = oracle_iterate(maps, carrier_vertices(hull), tol=1e-300, max_iter=max_iter)
+    assert _result_bits(result) == _bits(*expected)
+    assert type(result.iterations) is int
+
+
+def test_iterate_evaluates_a_stateful_callable_once_per_step():
+    class Switching:
+        """Stalls the iteration at (1/2, 1/2) with residual 2^-53 for its
+        first 50 calls, then is the constant map to (0, 1)."""
+
+        def __init__(self):
+            self.calls = 0
+
+        def __call__(self, x):
+            self.calls += 1
+            if self.calls <= 50:
+                return (x[0] + 2.0 ** -53, x[1] - 2.0 ** -54)
+            return (0.0, 1.0)
+
+    fn = Switching()
+    result = iterate_fixed_point([fn], Simplex(2), tol=1e-20, max_iter=10_000)
+    # a skip on the stall at step 1 would report 10000 steps, unconverged
+    assert result.converged and result.iterations > 50
+    assert fn.calls == 2 + result.iterations + 1  # 2 vertices, then one per state
+    expected = oracle_iterate([Switching()], carrier_vertices(Simplex(2)),
+                              tol=1e-20, max_iter=10_000)
+    assert _result_bits(result) == _bits(*expected)
+
+
+def test_iterate_evaluates_a_stalled_affine_family_a_constant_number_of_times(monkeypatch):
+    action = canonical_means_action(from_semigroup(left_zero_semigroup(5)))
+    calls = {id(m): 0 for m in action.maps}
+    apply_float = AffineMap.apply_float
+
+    def spy(self, x):
+        calls[id(self)] += 1
+        return apply_float(self, x)
+
+    monkeypatch.setattr(AffineMap, "apply_float", spy)
+    result = iterate_fixed_point(action.maps, action.carrier, max_iter=10_000)
+    assert (result.converged, result.iterations) == (False, 10_000)
+    # 5 spot-check vertices, the centroid, and step 1, which repeats it
+    assert list(calls.values()) == [5 + 2] * 5

@@ -210,6 +210,20 @@ def test_fixpoint_iterate_out_of_range_exit_2(tol, max_iter, capsys):
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
 
 
+def test_fixpoint_iterate_huge_max_ends_on_the_repeated_state(capsys):
+    # lz2's float state repeats from step 1 on, so 10^12 logical steps take
+    # as long as a few; the report is the 1000-step golden's
+    argv = ["fixpoint", str(FIXTURES / "lz2.json"), str(FIXTURES / "lz2-canonical-action.json"),
+            "--iterate", "1e-9", "1000000000000", "--json"]
+    assert cli.main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    golden = dict(line.split(": ", 1) for line in
+                  (GOLDEN / "fixpoint-lz2-iterate.out").read_text().splitlines()
+                  if line.startswith(("point: ", "residual: ")))
+    assert report["iterations"] == 1_000_000_000_000 and report["converged"] is False
+    assert (report["point"], report["residual"]) == (golden["point"], golden["residual"])
+
+
 def test_group_label_with_pipe_exit_2(tmp_path, capsys):
     # structure files key the convolution by "x|y", so such a label could
     # be written but never read back
