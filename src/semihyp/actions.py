@@ -294,9 +294,11 @@ def _failing_pair(
 def check_action_axiom(action: AffineAction) -> CheckReport:
     """Composition of coefficient maps must equal the convolution average.
 
-    For affine maps the pointwise axiom is equivalent to two exact identities
-    per pair (s, t): on the matrices, A_s A_t = sum_z (p_s*p_t)(z) A_z, and on
-    the offsets, A_s b_t + b_s = sum_z (p_s*p_t)(z) b_z.  Both are checked at
+    For affine maps two exact identities per pair (s, t) are sufficient for
+    the pointwise axiom: on the matrices, A_s A_t = sum_z (p_s*p_t)(z) A_z,
+    and on the offsets, A_s b_t + b_s = sum_z (p_s*p_t)(z) b_z.  They are
+    equivalent to it only when the carrier spans R^d affinely, as a
+    full-dimensional hull does; a simplex does not.  Both are checked at
     once on the augmented rows (see `_product_rows`); a failing pair reports
     part "offset" when the matrix columns agree, else "matrix".  When the
     structure has an identity e, T_e must additionally be the identity map.
@@ -483,7 +485,7 @@ def check_nonexpansive(
 
 
 def _require_verified(action: AffineAction) -> None:
-    require_associative(action.structure)
+    """A non-associative structure fails `axiom_report`'s own precondition."""
     if not action.axiom_report.passed:
         raise PreconditionError(
             f"not an action: {action.axiom_report.detail}"
@@ -717,6 +719,7 @@ def mean_via_dual_action(
 
 
 PointMap = Union[AffineMap, Callable[[tuple[float, ...]], Sequence[float]]]
+_SPOT_SLACK = 1e-9  # float tolerance of `_spot_check_maps`
 
 
 @dataclass(frozen=True)
@@ -814,21 +817,19 @@ def _residual(images: Sequence[tuple[float, ...]], x: tuple[float, ...]) -> floa
 
 
 def _spot_check_maps(
-    applied: Sequence[Callable[[tuple[float, ...]], tuple[float, ...]]],
-    carrier: Carrier,
-    slack: float = 1e-9,
+    applied: Sequence[Callable[[tuple[float, ...]], tuple[float, ...]]], carrier: Carrier
 ) -> None:
     vertices = [tuple(float(v) for v in p) for p in carrier_vertices(carrier)]
     d = len(vertices[0])
-    lo = [min(p[i] for p in vertices) - slack for i in range(d)]
-    hi = [max(p[i] for p in vertices) + slack for i in range(d)]
+    lo = [min(p[i] for p in vertices) - _SPOT_SLACK for i in range(d)]
+    hi = [max(p[i] for p in vertices) + _SPOT_SLACK for i in range(d)]
     for fn in applied:
         for p in vertices:
             img = fn(p)
             if len(img) != d:
                 raise ValueError("a map's image does not match the carrier dimension")
             if isinstance(carrier, Simplex):
-                if min(img) < -slack or abs(sum(img) - 1.0) > slack:
+                if min(img) < -_SPOT_SLACK or abs(sum(img) - 1.0) > _SPOT_SLACK:
                     raise CarrierError("a map leaves the simplex (numeric spot check)")
             elif any(v < l or v > h for v, l, h in zip(img, lo, hi)):
                 raise CarrierError(

@@ -507,19 +507,11 @@ def _combine(terms: Iterable[tuple[Support, Fraction]]) -> dict[int, Fraction]:
 
 
 def find_identity(s: Semihypergroup) -> Optional[int]:
-    """Index of the unique two-sided identity, or None.
-
-    A two-sided identity of a semihypergroup is necessarily unique, which the
-    scan checks rather than assumes.
-    """
-    found: Optional[int] = None
+    """Index of the two-sided identity, or None.  It is unique even without
+    associativity (p_e = p_e * p_e' = p_e'), so the scan stops at the first."""
     sup = s.table.supports
-    for e in range(s.n):
-        if all(sup[x][e] == sup[e][x] == ((x, 1),) for x in range(s.n)):
-            if found is not None:
-                raise AssertionError("two distinct two-sided identities found")
-            found = e
-    return found
+    return next((e for e in range(s.n)
+                 if all(sup[x][e] == sup[e][x] == ((x, 1),) for x in range(s.n))), None)
 
 
 def check_commutative(s: Semihypergroup) -> bool:

@@ -122,17 +122,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(p_triple)
 
-    p_coset = con_sub.add_parser("coset", help="left coset space G/H")
-    p_coset.add_argument("--group", required=True, help="Cayley table JSON file")
-    p_coset.add_argument(
-        "--subgroup", required=True, help="comma-separated subgroup labels"
-    )
-    common(p_coset)
-
-    p_double = con_sub.add_parser("doublecoset", help="double coset space G//H")
-    p_double.add_argument("--group", required=True)
-    p_double.add_argument("--subgroup", required=True)
-    common(p_double)
+    for kind, help_text in (("coset", "left coset space G/H"),
+                            ("doublecoset", "double coset space G//H")):
+        p_quot = con_sub.add_parser(kind, help=help_text)
+        p_quot.add_argument("--group", required=True, help="Cayley table JSON file")
+        p_quot.add_argument("--subgroup", required=True, help="comma-separated subgroup labels")
+        common(p_quot)
 
     p_orbit = con_sub.add_parser("orbit", help="orbit space of a group action")
     p_orbit.add_argument("--action", required=True, help="group action JSON file")

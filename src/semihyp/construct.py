@@ -117,14 +117,10 @@ class CayleyTable:
         return next((e for e in range(n) if all(t[e][x] == x == t[x][e] for x in range(n))), None)
 
     def is_group(self) -> bool:
-        if not self.is_associative() or self.identity() is None:
-            return False
-        n = self.n
-        full = set(range(n))
-        return all(
-            set(self.product[x]) == full and {row[x] for row in self.product} == full
-            for x in range(n)
-        )
+        """Associative, with identity, every row onto.  Columns follow: an onto
+        row gives x a right inverse, and in a monoid xy = yz = e gives x = z."""
+        return (self.is_associative() and self.identity() is not None
+                and all(len(set(row)) == self.n for row in self.product))
 
     def inverse(self, x: PointRef) -> int:
         e = self.identity()

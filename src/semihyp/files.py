@@ -79,9 +79,10 @@ def parse_structure(text: str) -> Semihypergroup:
     """Parse a structure document; requires a complete convolution table.
 
     Axiom violations (bad row sums, negative weights, non-associativity) are
-    deliberately not parse errors: the checks report on them.  Each distinct
-    weight string is parsed once per document, and equal supports share one
-    tuple, which `ConvolutionTable` then validates once.
+    deliberately not parse errors: the checks report on them.  A repeated
+    "x|y" key is read with its last value, as `json.loads` keeps it.  Each
+    distinct weight string is parsed once per document, and equal supports
+    share one tuple, which `ConvolutionTable` then validates once.
     """
     doc = _load_json(text)
     _expect_keys(doc, {"name", "points", "convolution"}, "structure")
@@ -108,8 +109,6 @@ def parse_structure(text: str) -> Semihypergroup:
         x, y = space.positions.get(parts[0]), space.positions.get(parts[1])
         if x is None or y is None:
             raise FileFormatError(f"convolution key {key!r} references unknown labels")
-        if (x, y) in supports:
-            raise FileFormatError(f"duplicate convolution key {key!r}")
         if not isinstance(items, list):
             raise FileFormatError(f"entry {key!r} must be a list of weighted points")
         weights: dict[int, Fraction] = {}
@@ -330,9 +329,6 @@ def _jsonable(value: Any) -> Any:
 
 
 def _render_text(value: Any, lines: list[str], indent: str) -> None:
-    if not isinstance(value, (dict, list)):
-        lines.append(f"{indent}{_scalar_text(value)}")
-        return
     items = (((f"{k}:", v) for k, v in value.items()) if isinstance(value, dict)
              else (("-", v) for v in value))
     for head, v in items:

@@ -180,6 +180,29 @@ def test_help_exits_zero():
     assert cli.main(["--help"]) == 0
 
 
+@pytest.mark.parametrize("kind", ["coset", "doublecoset"])
+def test_quotient_help_describes_both_options(kind, capsys):
+    assert cli.main(["construct", kind, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "Cayley table JSON file" in out and "comma-separated subgroup labels" in out
+
+
+def _module_env() -> dict[str, str]:
+    """The environment for `python -m semihyp.cli`, with this source first."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point_exits_with_mains_code():
+    # `python -m semihyp.cli` passes main's return value to sys.exit
+    proc = subprocess.run([sys.executable, "-m", "semihyp.cli", "check"], env=_module_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "the following arguments are required: structure" in proc.stderr
+
+
 @pytest.mark.parametrize(
     "tol, max_iter",
     [
@@ -320,12 +343,9 @@ def test_golden_output_under_python_O(name, tmp_path):
     # python -O strips assert statements, so no verdict may rely on one
     case = next(c for c in CASES if c.name == name)
     shutil.copytree(FIXTURES, tmp_path / "fixtures")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "semihyp.cli", *case.argv],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        cwd=tmp_path, env=_module_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == case.exit_code, proc.stderr
     assert normalize(proc.stdout) == (GOLDEN / f"{name}.out").read_text()

@@ -16,6 +16,8 @@ from semihyp.linprog import (
     LPSolution,
     _augmented,
     _row_reduce,
+    _verify_certificate,
+    _verify_witness,
     solve_linear_system,
     solve_lp_feasibility,
 )
@@ -324,3 +326,17 @@ def test_rank_n_systems(rows, rhs, nonneg, status, pivots):
         assert sol.pivots == oracle_bland_phase1(rows, rhs, nonneg)[3] > 0
     else:
         assert sol.pivots == pivots
+
+
+@pytest.mark.parametrize("check, rows, rhs, nonneg, vector, message", [
+    (_verify_witness, [[1]], [1], [True], [F(0)], "does not satisfy an equality row"),
+    (_verify_witness, [[1, 1]], [0], [True, True], [F(1), F(-1)],
+     "violates a nonnegativity flag"),
+    (_verify_certificate, [[1]], [1], [True], [F(-1)], "does not separate the right-hand side"),
+    (_verify_certificate, [[1]], [1], [False], [F(1)], "fails on a free column"),
+    (_verify_certificate, [[1]], [1], [True], [F(1)], "fails on a nonnegative column"),
+], ids=["witness-row", "witness-sign", "certificate-rhs", "certificate-free",
+        "certificate-nonneg"])
+def test_self_checks_reject_a_wrong_vector(check, rows, rhs, nonneg, vector, message):
+    with pytest.raises(AssertionError, match=message):
+        check(problem(rows, rhs, nonneg), vector)
