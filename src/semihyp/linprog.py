@@ -1,27 +1,29 @@
 """Exact rational linear algebra and linear-programming feasibility.
 
-The kernel decides feasibility of {A x = b, x_j >= 0 for flagged j} with
-`fractions.Fraction` arithmetic throughout.  Each row of A is a `Support` of
-its nonzeros from the builders to the pivots; `LPProblem.from_dense` is the
-one dense entry point.  One sparse elimination, `_row_reduce`, brings rows
-to reduced echelon form.  The LP reduces [A | b | I]: the identity block
-never pivots, so each kept row carries its combination of the input rows as
-ordinary entries, and a certificate is read off those columns.  A row that
-reduces to 0 = r != 0 is already a certificate.  Kept rows of rank n fix the
-only solution: if it meets the sign flags it is the witness, with no pivots.
-Otherwise a phase-1 simplex with Bland's anti-cycling rule runs on the kept
-rows, and an infeasible optimum combines their blocks with the final
-reduced costs.
+The kernel decides feasibility of {A x = b, x_j >= 0 for flagged j} exactly.
+Each row of A is a `Support` of its nonzero `Fraction`s from the builders on;
+`LPProblem.from_dense` is the one dense entry point.  One sparse elimination,
+`_row_reduce`, brings rows to reduced echelon form on integers: each row is
+scaled by the lcm of its denominators, and each kept row is primitive with a
+positive pivot.  The LP reduces [A | b | I]: the identity block never pivots,
+so each kept row carries its combination of the input rows, and a
+certificate is read off those columns.  A row that reduces to 0 = r != 0,
+divided by its own identity entry and signed so that r > 0, is already one.
+Kept rows of rank n fix the only solution: if it meets the sign flags it is
+the witness, with no pivots.  Otherwise a phase-1 simplex with Bland's rule
+runs on the kept rows over their pivots, as `Fraction`s, and an infeasible
+optimum combines their blocks with the final reduced costs.
 `solve_linear_system` reduces [A | b] alone, as it returns no certificate.
-Both LP outcomes are self-verified before being returned: a witness is
-substituted into the original constraints, and a certificate y is checked
-to satisfy y.A <= 0 on nonnegative columns, y.A = 0 on free ones, y.b > 0.
+Both LP outcomes are self-verified on integers against the input rows: a
+witness satisfies them, and a certificate y has y.A <= 0 on nonnegative
+columns, y.A = 0 on free ones and y.b > 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .algebra import RationalLike, Support, _combine, as_fraction
@@ -98,9 +100,19 @@ class LPSolution:
         return self.status == "feasible"
 
 
+def _integer_row(row: Support, b: Fraction) -> tuple[int, list[tuple[int, int]], int]:
+    """(s, s * row, s * b) for s the lcm of the denominators of row and b."""
+    s = lcm(b.denominator, *(a.denominator for _, a in row))
+    ints = [(j, a.numerator * (s // a.denominator)) for j, a in row]
+    return s, ints, b.numerator * (s // b.denominator)
+
+
 def _verify_witness(problem: LPProblem, x: Sequence[Fraction]) -> None:
+    d = lcm(*(v.denominator for v in x))  # d * x is an integer vector
+    dx = [v.numerator * (d // v.denominator) for v in x]
     for row, b in zip(problem.rows, problem.rhs):
-        if sum((a * x[j] for j, a in row), Fraction(0)) != b:
+        _, ints, sb = _integer_row(row, b)
+        if sum(a * dx[j] for j, a in ints) != sb * d:
             raise AssertionError("witness does not satisfy an equality row")
     for v, flag in zip(x, problem.nonneg):
         if flag and v < 0:
@@ -108,9 +120,13 @@ def _verify_witness(problem: LPProblem, x: Sequence[Fraction]) -> None:
 
 
 def _verify_certificate(problem: LPProblem, y: Sequence[Fraction]) -> None:
-    if sum((yi * b for yi, b in zip(y, problem.rhs)), Fraction(0)) <= 0:
+    # e * y.A and e * y.b in integers, for y_i = p/q, row i over s and e = lcm(q * s)
+    terms = [(yi, *_integer_row(row, b)) for yi, row, b in zip(y, problem.rows, problem.rhs) if yi]
+    e = lcm(*(yi.denominator * s for yi, s, _, _ in terms))
+    terms = [(yi.numerator * (e // (yi.denominator * s)), ints, sb) for yi, s, ints, sb in terms]
+    if sum(c * sb for c, _, sb in terms) <= 0:
         raise AssertionError("certificate does not separate the right-hand side")
-    for j, g in _combine((row, yi) for yi, row in zip(y, problem.rows) if yi).items():
+    for j, g in _combine((ints, c) for c, ints, _ in terms).items():
         if not problem.nonneg[j]:
             raise AssertionError("certificate fails on a free column")
         if g > 0:
@@ -123,37 +139,50 @@ def _augmented(problem: LPProblem) -> list[dict[int, Fraction]]:
     return [{**dict(row), n: b} if b else dict(row) for row, b in zip(problem.rows, problem.rhs)]
 
 
+def _primitive(v: dict[int, int], c: int) -> dict[int, int]:
+    """v over the gcd of its entries, signed so that v[c] > 0; v if v[c] is 1."""
+    g = 1 if v[c] == 1 else gcd(*v.values()) * (1 if v[c] > 0 else -1)
+    return v if g == 1 else {j: a // g for j, a in v.items()}
+
+
 def _row_reduce(
-    rows: Iterable[dict[int, Fraction]], n: int
-) -> tuple[dict[int, dict[int, Fraction]], Optional[dict[int, Fraction]]]:
+    rows: Iterable[dict[int, Fraction | int]], n: int
+) -> tuple[dict[int, dict[int, int]], Optional[dict[int, Fraction]]]:
     """Incremental reduced echelon form of sparse rows {column: value}.
 
     Columns below n are variables and pivot; every column from n on rides
     along, so a row [A | b | I] (b at column n, identity at n+1...) keeps its
-    combination of input rows in the identity block.  Returns the kept rows
-    by pivot column, in the order they were kept, and None; or, when a row
-    reduces to 0 = r with r != 0, the rows kept so far and that row scaled to
-    r > 0, whose identity block is then a Farkas certificate.  The reduced
-    echelon form is unique and the columns from n on never pivot, so the
-    kept rows, their pivots and their [A | b] part are the same with or
-    without the block.  Rows are dicts of nonzeros, a row meets only the
-    kept rows at its own pivot columns, and a block combination has
-    <= rank + 1 entries.
+    combination of input rows in the identity block.  Rows reduce on
+    integers: a row is scaled by the lcm of its denominators, then in one
+    pass by L, the lcm of the pivots it meets, less integer multiples of
+    those kept rows.  Kept rows are primitive, with a positive pivot and 0
+    at the other pivot columns, so kept row / pivot is the unique rational
+    reduced echelon form, with or without the block.  Returns the kept rows
+    by pivot column, in the order kept, and None; or, when a row reduces to
+    0 = r != 0, the rows kept so far and that row as `Fraction`s, divided by
+    its last entry and signed so that r > 0.  With the block, that entry is
+    the row's own identity entry (kept rows combine only earlier rows), and
+    its block is a certificate.
     """
-    kept: dict[int, dict[int, Fraction]] = {}
+    kept: dict[int, dict[int, int]] = {}
     for v in rows:
-        eliminate = [(kept[c].items(), -a) for c, a in v.items() if c in kept]
-        if eliminate:
-            v = _combine([(v.items(), 1), *eliminate])
+        d = lcm(*(a.denominator for a in v.values()))
+        v = {j: a.numerator * (d // a.denominator) for j, a in v.items()}
+        met = [(kept[c], c, a) for c, a in v.items() if c in kept]
+        if met:
+            scale = lcm(*(u[c] for u, c, _ in met))
+            v = _combine([(v.items(), scale),
+                          *((u.items(), -a * (scale // u[c])) for u, c, a in met)])
         pc = min((j for j in v if j < n), default=None)
         if pc is None:
             if v.get(n):
-                return kept, _combine(((v.items(), 1 if v[n] > 0 else -1),))
+                last = abs(v[max(v)])
+                return kept, {j: Fraction(a, last if v[n] > 0 else -last) for j, a in v.items()}
             continue  # redundant row
-        v = _combine(((v.items(), 1 / v[pc]),))
+        v = _primitive(v, pc)
         for c, row in kept.items():
             if pc in row:
-                kept[c] = _combine(((row.items(), 1), (v.items(), -row[pc])))
+                kept[c] = _primitive(_combine(((row.items(), v[pc]), (v.items(), -row[pc]))), c)
         kept[pc] = v
     return kept, None
 
@@ -161,19 +190,19 @@ def _row_reduce(
 def solve_lp_feasibility(problem: LPProblem) -> LPSolution:
     """Exact phase-1 simplex with Bland's rule on the row-reduced system.
 
-    When the kept rows have rank n and their [A | b] column is >= 0 on every
-    nonnegative column, that column is the only feasible point, so it is
-    Bland's witness too: it is returned without phase 1, with pivots = 0.
-    The tableau is the [A | b] part of the kept rows as dicts, negated where
-    b < 0, with artificial i at column n+1+i, and a last row of minus their
-    sum.  Pivots keep that row -y.T T for multipliers y of the first rows T:
-    the artificial sum's reduced costs, but -y on the artificials, so an
+    When the kept rows have rank n and their [A | b] column over the pivots is
+    >= 0 on every nonnegative column, it is the only feasible point, so it is
+    Bland's witness too: it is returned without phase 1, with pivots = 0.  The
+    tableau is the [A | b] part of the kept rows over their pivots, negated
+    where b < 0, with artificial i at column n+1+i, and a last row of minus
+    their sum.  Pivots keep that row -y.T T for multipliers y of the first rows
+    T: the artificial sum's reduced costs, but -y on the artificials, so an
     infeasible optimum certifies with y.  Free x_j = x_j+ - x_j- keeps only
-    x_j+'s column, as x_j-'s is its negation.  Bland's rule ranks split
-    column (j, sign) 2j + (sign < 0) and artificial i 2n + i, in order.
+    x_j+'s column, as x_j-'s is its negation.  Bland's rule ranks split column
+    (j, sign) 2j + (sign < 0) and artificial i 2n + i, in order.
     """
     n, m, zero = problem.n_vars, problem.n_rows, Fraction(0)
-    rows = [{**row, n + 1 + i: Fraction(1)} for i, row in enumerate(_augmented(problem))]
+    rows = [{**row, n + 1 + i: 1} for i, row in enumerate(_augmented(problem))]
     kept, contradiction = _row_reduce(rows, n)
 
     def infeasible(v: dict[int, Fraction], pivots: int) -> LPSolution:
@@ -183,15 +212,15 @@ def solve_lp_feasibility(problem: LPProblem) -> LPSolution:
 
     if contradiction is not None:
         return infeasible(contradiction, 0)
-    if len(kept) == n and all(v.get(n, zero) >= 0 for c, v in kept.items() if problem.nonneg[c]):
+    if len(kept) == n and all(v.get(n, 0) >= 0 for c, v in kept.items() if problem.nonneg[c]):
         # rank n: the reduction fixes the only solution, and it is feasible
-        witness = tuple(kept[c].get(n, zero) for c in range(n))
+        witness = tuple(Fraction(kept[c].get(n, 0), kept[c][c]) for c in range(n))
         _verify_witness(problem, witness)
         return LPSolution(status="feasible", witness=witness)
-    # sign-normalize right-hand sides, each row with its combination
-    rows = [_combine(((v.items(), -1),)) if v.get(n, zero) < 0 else v for v in kept.values()]
-    tableau = [{j: a for j, a in v.items() if j <= n} | {n + 1 + i: Fraction(1)}
-               for i, v in enumerate(rows)]
+    # each kept row over its pivot, negated where b < 0, with its combination
+    rows = [(v, v[c] if v.get(n, 0) >= 0 else -v[c]) for c, v in kept.items()]
+    tableau = [{j: Fraction(a, p) for j, a in v.items() if j <= n} | {n + 1 + i: Fraction(1)}
+               for i, (v, p) in enumerate(rows)]
     k = len(tableau)
     tableau.append(_combine((v.items(), -1) for v in tableau))
     basis = [2 * n + i for i in range(k)]
@@ -213,7 +242,7 @@ def solve_lp_feasibility(problem: LPProblem) -> LPSolution:
 
     if cost.get(n, zero) < 0:  # the artificial sum stays positive
         y = (-cost.get(n + 1 + i, zero) for i in range(k))
-        return infeasible(_combine((v.items(), c) for v, c in zip(rows, y)), pivots)
+        return infeasible(_combine((v.items(), c / p) for (v, p), c in zip(rows, y)), pivots)
 
     # drive any zero-level artificials out of the basis
     for i in [i for i in range(k) if basis[i] >= 2 * n]:
@@ -264,20 +293,20 @@ def solve_linear_system(
     `LPProblem`; returns (particular, null-space basis) or None.
 
     Reads the reduced row echelon form of [A | b] off `_row_reduce`, with no
-    identity block since nothing is certified: its kept rows are zero before
-    their pivot, 1 at it and 0 at the other pivot columns.  The particular
-    solution sets every free variable to zero; the null-space basis has one
-    vector per free column in the standard echelon pattern.  A row that
-    `LPProblem` rejects, such as one with a column outside 0..n-1, is a
-    ValueError.
+    identity block since nothing is certified: its kept rows over their
+    pivots are zero before their pivot, 1 at it and 0 at the other pivot
+    columns.  The particular solution sets every free variable to zero; the
+    null-space basis has one vector per free column in the standard echelon
+    pattern.  A row that `LPProblem` rejects, such as one with a column
+    outside 0..n-1, is a ValueError.
     """
     problem = LPProblem(rows, rhs, nonneg=(False,) * n)
     kept, contradiction = _row_reduce(_augmented(problem), n)
     if contradiction is not None:
         return None
-    zero = Fraction(0)
-    particular = tuple(kept[c].get(n, zero) if c in kept else zero for c in range(n))
-    return particular, tuple(
-        tuple(-kept[c].get(fc, zero) if c in kept else Fraction(c == fc) for c in range(n))
-        for fc in range(n) if fc not in kept
-    )
+
+    def column(j: int, sign: int) -> Row:  # sign * column j over the pivots; 1 at free j
+        return tuple(Fraction(sign * kept[c].get(j, 0), kept[c][c]) if c in kept
+                     else Fraction(c == j) for c in range(n))
+
+    return column(n, 1), tuple(column(fc, -1) for fc in range(n) if fc not in kept)

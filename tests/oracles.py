@@ -2,9 +2,10 @@
 
 Deliberately separate implementations: convolution on raw weight tuples,
 associativity by direct triple expansion, Gaussian elimination written from
-scratch, and invariant-mean feasibility by enumerating candidate vertex
-supports.  Nothing here imports the package's solvers, so these can referee
-them.
+scratch, the sparse `Fraction` elimination that the LP kernel ran before it
+computed on integers, and invariant-mean feasibility by enumerating
+candidate vertex supports.  Nothing here imports the package's solvers, so
+these can referee them.
 """
 
 from __future__ import annotations
@@ -341,6 +342,43 @@ def oracle_solve(rows, rhs):
             vec[c] = -a[i][free]
         null.append(tuple(vec))
     return tuple(sol), tuple(null)
+
+
+def _oracle_combine(terms):
+    """Sum of coef * row over (row items, coef) terms, exact zeros removed."""
+    out = {}
+    for items, coef in terms:
+        for k, w in items:
+            out[k] = out.get(k, 0) + coef * w
+    return {k: w for k, w in out.items() if w}
+
+
+def oracle_row_reduce(rows, n: int):
+    """The `Fraction` elimination that `linprog._row_reduce` replaced:
+    (kept, contradiction) for sparse rows {column: Fraction}.
+
+    Each row is reduced against every kept row at once, scaled to 1 at its
+    first column below n and cleared from the kept rows, so the kept rows,
+    by pivot column in the order kept, are the reduced echelon form.  A row
+    that reduces to 0 = r != 0 returns the rows kept so far and that row
+    times the sign of r; columns from n on never pivot.
+    """
+    kept = {}
+    for v in rows:
+        eliminate = [(kept[c].items(), -a) for c, a in v.items() if c in kept]
+        if eliminate:
+            v = _oracle_combine([(v.items(), 1), *eliminate])
+        pc = min((j for j in v if j < n), default=None)
+        if pc is None:
+            if v.get(n):
+                return kept, _oracle_combine(((v.items(), 1 if v[n] > 0 else -1),))
+            continue
+        v = _oracle_combine(((v.items(), 1 / v[pc]),))
+        for c, row in kept.items():
+            if pc in row:
+                kept[c] = _oracle_combine(((row.items(), 1), (v.items(), -row[pc])))
+        kept[pc] = v
+    return kept, None
 
 
 def oracle_bland_phase1(rows, rhs, nonneg):

@@ -96,6 +96,24 @@ def test_missing_file_exit_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "BAD"],
+    ["lim", "BAD"],
+    ["fixpoint", "BAD", str(FIXTURES / "z2-canonical-action.json")],
+    ["fixpoint", str(FIXTURES / "z2.json"), "BAD"],
+    ["construct", "semigroup", "--group", "BAD", "--out", "OUT"],
+], ids=["check", "lim", "fixpoint-structure", "fixpoint-action", "construct-group"])
+def test_a_file_that_is_not_utf8_exit_2(argv, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    argv = [str(bad) if a == "BAD" else str(tmp_path / "out.json") if a == "OUT" else a
+            for a in argv]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {bad}: ") and "utf-8" in err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_mismatched_action_labels_exit_2(capsys, tmp_path):
     # lz2 action names points a/b, z2 structure has 0/1
     code = cli.main(

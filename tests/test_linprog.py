@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,13 @@ from semihyp.linprog import (
     solve_lp_feasibility,
 )
 
-from oracles import oracle_bland_phase1, oracle_feasible, oracle_is_farkas, oracle_solve
+from oracles import (
+    oracle_bland_phase1,
+    oracle_feasible,
+    oracle_is_farkas,
+    oracle_row_reduce,
+    oracle_solve,
+)
 
 F = Fraction
 
@@ -229,7 +236,9 @@ def test_solve_linear_system_matches_oracle(data):
 @given(data=st.data())
 def test_identity_block_rides_along_the_reduction(data):
     # the block columns n+1... never pivot, so [A | b] reduces the same with
-    # or without them, and a contradiction's block is a Farkas certificate
+    # or without them, and a contradiction's block is a Farkas certificate;
+    # the integer rows carry different scales in the two runs, so each kept
+    # row is compared divided by its pivot (the rational reduced echelon form)
     n = data.draw(st.integers(1, 5))
     rows = data.draw(st.lists(
         st.lists(RATIONALS, min_size=n, max_size=n), min_size=1, max_size=6
@@ -244,11 +253,49 @@ def test_identity_block_rides_along_the_reduction(data):
     kept_blocked, contradiction_blocked = _row_reduce(blocked, n)
     assert list(kept) == list(kept_blocked)
     for c, row in kept_blocked.items():
-        assert {j: a for j, a in row.items() if j <= n} == kept[c]
+        assert {j: F(a, row[c]) for j, a in row.items() if j <= n} == {
+            j: F(a, kept[c][c]) for j, a in kept[c].items()}
     assert (contradiction is None) == (contradiction_blocked is None)
     if contradiction_blocked is not None:
         y = [contradiction_blocked.get(n + 1 + i, F(0)) for i in range(len(rows))]
         assert oracle_is_farkas(rows, rhs, y)
+
+
+WIDE_RATIONALS = st.builds(F, st.integers(-2**80, 2**80), st.integers(1, 10**12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_integer_reduction_matches_the_fraction_oracle(data):
+    # the same pivots in the same order, each kept row equal to the oracle's
+    # once divided by its pivot, and the same contradiction, whose identity
+    # block is the certificate; small and wide rationals, with and without
+    # the block, with dependent and contradictory rows
+    values = data.draw(st.sampled_from([RATIONALS, WIDE_RATIONALS]))
+    n = data.draw(st.integers(1, 5))
+    rows = data.draw(st.lists(
+        st.lists(values, min_size=n, max_size=n), min_size=1, max_size=6
+    ))
+    rhs = data.draw(st.lists(values, min_size=len(rows), max_size=len(rows)))
+    if data.draw(st.booleans()):  # dependent
+        rows.append([a - 3 * b for a, b in zip(rows[0], rows[-1])])
+        rhs.append(rhs[0] - 3 * rhs[-1])
+    if data.draw(st.booleans()):  # contradicts row 0
+        rows.append(list(rows[0]))
+        rhs.append(rhs[0] + data.draw(values.filter(bool)))
+    augmented = _augmented(problem(rows, rhs, [True] * n))
+    block = data.draw(st.booleans())
+    if block:
+        augmented = [{**row, n + 1 + i: F(1)} for i, row in enumerate(augmented)]
+    kept, contradiction = _row_reduce([dict(row) for row in augmented], n)
+    expected, expected_contradiction = oracle_row_reduce(augmented, n)
+    assert list(kept) == list(expected)
+    for c, row in kept.items():
+        assert row[c] > 0 and gcd(*row.values()) == 1
+        assert {j: F(a, row[c]) for j, a in row.items()} == expected[c]
+    assert (contradiction is None) == (expected_contradiction is None)
+    if block:
+        assert contradiction == expected_contradiction
 
 
 @settings(max_examples=400, deadline=None)
@@ -340,3 +387,29 @@ def test_rank_n_systems(rows, rhs, nonneg, status, pivots):
 def test_self_checks_reject_a_wrong_vector(check, rows, rhs, nonneg, vector, message):
     with pytest.raises(AssertionError, match=message):
         check(problem(rows, rhs, nonneg), vector)
+
+
+# two rows over the denominators 3 and 7; column 0 is free
+MIXED_ROWS = [[F(1, 3), F(2, 3), F(-1, 3)], [F(1, 7), F(3, 7), F(2, 7)]]
+MIXED_NONNEG = [False, True, True]
+
+
+def test_integer_witness_check_rejects_a_doubled_witness():
+    x = (F(1), F(1, 2), F(1, 2))  # b = (1/2, 1/2)
+    rhs = [sum(a * v for a, v in zip(row, x)) for row in MIXED_ROWS]
+    p = problem(MIXED_ROWS, rhs, MIXED_NONNEG)
+    _verify_witness(p, x)
+    with pytest.raises(AssertionError, match="does not satisfy an equality row"):
+        _verify_witness(p, tuple(2 * v for v in x))
+
+
+@pytest.mark.parametrize("y, message", [
+    ((F(3), F(-14)), "does not separate the right-hand side"),  # y.b = 0
+    ((F(3), F(-6)), "fails on a free column"),  # y.A = 1/7 on column 0
+])
+def test_integer_certificate_check_rejects_bad_evidence(y, message):
+    p = problem(MIXED_ROWS, [F(2, 3), F(1, 7)], MIXED_NONNEG)
+    _verify_certificate(p, (F(3, 5), F(-7, 5)))  # y.A = (0, -1/5, -3/5), y.b = 1/5
+    assert oracle_is_farkas(MIXED_ROWS, [F(2, 3), F(1, 7)], (F(3, 5), F(-7, 5)))
+    with pytest.raises(AssertionError, match=message):
+        _verify_certificate(p, y)
