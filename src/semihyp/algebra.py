@@ -48,7 +48,8 @@ def as_fraction(value: RationalLike) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """`str` of the Fraction, also past the interpreter's int-string digit limit."""
-    value = Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
     try:
         return str(value)
     except ValueError:
@@ -494,16 +495,24 @@ def _greedy_generators(
 
 
 def _combine(terms: Iterable[tuple[Support, Fraction]]) -> dict[int, Fraction]:
-    """Sum of coef * support over (support, coef) terms, exact zeros removed."""
+    """Sum of coef * support over (support, coef) terms, exact zeros removed:
+    a key whose entry was 0 when last written is deleted at the end, so the
+    dict is not rebuilt and every other key keeps the place of its first term."""
     out: dict[int, Fraction] = {}
+    zeros: list[int] = []
     for support, coef in terms:
-        if coef == 1:  # the same sum, without a multiplication per entry
-            for k, w in support:
-                out[k] = out[k] + w if k in out else w
-        else:
-            for k, w in support:
-                out[k] = out[k] + coef * w if k in out else coef * w
-    return {k: w for k, w in out.items() if w}
+        one = coef == 1  # then the same sum, without a multiplication per entry
+        for k, w in support:
+            if not one:
+                w = coef * w
+            w = out[k] + w if k in out else w
+            if not w:
+                zeros.append(k)
+            out[k] = w
+    for k in set(zeros):
+        if not out[k]:
+            del out[k]
+    return out
 
 
 def find_identity(s: Semihypergroup) -> Optional[int]:

@@ -6,14 +6,20 @@ the `json.dumps(indent=2, sort_keys=True)` text of the document with sorted
 point labels, each product's support in that order and every rational in
 lowest terms, written directly from the table, so it is byte-stable and
 diffable.  Its labels may not contain "|", which the "x|y" keys reserve.
+A canonical file is read by that fixed layout and verified by rendering
+the result again; any other structure file goes through the general
+`json.loads` parser.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Optional
 
@@ -55,9 +61,16 @@ def _rational_memo() -> Callable[[Any], Fraction]:
     return parse
 
 
-def _load_json(text: str) -> Any:
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        raise FileFormatError(f"repeated key {Counter(k for k, _ in pairs).most_common(1)[0][0]!r}")
+    return doc
+
+
+def _load_json(text: str, hook: Optional[Callable[[list], Any]] = None) -> Any:
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=hook)
     except (ValueError, RecursionError) as exc:
         # a JSONDecodeError, an integer past the digit limit, or deep nesting
         raise FileFormatError(f"invalid JSON: {exc}") from None
@@ -75,16 +88,58 @@ def _expect_keys(doc: dict, keys: set[str], kind: str) -> None:
 # structure files
 
 
+_HEAD, _TAIL = '{\n  "convolution": {\n    "', '\n  },\n  "name": '
+_ITEM, _WEIGHT = '"\n      },\n      {\n        "point": ', ',\n        "weight": "'
+
+
+def _read_canonical(text: str) -> Optional[Semihypergroup]:
+    """The structure S with a nonempty name and `canonical_structure_json(S)
+    == text`, or None.  Entries are cut at the "x|y" keys the labels fix,
+    each distinct item list is parsed once, and the re-render decides."""
+    try:
+        cut = text.rindex(_TAIL)
+        name, _, points = text[cut + len(_TAIL):].partition(',\n  "points": [\n')
+        name, labels = scanstring(name, 1)[0], [scanstring(p, 5)[0] for p in points.split(",\n")]
+        if not (name and text.startswith(_HEAD)) or any("|" in label for label in labels):
+            return None
+        space, fractions, lists = PointSpace(tuple(labels)), {}, {"[]": ()}
+        quoted, rows = [encode_basestring_ascii(label) for label in labels], [()] * space.n
+        index = {q: z for z, q in enumerate(quoted)}
+        # entry (x, y) is '"x|y": LIST' less its first '"': LIST starts at len(qx) + len(qy)
+        cuts = {k: [slice(k + len(q), None) for q in quoted] for k in set(map(len, quoted))}
+        entry = iter(text[len(_HEAD):cut].split(',\n    "'))
+        for x in sorted(range(space.n), key=lambda i: labels[i] + "|"):
+            row = list(map(str.__getitem__, islice(entry, space.n), cuts[len(quoted[x])]))
+            for items in set(row).difference(lists):  # [27:-15]: first label to last weight
+                support = []
+                for item in items[27:-15].split(_ITEM):
+                    q, _, w = item.partition(_WEIGHT)
+                    support.append((index[q], fractions[w] if w in fractions
+                                    else fractions.setdefault(w, parse_rational(w))))
+                lists[items] = tuple(support)
+            rows[x] = tuple(map(lists.__getitem__, row))
+        del entry  # and so the pieces, before the render needs as much again
+        # a short row, a support out of order, a repeated point or a zero fails here
+        table = ConvolutionTable(space, tuple(rows))
+    except (KeyError, ValueError):
+        return None
+    shg = Semihypergroup(space, table, name=name)
+    return shg if canonical_structure_json(shg) == text else None
+
+
 def parse_structure(text: str) -> Semihypergroup:
     """Parse a structure document; requires a complete convolution table.
 
     Axiom violations (bad row sums, negative weights, non-associativity) are
-    deliberately not parse errors: the checks report on them.  A repeated
-    "x|y" key is read with its last value, as `json.loads` keeps it.  Each
+    deliberately not parse errors: the checks report on them.  A canonical
+    text is read by its layout and verified by rendering it again; any other
+    goes through `json.loads`, where a repeated key is an error.  Each
     distinct weight string is parsed once per document, and equal supports
     share one tuple, which `ConvolutionTable` then validates once.
     """
-    doc = _load_json(text)
+    if (shg := _read_canonical(text)) is not None:
+        return shg
+    doc = _load_json(text, _unique_keys)
     _expect_keys(doc, {"name", "points", "convolution"}, "structure")
     name = doc["name"]
     if not isinstance(name, str) or not name:
@@ -162,14 +217,16 @@ def canonical_structure_json(shg: Semihypergroup) -> str:
     if bad is not None:
         raise FileFormatError(f"point label {bad!r} contains '|', which the 'x|y' keys reserve")
     order = sorted(range(shg.n), key=labels.__getitem__)
+    in_order = order == list(range(shg.n))  # then each support, by index, is by label too
     quoted = [encode_basestring_ascii(label) for label in labels]
-    weights: dict[Fraction, str] = {}
+    weights: dict[tuple[int, int], str] = {}  # by (p, q): a Fraction's hash is slow
     rendered: dict[int, str] = {}  # id of a support tuple the table holds -> its list
 
     def render(support: Support) -> str:
         items = []
-        for z, w in sorted(support, key=lambda zw: labels[zw[0]]):
-            text = weights[w] if w in weights else weights.setdefault(w, format_rational(w))
+        for z, w in support if in_order else sorted(support, key=lambda zw: labels[zw[0]]):
+            key = w.numerator, w.denominator
+            text = weights[key] if key in weights else weights.setdefault(key, format_rational(w))
             items.append(f'      {{\n        "point": {quoted[z]},\n        "weight": "{text}"\n      }}')
         return "[\n" + ",\n".join(items) + "\n    ]" if items else "[]"
 
@@ -184,9 +241,10 @@ def canonical_structure_json(shg: Semihypergroup) -> str:
             if id(support) not in rendered:
                 rendered[id(support)] = render(support)
             lines.append(head + tail + rendered[id(support)])
-    points = ",\n".join(f"    {quoted[i]}" for i in order)
-    return ('{\n  "convolution": {\n' + ",\n".join(lines) + '\n  },\n  "name": '
-            + encode_basestring_ascii(shg.name) + ',\n  "points": [\n' + points + "\n  ]\n}\n")
+    lines[0] = '{\n  "convolution": {\n' + lines[0]  # one join builds the whole text, once
+    lines[-1] += ('\n  },\n  "name": ' + encode_basestring_ascii(shg.name) + ',\n  "points": [\n'
+                  + ",\n".join(f"    {quoted[i]}" for i in order) + "\n  ]\n}\n")
+    return ",\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,7 @@ from semihyp.construct import (
 
 from conftest import magma_tables, make_t3, random_triple_params
 from oracles import (
+    _oracle_combine,
     oracle_associativity_witness,
     oracle_closure,
     oracle_convolve,
@@ -512,6 +513,22 @@ def test_point_table_reads_point_masses_only(t3):
     for near in (((1, F(2)),), ((0, F(1, 2)), (1, F(1, 2))), ((1, F(-1)),)):
         supports = (((0, F(1)),), near), (((1, F(1)),), ((1, F(1)),))
         assert ConvolutionTable(space, supports).point_table is None
+
+
+# supports without zero weights, on a few keys so that sums cancel; signed
+# int or Fraction weights, coefficients 0 and 1 included
+COMBINE_TERMS = st.lists(st.tuples(
+    st.dictionaries(st.integers(0, 4), st.integers(-2, 2).filter(bool)
+                    | st.fractions(-2, 2, max_denominator=3).filter(bool), max_size=4)
+    .map(lambda d: tuple(d.items())),
+    st.sampled_from([0, 1, -1, 2]) | st.fractions(-2, 2, max_denominator=3)), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(COMBINE_TERMS)
+def test_combine_matches_the_rebuilt_sum_in_order(terms):
+    # the same entries as summing and then dropping zeros, keys in the same order
+    assert list(algebra._combine(terms).items()) == list(_oracle_combine(terms).items())
 
 
 @contextlib.contextmanager

@@ -91,6 +91,19 @@ def test_malformed_json_exit_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_repeated_convolution_key_exit_2(tmp_path, capsys):
+    # z2.json with a second "0|0" entry
+    text = (FIXTURES / "z2.json").read_text(encoding="utf-8")
+    repeated = tmp_path / "z2-repeated.json"
+    repeated.write_text(text.replace('    "0|1": [', '    "0|0": [\n      {\n        "point": '
+                                     '"1",\n        "weight": "1"\n      }\n    ],\n'
+                                     '    "0|1": [', 1), encoding="utf-8")
+    assert cli.main(["check", str(repeated)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: invalid JSON: repeated key '0|0'"]
+
+
 def test_missing_file_exit_2(capsys):
     assert cli.main(["check", str(FIXTURES / "does-not-exist.json")]) == 2
     assert "error:" in capsys.readouterr().err

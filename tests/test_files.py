@@ -251,6 +251,109 @@ def test_canonical_structure_json_rejects_a_bar_in_a_label():
         canonical_structure_json(shg)
 
 
+def read_outcome(text: str, general: bool = False):
+    """parse_structure's labels, supports and name, or its error message;
+    with `general`, of the `json.loads` parser alone."""
+    try:
+        if general:
+            with mock.patch.object(files, "_read_canonical", lambda text: None):
+                shg = parse_structure(text)
+        else:
+            shg = parse_structure(text)
+    except FileFormatError as exc:
+        return str(exc)
+    return shg.space.labels, shg.table.supports, shg.name
+
+
+@settings(max_examples=200, deadline=None)
+@given(written_structures())
+def test_canonical_reader_takes_every_written_text(shg):
+    text = canonical_structure_json(shg)
+    fast = files._read_canonical(text)
+    assert fast is not None
+    assert (fast.space.labels, fast.table.supports, fast.name) == read_outcome(text, general=True)
+
+
+def _rename(doc: dict, old: str, new: str) -> dict:
+    def label(x: str) -> str:
+        return new if x == old else x
+
+    return {"name": doc["name"], "points": [label(p) for p in doc["points"]], "convolution": {
+        "|".join(map(label, key.split("|"))): [{**item, "point": label(item["point"])}
+                                               for item in items]
+        for key, items in doc["convolution"].items()}}
+
+
+def _set_weight(doc: dict, draw) -> dict:
+    entries = [key for key, items in doc["convolution"].items() if items]
+    if not entries:
+        return doc
+    key = draw(st.sampled_from(entries))
+    weight = draw(st.sampled_from(["2/4", "0", "1.5", "1e5", "-0", "01", "+1", " 1", "1" * 5000]))
+    items = [dict(item) for item in doc["convolution"][key]]
+    items[draw(st.integers(0, len(items) - 1))]["weight"] = weight
+    return {**doc, "convolution": {**doc["convolution"], key: items}}
+
+
+def _reversed(doc: dict) -> dict:
+    """The document with its keys, and its convolution's keys, in reverse order."""
+    conv = dict(reversed(doc["convolution"].items()))
+    return {"points": doc["points"], "name": doc["name"], "convolution": conv}
+
+
+def _drop(doc: dict, key: str) -> dict:
+    return {**doc, "convolution": {k: v for k, v in doc["convolution"].items() if k != key}}
+
+
+def _dumps(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+MUTATIONS = {
+    "reordered keys": lambda doc, text, draw: json.dumps(_reversed(doc), indent=2),
+    "whitespace": lambda doc, text, draw: draw(st.sampled_from([
+        json.dumps(doc, sort_keys=True), json.dumps(doc, indent=4, sort_keys=True),
+        text.replace("\n", "\r\n"), text[:-1], " " + text, text.replace(": ", ":  ", 1)])),
+    "unescaped": lambda doc, text, draw: json.dumps(doc, indent=2, sort_keys=True,
+                                                    ensure_ascii=False) + "\n",
+    "dropped entry": lambda doc, text, draw: _dumps(_drop(doc, draw(st.sampled_from(
+        sorted(doc["convolution"]))))),
+    "weight": lambda doc, text, draw: _dumps(_set_weight(doc, draw)),
+    "bar in a label": lambda doc, text, draw: _dumps(
+        _rename(doc, draw(st.sampled_from(doc["points"])), "a|b")),
+    "empty name": lambda doc, text, draw: _dumps({**doc, "name": ""}),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(shg=written_structures(), mutation=st.sampled_from(sorted(MUTATIONS)), data=st.data())
+def test_mutated_canonical_texts_read_as_the_general_parser_reads_them(shg, mutation, data):
+    text = canonical_structure_json(shg)
+    mutated = MUTATIONS[mutation](json.loads(text), text, data.draw)
+    expected = read_outcome(mutated, general=True)
+    assert read_outcome(mutated) == expected
+    fast = files._read_canonical(mutated)
+    assert fast is None or (fast.space.labels, fast.table.supports, fast.name) == expected
+
+
+def test_canonical_s4_file_is_read_without_json_loads():
+    text = canonical_structure_json(from_semigroup(symmetric_group(4)))
+    with mock.patch.object(json, "loads", wraps=json.loads) as spy:
+        shg = parse_structure(text)
+    assert all(call.args[:1] != (text,) for call in spy.call_args_list)
+    assert canonical_structure_json(shg) == text
+    assert read_outcome(text) == read_outcome(text, general=True)
+
+
+def test_parse_structure_rejects_a_repeated_key(t3):
+    text = canonical_structure_json(t3)
+    repeated = text.replace('    "a|b": ', '    "a|a": [],\n    "a|b": ', 1)
+    with pytest.raises(FileFormatError, match=r"repeated key 'a\|a'"):
+        parse_structure(repeated)
+    with pytest.raises(FileFormatError, match=r"repeated key 'weight'"):
+        parse_structure(text.replace('"weight": "1"', '"weight": "1", "weight": "1"', 1))
+
+
 # repeated, equivalent, int-typed and invalid weights
 MEMO_WEIGHTS = st.sampled_from(["1", "1", "1/2", "2/4", "-1/3", "-2/6", "0", 1, 0, -2,
                                 "0.5", "1/0", True, None, [1]])
