@@ -6,9 +6,10 @@ rational points) such that composing two maps equals averaging the family
 against the convolution of the two point masses.  The module verifies the
 action axiom and carrier invariance exactly, measures equicontinuity and
 non-expansiveness through operator seminorms, solves for common fixed points
-by exact LP, and builds the two canonical actions whose fixed points are
-precisely the left invariant means: the translation-dual action on means and
-the affine action on the subspace of functionals annihilating constants.
+by exact LP (`fixed_point_problem`, which poses the mean LP of `amenability`
+too), and builds the two canonical actions whose fixed points are precisely
+the left invariant means: the translation-dual action on means and the
+affine action on the subspace of functionals annihilating constants.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .algebra import (
     CheckReport,
@@ -100,6 +101,16 @@ def carrier_vertices(carrier: Carrier) -> tuple[Vector, ...]:
     return carrier.points
 
 
+def carrier_columns(carrier: Carrier) -> tuple[Support, ...]:
+    """Row j of the vertex matrix V, whose columns are the carrier's vertices,
+    as the `Support` of its nonzero (k, v_k[j]): ((j, 1),) on a simplex."""
+    if isinstance(carrier, Simplex):
+        one = Fraction(1)
+        return tuple(((j, one),) for j in range(carrier.dim))
+    return tuple(tuple((k, v[j]) for k, v in enumerate(carrier.points) if v[j])
+                 for j in range(carrier_dim(carrier)))
+
+
 def carrier_contains(carrier: Carrier, x: Sequence[Fraction]) -> bool:
     """Exact membership; hull membership solves for barycentric weights."""
     vec = tuple(as_fraction(v) for v in x)
@@ -107,21 +118,14 @@ def carrier_contains(carrier: Carrier, x: Sequence[Fraction]) -> bool:
         return False
     if isinstance(carrier, Simplex):
         return all(v >= 0 for v in vec) and sum(vec, Fraction(0)) == 1
-    vertices = carrier.points
-    d = len(vertices[0])
-    rows = [tuple(p[i] for p in vertices) for i in range(d)]
-    rows.append((Fraction(1),) * len(vertices))
-    problem = LPProblem.from_dense(rows, (*vec, Fraction(1)), (True,) * len(vertices))
-    return solve_lp_feasibility(problem).feasible
+    k = len(carrier.points)  # V lam = x, sum(lam) = 1
+    rows = (*carrier_columns(carrier), tuple((v, Fraction(1)) for v in range(k)))
+    return solve_lp_feasibility(LPProblem(rows, (*vec, Fraction(1)), (True,) * k)).feasible
 
 
 def carrier_centroid(carrier: Carrier) -> Vector:
     vertices = carrier_vertices(carrier)
-    k = len(vertices)
-    return tuple(
-        sum((p[i] for p in vertices), Fraction(0)) / k
-        for i in range(carrier_dim(carrier))
-    )
+    return tuple(sum(coords, Fraction(0)) / len(vertices) for coords in zip(*vertices))
 
 
 # ---------------------------------------------------------------------------
@@ -496,46 +500,53 @@ def _require_verified(action: AffineAction) -> None:
         )
 
 
-def common_fixed_point_problem(action: AffineAction) -> LPProblem:
-    """Feasibility problem for {x in C : T_s x = x for all s}.
+def fixed_point_problem(
+    carrier: Carrier, maps: Iterable[tuple[Sequence, Sequence[Fraction]]]
+) -> LPProblem:
+    """Feasibility problem for {x in C : A x + b = x for every (A, b) in maps},
+    unchecked; row i of A is the `Support`, or on a simplex also the dict, of
+    its nonzero A_ij.  The variables are weights lam >= 0 over the columns of
+    the vertex matrix V (`carrier_columns`), so x = V lam, and the rows are
+    (A - I) V lam = -b for each map in turn, then sum(lam) = 1."""
+    simplex = isinstance(carrier, Simplex)
+    cols = () if simplex else carrier_columns(carrier)
+    zero, one = Fraction(0), Fraction(1)
+    rows: list[Support] = []
+    rhs: list[Fraction] = []
+    for a, offset in maps:
+        for i, row in enumerate(a):
+            if simplex:  # V = I: row i of A, less 1 at column i
+                r = dict(row)
+                r[i] = r.get(i, zero) - one
+            else:  # row i of A V, less row i of V
+                r = _combine([*((cols[j], a_ij) for j, a_ij in row), (cols[i], -1)])
+            rows.append(tuple((j, w) for j, w in r.items() if w))
+        rhs.extend(-b if b else zero for b in offset)  # no Fraction negation of 0
+    k = carrier.dim if simplex else len(carrier.points)
+    return LPProblem((*rows, tuple((v, one) for v in range(k))), (*rhs, one), (True,) * k)
 
-    The variables are barycentric weights lam >= 0 over the carrier's
-    vertices V (a simplex is the hull of its unit vertices, so there
-    lam = x): the rows are (A_s - I) V lam = -b_s for s in `kept_points`,
-    where T~_mu x~ = (sum mu) x~ holds on a subalgebra, and sum(lam) = 1.
-    """
+
+def common_fixed_point_problem(action: AffineAction) -> LPProblem:
+    """Feasibility problem for {x in C : T_s x = x for all s}: the
+    `fixed_point_problem` of the verified maps at `kept_points`, where
+    T~_mu x~ = (sum mu) x~ holds on a subalgebra."""
     _require_verified(action)
-    vertices = carrier_vertices(action.carrier)
-    # by_coord[j]: the (vertex, coordinate) pairs with v[j] != 0, so row i of
-    # (A_s - I) V sums only the vertices that each entry of row i meets
-    by_coord = [tuple((k, v[j]) for k, v in enumerate(vertices) if v[j])
-                for j in range(carrier_dim(action.carrier))]
-    maps = [action.maps[s] for s in action.structure.kept_points]
-    rows = [tuple(_combine([(by_coord[i], -1), *((by_coord[j], a) for j, a in row)]).items())
-            for m in maps for i, row in enumerate(m.rows)]
-    rhs = [-b for m in maps for b in m.offset]
-    k = len(vertices)
-    rows.append(tuple((v, Fraction(1)) for v in range(k)))
-    rhs.append(Fraction(1))
-    return LPProblem(rows=tuple(rows), rhs=tuple(rhs), nonneg=(True,) * k)
+    maps = (action.maps[s] for s in action.structure.kept_points)
+    return fixed_point_problem(action.carrier, ((m.rows, m.offset) for m in maps))
 
 
 def common_fixed_point_solution(
     action: AffineAction,
 ) -> tuple[LPSolution, Optional[Vector]]:
-    """LP outcome plus the carrier point sum_v lam_v v when feasible, checked
-    against every map; the certificate covers every point (`pad_certificate`)."""
+    """LP outcome plus the carrier point V lam when feasible, checked against
+    every map; the certificate covers every point (`pad_certificate`)."""
     problem = common_fixed_point_problem(action)
     shg, d = action.structure, carrier_dim(action.carrier)
     solution = pad_certificate(solve_lp_feasibility(problem), shg.kept_points, d, shg.n)
     if not solution.feasible:
         return solution, None
-    vertices = carrier_vertices(action.carrier)
-    point = tuple(
-        sum((lam * v[i] for lam, v in zip(solution.witness, vertices) if lam),
-            Fraction(0))
-        for i in range(d)
-    )
+    point = tuple(sum((solution.witness[k] * v for k, v in col), Fraction(0))
+                  for col in carrier_columns(action.carrier))
     if any(m.apply(point) != point for m in action.maps):
         raise AssertionError("LP point is not fixed by every map")
     return solution, point
@@ -683,7 +694,7 @@ def mean_via_dual_action(
     # w = sum_k c_k (e_k - e_{n-1}) on the trace-zero subspace; with the
     # linear part L = M_s^T, L[i][k] = (p_s*p_k)(i), and N = L - I, row
     # (s, i) of (T_s - I) w = 0 reads sum_k c_k (N[i][k] - N[i][n-1])
-    # = -N[i][b], for the kept s (as in `common_fixed_point_problem`)
+    # = -N[i][b] for the kept s; built here, not by `fixed_point_problem`
     zero = Fraction(0)
     ones = tuple((k, Fraction(1)) for k in range(n - 1))
     rows: list[Support] = []

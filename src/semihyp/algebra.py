@@ -122,9 +122,6 @@ class Measure:
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, w in enumerate(self.weights) if w != 0)
 
-    def is_probability(self) -> bool:
-        return all(w >= 0 for w in self.weights) and self.total() == 1
-
     def __add__(self, other: "Measure") -> "Measure":
         if other.space != self.space:
             raise DimensionMismatch("measures live on different point spaces")

@@ -2,7 +2,9 @@
 
 A mean is a probability vector acting on functions by weighted sum.  A left
 invariant mean is one that every left translation fixes; on a finite space
-its existence is an exact linear-programming feasibility question, which
+its existence is an exact linear-programming feasibility question: the
+fixed-point LP (`actions.fixed_point_problem`) of the canonical action on the
+simplex of means, whose common fixed points are exactly those means.  It
 gives a two-sided oracle: a witness mean when one exists, a Farkas
 certificate when none does.
 """
@@ -58,24 +60,18 @@ def uniform_mean(space: PointSpace) -> Mean:
 def left_invariance_problem(shg: Semihypergroup) -> LPProblem:
     """LP whose feasible points are exactly the left invariant means.
 
-    Variables are the mean weights m_y >= 0; rows say that for s in
-    `shg.kept_points` the pushforward of m through M_s equals m, plus
-    sum(m) = 1.  M_{mu*nu} = M_nu M_mu, so each dropped row is a combination
-    of kept rows before it, and `_row_reduce` keeps the rows it would keep
-    on all n^2+1.  Right invariant means are the feasible points of this
-    problem on `algebra.opposite(shg)`.
+    It is the fixed-point LP (`actions.fixed_point_problem`) of the canonical
+    maps m -> M_s^T m on the simplex, for s in `shg.kept_points`: the rows
+    sum_y (p_s*p_y)(z) m_y - m_z = 0, then sum(m) = 1.  M_{mu*nu} = M_nu M_mu,
+    so each dropped row is a combination of kept rows before it, and
+    `_row_reduce` keeps the rows it would keep on all n^2+1.  Right invariant
+    means are the feasible points of this problem on `algebra.opposite(shg)`.
     """
+    from .actions import Simplex, fixed_point_problem  # actions imports Mean from here
     require_associative(shg)
-    # rows sum_y (p_s*p_y)(z) m_y - m_z = 0 for every kept s and every z
-    n, zero, one = shg.n, Fraction(0), Fraction(1)
-    rows = []
-    for s in shg.kept_points:
-        for z, row in enumerate(translation_transpose(shg.table, s)):
-            row[z] = row.get(z, zero) - one
-            rows.append(tuple((y, w) for y, w in row.items() if w))
-    rhs = (zero,) * len(rows) + (one,)
-    rows.append(tuple((y, one) for y in range(n)))
-    return LPProblem(rows=tuple(rows), rhs=rhs, nonneg=(True,) * n)
+    zeros = (Fraction(0),) * shg.n
+    return fixed_point_problem(Simplex(shg.n), (
+        (translation_transpose(shg.table, s), zeros) for s in shg.kept_points))
 
 
 def left_invariant_mean_solution(shg: Semihypergroup) -> LPSolution:

@@ -68,9 +68,10 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     return doc
 
 
-def _load_json(text: str, hook: Optional[Callable[[list], Any]] = None) -> Any:
+def _load_json(text: str) -> Any:
+    """The JSON document of text, in which no object may repeat a key."""
     try:
-        return json.loads(text, object_pairs_hook=hook)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         # a JSONDecodeError, an integer past the digit limit, or deep nesting
         raise FileFormatError(f"invalid JSON: {exc}") from None
@@ -139,7 +140,7 @@ def parse_structure(text: str) -> Semihypergroup:
     """
     if (shg := _read_canonical(text)) is not None:
         return shg
-    doc = _load_json(text, _unique_keys)
+    doc = _load_json(text)
     _expect_keys(doc, {"name", "points", "convolution"}, "structure")
     name = doc["name"]
     if not isinstance(name, str) or not name:

@@ -250,6 +250,22 @@ def oracle_invariance_rows(table: Table, n: int):
     return rows, rhs
 
 
+def oracle_fixed_point_rows(mats, offs, vertices):
+    """The rows of {(A_s - I) V lam = -b_s for every map s, sum lam = 1}, for
+    V the dense matrix whose columns are the vertices: row (s, i) at index
+    s*d + i, then the normalization."""
+    d = len(offs[0])
+    rows, rhs = [], []
+    for mat, off in zip(mats, offs):
+        for i in range(d):
+            rows.append([sum((mat[i][j] * v[j] for j in range(d)), Fraction(0)) - v[i]
+                         for v in vertices])
+            rhs.append(-off[i])
+    rows.append([Fraction(1)] * len(vertices))
+    rhs.append(Fraction(1))
+    return rows, rhs
+
+
 def oracle_dual_rows(table: Table, n: int, b: int):
     """The n^2 rows of M_s^T (w + e_b) = w + e_b for all s, with
     w = sum_k c_k (e_k - e_{n-1}) over the n-1 unknowns c_k."""

@@ -32,6 +32,7 @@ from semihyp.actions import (
     dual_action,
     equicontinuity_bound,
     find_common_fixed_point,
+    fixed_point_problem,
     identity_map,
     induced_function,
     iterate_fixed_point,
@@ -68,6 +69,7 @@ from conftest import make_t3, random_triple_params, right_zero_semigroup
 from oracles import (
     _left_matrices,
     oracle_action_axiom_failure,
+    oracle_fixed_point_rows,
     oracle_invariance_failure,
     oracle_iterate,
     oracle_operator_seminorm,
@@ -577,6 +579,45 @@ def test_fixed_point_hull_carrier(z2):
     assert point is not None
     assert point[0] == point[1]
     assert carrier_contains(h, point)
+
+
+FP_ENTRIES = st.sampled_from([F(0), F(0), F(1), F(-1), F(1, 2), F(-3, 2), F(2)])
+
+
+@st.composite
+def fixed_point_inputs(draw):
+    """A simplex, or the hull of 1-5 points of R^d (so k != d is common) with
+    zero and negative coordinates, and 1-3 maps, some with A_ii = 1 so that
+    the -1 of A - I cancels there."""
+    d = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        carrier = Simplex(d)
+    else:
+        carrier = Hull(tuple(draw(st.lists(st.tuples(*[FP_ENTRIES] * d), min_size=1,
+                                           max_size=5, unique=True))))
+    mats = [[[draw(FP_ENTRIES) for _ in range(d)] for _ in range(d)]
+            for _ in range(draw(st.integers(1, 3)))]
+    for mat in mats:
+        for i in draw(st.sets(st.integers(0, d - 1))):
+            mat[i][i] = F(1)
+    return carrier, mats, [[draw(FP_ENTRIES) for _ in range(d)] for _ in mats]
+
+
+@settings(max_examples=200, deadline=None)
+@given(fixed_point_inputs(), st.booleans())
+def test_fixed_point_problem_matches_dense_rows(inputs, as_dicts):
+    carrier, mats, offs = inputs
+    maps = [AffineMap.from_dense(m, b) for m, b in zip(mats, offs)]
+    # on a simplex a row may also be the dict of its nonzero entries
+    dicts = as_dicts and isinstance(carrier, Simplex)
+    problem = fixed_point_problem(
+        carrier, [([dict(r) for r in m.rows] if dicts else m.rows, m.offset) for m in maps])
+    vertices = carrier_vertices(carrier)
+    rows, rhs = oracle_fixed_point_rows(mats, offs, vertices)
+    assert [dict(row) for row in problem.rows] == [
+        {j: a for j, a in enumerate(row) if a} for row in rows]
+    assert problem.rhs == tuple(rhs)
+    assert problem.nonneg == (True,) * len(vertices)
 
 
 def test_fixed_point_requires_verified_action(z2):

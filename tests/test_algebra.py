@@ -87,8 +87,6 @@ def test_measure_basics(t3):
     m = Measure(space, (F(1, 2), F(-1, 4), F(3, 4)))
     assert m.total() == 1
     assert m.support() == (0, 1, 2)
-    assert not m.is_probability()
-    assert point_mass(space, "e").is_probability()
     assert zero_measure(space).support() == ()
     with pytest.raises(DimensionMismatch):
         Measure(space, (F(1),))

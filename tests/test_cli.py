@@ -104,6 +104,29 @@ def test_repeated_convolution_key_exit_2(tmp_path, capsys):
     assert captured.err.splitlines() == ["error: invalid JSON: repeated key '0|0'"]
 
 
+@pytest.mark.parametrize("fixture, old, new, argv, key", [
+    # a doubling map "1" that a last-value-wins reader would drop
+    ("z2-canonical-action.json", '"1": {',
+     '"1": {"A": [["2", "0"], ["0", "2"]], "b": ["0", "0"]},\n    "1": {',
+     ["fixpoint", str(FIXTURES / "z2.json"), "{}"], "1"),
+    ("z2-canonical-action.json", '"dimension"', '"dimension": 7,\n  "dimension"',
+     ["fixpoint", str(FIXTURES / "z2.json"), "{}"], "dimension"),
+    ("z4-group.json", '"labels"', '"labels": ["a"],\n  "labels"',
+     ["construct", "semigroup", "--group", "{}", "--out", "out.json"], "labels"),
+], ids=["map", "dimension", "labels"])
+def test_repeated_key_exit_2(fixture, old, new, argv, key, tmp_path, capsys):
+    text = (FIXTURES / fixture).read_text(encoding="utf-8")
+    repeated = tmp_path / fixture
+    repeated.write_text(text.replace(old, new, 1), encoding="utf-8")
+    argv = [str(repeated) if a == "{}" else str(tmp_path / a) if a == "out.json" else a
+            for a in argv]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: invalid JSON: repeated key {key!r}"]
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_missing_file_exit_2(capsys):
     assert cli.main(["check", str(FIXTURES / "does-not-exist.json")]) == 2
     assert "error:" in capsys.readouterr().err

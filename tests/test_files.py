@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cli_cases import FIXTURES
 from oracles import (
     oracle_decimal_text,
     oracle_document_table,
@@ -352,6 +353,35 @@ def test_parse_structure_rejects_a_repeated_key(t3):
         parse_structure(repeated)
     with pytest.raises(FileFormatError, match=r"repeated key 'weight'"):
         parse_structure(text.replace('"weight": "1"', '"weight": "1", "weight": "1"', 1))
+
+
+Z2_GROUP = '{"labels": ["0", "1"], "table": [[0, 1], [1, 0]]}'
+
+
+def test_parse_group_rejects_a_repeated_key():
+    # json.loads alone would keep the last "labels" and read Z2
+    with pytest.raises(FileFormatError, match=r"repeated key 'labels'"):
+        parse_group(Z2_GROUP.replace('"labels"', '"labels": ["a"], "labels"'))
+
+
+def test_parse_group_action_rejects_a_repeated_key():
+    text = f'{{"acting": {Z2_GROUP}, "carrier": {Z2_GROUP}, "act": [[0, 1], [1, 0]]}}'
+    assert parse_group_action(text).act == ((0, 1), (1, 0))
+    with pytest.raises(FileFormatError, match=r"repeated key 'act'"):
+        parse_group_action(text.replace('"act"', '"act": [[0, 0], [0, 0]], "act"'))
+    with pytest.raises(FileFormatError, match=r"repeated key 'table'"):
+        parse_group_action(text.replace('"table"', '"table": [], "table"', 1))
+
+
+def test_parse_affine_action_rejects_a_repeated_key():
+    z2 = parse_structure((FIXTURES / "z2.json").read_text(encoding="utf-8"))
+    text = (FIXTURES / "z2-canonical-action.json").read_text(encoding="utf-8")
+    assert parse_affine_action(text, z2).maps[1].matrix == ((0, 1), (1, 0))
+    doubling = '"1": {"A": [["2", "0"], ["0", "2"]], "b": ["0", "0"]},\n    "1": {'
+    with pytest.raises(FileFormatError, match=r"repeated key '1'"):
+        parse_affine_action(text.replace('"1": {', doubling, 1), z2)
+    with pytest.raises(FileFormatError, match=r"repeated key 'dimension'"):
+        parse_affine_action(text.replace('"dimension"', '"dimension": 7,\n  "dimension"'), z2)
 
 
 # repeated, equivalent, int-typed and invalid weights

@@ -24,6 +24,7 @@ from semihyp.actions import (
     Simplex,
     canonical_means_action,
     check_action_axiom,
+    common_fixed_point_problem,
     common_fixed_point_solution,
     find_common_fixed_point,
     mean_via_dual_action,
@@ -116,6 +117,14 @@ def test_reduced_fixed_point_lp_matches_the_full_rows(shg):
     if not solution.feasible:
         assert oracle_is_farkas(rows, rhs, solution.certificate)
         assert solution.certificate == full.certificate
+
+
+@settings(max_examples=100, deadline=None)
+@given(associative_structures())
+def test_mean_lp_is_the_canonical_fixed_point_lp(shg):
+    # the paper's identity, row for row: the left invariant means are the
+    # common fixed points of the canonical action on the simplex of means
+    assert left_invariance_problem(shg) == common_fixed_point_problem(canonical_means_action(shg))
 
 
 @settings(max_examples=100, deadline=None)
