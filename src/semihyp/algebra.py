@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import gcd, lcm
-from operator import ne
+from operator import itemgetter, ne
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -197,10 +197,13 @@ class ConvolutionTable:
 
     @cached_property
     def scaled(self) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
-        """(D, ints): D the least common denominator of all weights, ints the supports times D."""
-        d = lcm(*{w.denominator for row in self.supports for e in row for _, w in e})
-        return d, tuple(tuple(tuple((k, w.numerator * d // w.denominator) for k, w in e)
-                              for e in row) for row in self.supports)
+        """(D, ints): D the least common denominator of all weights, ints the
+        supports times D, each distinct support object scaled once."""
+        distinct = {id(e): e for row in self.supports for e in row}
+        d = lcm(*{w.denominator for e in distinct.values() for _, w in e})
+        ints = {i: tuple((k, w.numerator * d // w.denominator) for k, w in e)
+                for i, e in distinct.items()}
+        return d, tuple(tuple(ints[id(e)] for e in row) for row in self.supports)
 
 
 def check_supports(supports: Iterable[Support], n: int) -> None:
@@ -405,10 +408,12 @@ def table_associativity_witness(
 ) -> Optional[tuple[int, int, int]]:
     """First triple with (x*y)*z != x*(y*z) in (x, y, z) order, or None, for
     the magma with integer table table[x][y] and generators `gens`: Light's
-    test compares row x*g with row g mapped through row x (rows as tuples)
-    for the generators g only; a failure runs the ordered scan."""
+    test compares, for the generators g only, each row x*g with row g mapped
+    through row x (rows as tuples), all rows at once; a failure runs the
+    ordered scan.  At n = 1 `itemgetter` returns an entry, not a row, so the
+    comparison fails and the scan of the one triple decides."""
     p, n = table, len(table)
-    if all(p[p[x][g]] == tuple(p[x][w] for w in p[g]) for g in gens for x in range(n)):
+    if all(list(map(itemgetter(*p[g]), p)) == [p[row[g]] for row in p] for g in gens):
         return None
     return next(((x, y, z) for x, y, z in product(range(n), repeat=3)
                  if p[p[x][y]][z] != p[x][p[y][z]]), None)

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations
+from itertools import chain, permutations
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import (
@@ -70,18 +71,15 @@ class CayleyTable:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
-        object.__setattr__(
-            self, "product", tuple(tuple(int(v) for v in row) for row in self.product)
-        )
+        object.__setattr__(self, "product", tuple(tuple(map(int, row)) for row in self.product))
         n = len(self.labels)
         if len(set(self.labels)) != n or n == 0:
             raise ValueError("labels must be nonempty and pairwise distinct")
         if len(self.product) != n or any(len(row) != n for row in self.product):
             raise ValueError("product table must be n-by-n")
-        for row in self.product:
-            for v in row:
-                if not 0 <= v < n:
-                    raise ValueError(f"table entry {v} is not a valid index")
+        if not 0 <= min(map(min, self.product)) <= max(map(max, self.product)) < n:
+            v = next(v for row in self.product for v in row if not 0 <= v < n)
+            raise ValueError(f"table entry {v} is not a valid index")
 
     @property
     def n(self) -> int:
@@ -152,26 +150,22 @@ class GroupAction:
     act: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "act", tuple(tuple(int(v) for v in row) for row in self.act)
-        )
+        object.__setattr__(self, "act", tuple(tuple(map(int, row)) for row in self.act))
         for role, table in (("acting", self.group), ("carrier", self.carrier)):
             if not table.is_group():
                 raise InvalidActionError(f"{role} table is not a group")
-        nh, ng = self.group.n, self.carrier.n
-        if len(self.act) != nh or any(len(row) != ng for row in self.act):
+        nh, ng, act = self.group.n, self.carrier.n, self.act
+        if len(act) != nh or any(len(row) != ng for row in act):
             raise InvalidActionError("action table must be |H|-by-|G|")
-        for row in self.act:
-            for v in row:
-                if not 0 <= v < ng:
-                    raise InvalidActionError(f"action image {v} is not a carrier point")
+        if not 0 <= min(map(min, act)) <= max(map(max, act)) < ng:
+            v = next(v for row in act for v in row if not 0 <= v < ng)
+            raise InvalidActionError(f"action image {v} is not a carrier point")
         e = self.group.identity()
-        if e is None or self.act[e] != tuple(range(ng)):
+        if e is None or act[e] != tuple(range(ng)):
             raise InvalidActionError("group identity must act as the identity map")
         for h1 in range(nh):
             for h2 in range(nh):
-                composed = tuple(self.act[h1][self.act[h2][x]] for x in range(ng))
-                if composed != self.act[self.group.product[h1][h2]]:
+                if tuple(map(act[h1].__getitem__, act[h2])) != act[self.group.product[h1][h2]]:
                     raise InvalidActionError(
                         f"action is not a homomorphism at pair "
                         f"({self.group.labels[h1]}, {self.group.labels[h2]})"
@@ -278,6 +272,12 @@ def _require_subgroup(g: CayleyTable, members: Iterable[PointRef]) -> list[int]:
     return idx
 
 
+def _left_coset(h: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """Row x of a table -> the tuple of x.t, t in h, at C speed (`itemgetter`
+    gives the entry itself, not a 1-tuple, for one index)."""
+    return itemgetter(*h) if len(h) > 1 else lambda row: (row[h[0]],)
+
+
 def _classes(n: int, class_of: Callable[[int], frozenset[int]]) -> list[frozenset[int]]:
     """The distinct classes class_of(x), x = 0..n-1, in first-seen order."""
     return list(dict.fromkeys(class_of(x) for x in range(n)))
@@ -310,12 +310,18 @@ def _quotient(
     space = PointSpace(tuple(label(c) for c in classes))
     reps = [min(c) for c in classes]
 
+    # one support object per count vector: the checks and the renderer meet each once
+    shared: dict[tuple[int, ...], Support] = {}
+
     def entry(a: int, b: int) -> Support:
         counts = [0] * k
         for z in samples(reps[a], reps[b]):
             counts[cls[z]] += 1
-        total = sum(counts)
-        return tuple((i, Fraction(c, total)) for i, c in enumerate(counts) if c)
+        key = tuple(counts)
+        if key not in shared:
+            total = sum(counts)
+            shared[key] = tuple((i, Fraction(c, total)) for i, c in enumerate(counts) if c)
+        return shared[key]
 
     table = ConvolutionTable(space, tuple(tuple(entry(a, b) for b in range(k)) for a in range(k)))
     s = Semihypergroup(space=space, table=table, name=name)
@@ -338,8 +344,8 @@ def coset_space(
     "<rep>H" by their earliest-listed member.
     """
     h = _require_subgroup(g, subgroup)
-    p = g.product
-    classes = _classes(g.n, lambda x: frozenset(p[x][t] for t in h))
+    p, coset = g.product, _left_coset(h)
+    classes = _classes(g.n, lambda x: frozenset(coset(p[x])))
     return _quotient(
         g, classes, lambda c: f"{g.labels[min(c)]}H",
         lambda x, y: [p[p[x][t]][y] for t in h], name or "coset-space",
@@ -356,8 +362,8 @@ def double_coset_space(
     order and labeled "H<rep>H" by their earliest-listed member.
     """
     h = _require_subgroup(g, subgroup)
-    p = g.product
-    classes = _classes(g.n, lambda x: frozenset(p[p[s][x]][t] for s in h for t in h))
+    p, coset = g.product, _left_coset(h)  # HxH is the union of the cosets uH, u in Hx
+    classes = _classes(g.n, lambda x: frozenset(chain.from_iterable(coset(p[p[s][x]]) for s in h)))
     return _quotient(
         g, classes, lambda c: f"H{g.labels[min(c)]}H",
         lambda x, y: [p[p[x][t]][y] for t in h], name or "double-coset-space",

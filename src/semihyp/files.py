@@ -18,7 +18,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Optional
@@ -270,11 +270,11 @@ def _group_table(doc: Any) -> CayleyTable:
         raise FileFormatError(f"group label {bad[0][0]!r} contains {bad[0][1]!r}")
     if not isinstance(table, list) or any(not isinstance(row, list) for row in table):
         raise FileFormatError("table must be a list of index rows")
-    n = len(labels)
-    for row in table:
-        for v in row:
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                raise FileFormatError(f"table entry {v!r} is not a valid index")
+    if not set(map(type, chain.from_iterable(table))) <= {int}:  # CayleyTable checks the range
+        n = len(labels)
+        v = next(v for row in table for v in row
+                 if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n)
+        raise FileFormatError(f"table entry {v!r} is not a valid index")
     try:
         return CayleyTable(labels=tuple(labels), product=tuple(map(tuple, table)))
     except ValueError as exc:
@@ -289,10 +289,8 @@ def parse_group_action(text: str) -> GroupAction:
     act = doc["act"]
     if not isinstance(act, list) or any(not isinstance(row, list) for row in act):
         raise FileFormatError("act must be a list of rows, one per acting element")
-    for row in act:
-        for v in row:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise FileFormatError("act entries must be carrier point indices")
+    if not set(map(type, chain.from_iterable(act))) <= {int}:
+        raise FileFormatError("act entries must be carrier point indices")
     try:
         return GroupAction(group=acting, carrier=carrier, act=tuple(map(tuple, act)))
     except ValueError as exc:

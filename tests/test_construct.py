@@ -87,6 +87,11 @@ def test_cayley_witness_and_check_associativity_agree(table):
         assert report.witness["rhs"] == point_mass(cayley.space, table[x][table[y][z]]).weights
 
 
+def test_light_test_on_one_point():
+    # one index makes itemgetter return an entry, not a row: the scan decides
+    assert algebra.table_associativity_witness(((0,),), [0]) is None
+
+
 def test_order_120_light_test_keeps_the_first_witness():
     s5 = symmetric_group(5)
     assert s5.is_group()
@@ -402,10 +407,19 @@ def test_group_action_invariant_validation():
     z4 = cyclic_group(4)
     with pytest.raises(InvalidActionError):
         GroupAction(group=cyclic_group(2), carrier=z4, act=((1, 0, 2, 3), (0, 1, 2, 3)))
-    with pytest.raises(InvalidActionError):
+    with pytest.raises(InvalidActionError, match=r"^action is not a homomorphism at pair \(1, 1\)$"):
         GroupAction(
             group=cyclic_group(2), carrier=z4, act=(tuple(range(4)), (1, 2, 3, 0))
         )
+    # rotating Z3 by one step for both 1 and 2 fails at (1, 1), (1, 2), (2, 1)
+    # and (2, 2); the message names the first in (h1, h2) order
+    z3 = cyclic_group(3)
+    with pytest.raises(InvalidActionError, match=r"^action is not a homomorphism at pair \(1, 1\)$"):
+        GroupAction(group=z3, carrier=z3, act=((0, 1, 2), (1, 2, 0), (1, 2, 0)))
+    with pytest.raises(InvalidActionError, match=r"^action image 4 is not a carrier point$"):
+        GroupAction(group=cyclic_group(2), carrier=z4, act=((0, 1, 2, 3), (1, 4, -1, 0)))
+    with pytest.raises(InvalidActionError, match=r"^action image -1 is not a carrier point$"):
+        GroupAction(group=cyclic_group(2), carrier=z4, act=((0, 1, 2, 3), (1, -1, 4, 0)))
     with pytest.raises(InvalidActionError):
         GroupAction(
             group=left_zero_semigroup(2), carrier=z4, act=(tuple(range(4)),) * 2
@@ -439,7 +453,7 @@ def test_coset_spaces_of_s4_match_oracle():
     subgroups = oracle_subgroups(s4.product, s4.identity())
     assert len(subgroups) == 30
     rep = lambda c: s4.labels[min(c)]
-    for h in (h for h in subgroups if len(h) > 1):
+    for h in subgroups:
         members = [s4.labels[i] for i in h]
         _assert_matches_oracle(
             coset_space(s4, members), oracle_coset_space(s4.product, h),
@@ -449,6 +463,17 @@ def test_coset_spaces_of_s4_match_oracle():
             double_coset_space(s4, members), oracle_double_coset_space(s4.product, h),
             lambda c: f"H{rep(c)}H",
         )
+
+
+def test_quotient_tables_hold_one_support_per_distinct_entry():
+    s4 = symmetric_group(4)
+    stabiliser = [x for x in s4.labels if "4" not in x]  # S3, fixing the point 4
+    quotients = [coset_space(s4, ["e", "(12)"]), coset_space(s4, stabiliser),
+                 double_coset_space(s4, ["e", "(12)"]), double_coset_space(s4, stabiliser),
+                 orbit_space(inversion_action(cyclic_group(12)))]
+    for shg in quotients:
+        entries = [e for row in shg.table.supports for e in row]
+        assert len({id(e) for e in entries}) == len(set(entries)) < len(entries), shg.name
 
 
 @pytest.mark.parametrize("n", range(1, 13))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -431,6 +432,23 @@ def test_parse_group_errors():
         parse_group(json.dumps({"labels": ["a", "b"], "table": [[0, 0]]}))
     table = parse_group(json.dumps({"labels": ["a", "b"], "table": [[0, 1], [1, 0]]}))
     assert table.is_group()
+
+
+@pytest.mark.parametrize("table, bad", [
+    ([[0, 1], [1, True]], "True"),
+    ([[True, 1], [1, 0]], "True"),
+    ([[0, 1], [1.0, 1]], "1.0"),
+    ([[0, 1], [1, 1.0]], "1.0"),
+    ([[0, 1], [-1, 0]], "-1"),
+    ([[0, 2], [1, 0]], "2"),
+    ([[0, 2], [True, 0]], "2"),  # the first bad entry in row order
+    ([[0, 1.0], [-1, 0]], "1.0"),
+])
+def test_parse_group_names_the_first_bad_entry(table, bad):
+    # True and 1.0 hash equal to 1: each must be named, also next to a 1
+    text = json.dumps({"labels": ["a", "b"], "table": table})
+    with pytest.raises(FileFormatError, match=rf"^table entry {re.escape(bad)} is not a valid index$"):
+        parse_group(text)
 
 
 def test_parse_group_action_errors():
