@@ -10,6 +10,7 @@ from .algebra import (
     CheckReport,
     ConvolutionTable,
     DimensionMismatch,
+    Mean,
     Measure,
     PointSpace,
     PreconditionError,
@@ -54,7 +55,6 @@ from .functions import (
 )
 from .linprog import LPProblem, LPSolution, solve_linear_system, solve_lp_feasibility
 from .amenability import (
-    Mean,
     find_left_invariant_mean,
     is_left_amenable,
     left_invariance_problem,

@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .algebra import (
     CheckReport,
+    Mean,
     PointRef,
     PreconditionError,
     RationalLike,
@@ -35,7 +36,6 @@ from .algebra import (
     require_associative,
     translation_transpose,
 )
-from .amenability import Mean
 from .functions import PointFunction
 from .linprog import (LPProblem, LPSolution, pad_certificate, solve_linear_system,
                       solve_lp_feasibility)

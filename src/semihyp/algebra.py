@@ -17,7 +17,10 @@ from functools import cached_property
 from itertools import product
 from math import gcd, lcm
 from operator import itemgetter, ne
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, Union
+
+if TYPE_CHECKING:
+    from .functions import PointFunction  # which imports this module
 
 RationalLike = Union[Fraction, int, str]
 PointRef = Union[int, str]
@@ -136,6 +139,25 @@ class Measure:
 
     def __rmul__(self, factor: RationalLike) -> "Measure":
         return self.scale(factor)
+
+
+@dataclass(frozen=True)
+class Mean(Measure):
+    """Probability vector acting on functions as m(f) = sum_y m(y) f(y)."""
+
+    def __post_init__(self) -> None:
+        if len(self.weights) != self.space.n:
+            raise ValueError("mean has the wrong number of weights")
+        super().__post_init__()
+        if any(w < 0 for w in self.weights):
+            raise ValueError("mean weights must be nonnegative")
+        if self.total() != 1:
+            raise ValueError("mean weights must sum to 1")
+
+    def __call__(self, f: PointFunction) -> Fraction:
+        if f.space != self.space:
+            raise DimensionMismatch("mean and function live on different point spaces")
+        return sum((w * v for w, v in zip(self.weights, f.values)), Fraction(0))
 
 
 def point_mass(space: PointSpace, point: PointRef) -> Measure:

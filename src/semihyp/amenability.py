@@ -11,13 +11,14 @@ certificate when none does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from .actions import Simplex, fixed_point_problem
 from .algebra import (
     CheckReport,
     DimensionMismatch,
+    Mean,
     Measure,
     PointSpace,
     Semihypergroup,
@@ -27,30 +28,7 @@ from .algebra import (
     require_associative,
     translation_transpose,
 )
-from .functions import PointFunction
 from .linprog import LPProblem, LPSolution, pad_certificate, solve_lp_feasibility
-
-
-@dataclass(frozen=True)
-class Mean:
-    """Probability vector acting on functions as m(f) = sum_y m(y) f(y)."""
-
-    space: PointSpace
-    weights: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(as_fraction(w) for w in self.weights))
-        if len(self.weights) != self.space.n:
-            raise ValueError("mean has the wrong number of weights")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("mean weights must be nonnegative")
-        if sum(self.weights, Fraction(0)) != 1:
-            raise ValueError("mean weights must sum to 1")
-
-    def __call__(self, f: PointFunction) -> Fraction:
-        if f.space != self.space:
-            raise DimensionMismatch("mean and function live on different point spaces")
-        return sum((w * v for w, v in zip(self.weights, f.values)), Fraction(0))
 
 
 def uniform_mean(space: PointSpace) -> Mean:
@@ -67,7 +45,6 @@ def left_invariance_problem(shg: Semihypergroup) -> LPProblem:
     `_row_reduce` keeps the rows it would keep on all n^2+1.  Right invariant
     means are the feasible points of this problem on `algebra.opposite(shg)`.
     """
-    from .actions import Simplex, fixed_point_problem  # actions imports Mean from here
     require_associative(shg)
     zeros = (Fraction(0),) * shg.n
     return fixed_point_problem(Simplex(shg.n), (
@@ -103,11 +80,11 @@ def is_left_amenable(shg: Semihypergroup) -> bool:
     return find_left_invariant_mean(shg) is not None
 
 
-MeanLike = Union[Mean, Measure, Sequence[Fraction]]
+MeanLike = Union[Measure, Sequence[Fraction]]
 
 
 def _mean_weights(m: MeanLike, space: PointSpace) -> tuple[Fraction, ...]:
-    if isinstance(m, (Mean, Measure)):
+    if isinstance(m, Measure):  # a Mean too
         if m.space != space:
             raise ValueError("mean lives on a different point space")
         return m.weights

@@ -3,12 +3,11 @@
 Sources: semigroup/group multiplication tables, the parametrized 3-point
 family, left coset spaces and double coset spaces of a finite group modulo a
 subgroup, and orbit spaces of a finite group action.  Every factory refuses
-to hand back an unverified structure.  `from_semigroup` checks associativity
-on the integer table, which for point masses is the same fact; the other
-factories run the exact probability and associativity checks on the
-convolution table before returning.  A quotient entry is computed from one
-pair of representatives: the group, subgroup and action-homomorphism checks
-that precede it make every other pair give the same entry (`_quotient`).
+to hand back an unverified structure: its verdict is the exact probability
+and associativity checks of the structure it returns, and every rejection is
+a `ConstraintViolation`.  A quotient entry is computed from one pair of
+representatives: the group, subgroup and action-homomorphism checks that
+precede it make every other pair give the same entry (`_quotient`).
 """
 
 from __future__ import annotations
@@ -45,17 +44,19 @@ class ConstraintViolation(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-class NotAssociativeError(ValueError):
-    """A constructed table failed the exact associativity check."""
+class NotAssociativeError(ConstraintViolation):
+    """A constructed table failed the exact associativity check; it breaks
+    no listed constraint, so `violations` is empty."""
 
     def __init__(self, report: CheckReport):
-        self.report = report
+        self.violations, self.report = (), report
         w = report.witness or {}
-        super().__init__(f"associativity fails at triple {w.get('triple')}")
+        ValueError.__init__(self, f"associativity fails at triple {w.get('triple')}")
 
 
-class NotASubgroupError(ValueError):
-    pass
+class NotASubgroupError(ConstraintViolation):
+    def __init__(self, message: str):
+        super().__init__([message])
 
 
 class InvalidActionError(ValueError):
@@ -179,21 +180,20 @@ class GroupAction:
 def from_semigroup(table: CayleyTable, name: Optional[str] = None) -> Semihypergroup:
     """Semihypergroup with point-mass convolution p_x * p_y = p_{x.y}.
 
-    Only the integer table is checked for associativity: point masses are
-    probability measures, and the convolution of point masses is associative
-    exactly when the table is, so the result caches that passing report.
+    The convolution table is handed the integer table as its `point_table`,
+    so `check_associativity` runs Light's test on the integer table itself:
+    (p_x*p_y)*p_z = p_{(xy)z}, and the first failing triple is the table's.
     """
-    witness = table.associativity_witness()
-    if witness is not None:
-        x, y, z = (table.labels[i] for i in witness)
-        raise ConstraintViolation([f"input table is not associative at ({x}, {y}, {z})"])
     space = table.space
     masses = [((z, Fraction(1)),) for z in range(table.n)]
     conv = ConvolutionTable(
         space, tuple(tuple(masses[z] for z in row) for row in table.product)
     )
+    vars(conv)["point_table"] = table.product  # passed on: deriving it rescans every support
     shg = Semihypergroup(space=space, table=conv, name=name or "semigroup")
-    vars(shg)["associativity_report"] = CheckReport(check="associativity", passed=True)
+    if not shg.is_associative:
+        x, y, z = shg.associativity_report.witness["triple"]
+        raise ConstraintViolation([f"input table is not associative at ({x}, {y}, {z})"])
     return shg
 
 
@@ -253,12 +253,9 @@ def triple_hypergroup(
         (b, ab, Measure(space, (y1, y2, y3))),
     ))
     s = Semihypergroup(space=space, table=table, name=name or "triple")
-    assoc = s.associativity_report
-    if violations or not assoc.passed:
-        if violations:
-            raise ConstraintViolation(violations, report=assoc)
-        raise NotAssociativeError(assoc)
-    return s
+    if violations:
+        raise ConstraintViolation(violations, report=s.associativity_report)
+    return _verified(s)
 
 
 def _require_subgroup(g: CayleyTable, members: Iterable[PointRef]) -> list[int]:
@@ -324,13 +321,17 @@ def _quotient(
         return shared[key]
 
     table = ConvolutionTable(space, tuple(tuple(entry(a, b) for b in range(k)) for a in range(k)))
-    s = Semihypergroup(space=space, table=table, name=name)
+    return _verified(Semihypergroup(space=space, table=table, name=name))
+
+
+def _verified(s: Semihypergroup) -> Semihypergroup:
+    """s itself, once it passes `check_probability` and then
+    `check_associativity`; the first failure is raised with its report."""
     prob = s.probability_report
     if not prob.passed:
         raise ConstraintViolation([prob.detail], report=prob)
-    assoc = s.associativity_report
-    if not assoc.passed:
-        raise NotAssociativeError(assoc)
+    if not s.is_associative:
+        raise NotAssociativeError(s.associativity_report)
     return s
 
 

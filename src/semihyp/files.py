@@ -32,7 +32,7 @@ class FileFormatError(ValueError):
     """Input document is malformed or internally inconsistent."""
 
 
-_RATIONAL = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")  # for fullmatch: "$" lets a final "\n" in
 
 
 def parse_rational(value: Any) -> Fraction:
@@ -40,7 +40,7 @@ def parse_rational(value: Any) -> Fraction:
         raise FileFormatError(f"not a rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str) and _RATIONAL.match(value):
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
         try:
             return Fraction(value)
         except ValueError:  # past the interpreter's int-string digit limit

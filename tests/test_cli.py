@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semihyp.cli as cli
+from semihyp import algebra
+from semihyp.algebra import CheckReport
 from semihyp.amenability import Mean
 from semihyp.construct import from_semigroup, left_zero_semigroup
 from semihyp.files import canonical_structure_json
@@ -512,6 +514,50 @@ def test_overlong_triple_parameter_exit_2(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == "error: rational too long: 5002 characters\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("param", ["1/4\n", "\u0661"], ids=["final-newline", "arabic-indic-digit"])
+def test_triple_parameter_outside_the_p_q_form_exit_2(param, tmp_path, capsys):
+    out = tmp_path / "t.json"
+    params = [param, "1/4", "1/2", "1/4", "1/2", "1/4", "1/2", "1/2"]
+    code = cli.main(["construct", "triple", *params, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: not a rational: {param!r} (use 'p/q' or an integer)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if c.argv[0] == "construct" and c.writes],
+                         ids=lambda c: c.argv[1])
+def test_construct_reports_the_check_of_the_written_file(case, tmp_path, monkeypatch, capsys):
+    # a factory's verdict is read from the structure's own checks, which
+    # `check` runs again on the file
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(FIXTURES, tmp_path / "fixtures")
+    assert cli.main([*case.argv, "--json"]) == 0
+    built = json.loads(capsys.readouterr().out)
+    assert cli.main(["check", case.writes, "--json"]) == 0
+    checked = json.loads(capsys.readouterr().out)
+    keys = ("structure", "points", "checks", "identity", "commutative", "verdict")
+    assert {k: built[k] for k in keys} == {k: checked[k] for k in keys}
+
+
+def test_a_quotient_probability_failure_is_reported_under_probability(
+    tmp_path, monkeypatch, capsys
+):
+    # the subgroup checks make every quotient entry a probability measure,
+    # so the failure is forced
+    failed = CheckReport("probability", False, detail="entry (eH, eH) has total 2")
+    monkeypatch.setattr(algebra, "check_probability", lambda shg: failed)
+    out = tmp_path / "out.json"
+    code = cli.main(["construct", "coset", "--group", str(FIXTURES / "s3.json"),
+                     "--subgroup", "e,(12)", "--out", str(out), "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1 and not out.exists()
+    assert report["violations"] == [failed.detail]
+    assert report["probability"] == {"passed": False, "detail": failed.detail}
+    assert "associativity" not in report and report["verdict"] == "rejected"
 
 
 DEEP = "[" * 100000  # past the interpreter's recursion limit for json.loads

@@ -306,6 +306,19 @@ def test_coset_space_rejects_non_subgroup(s3_group):
         coset_space(left_zero_semigroup(3), ["a"])
 
 
+def test_every_rejection_is_a_constraint_violation(s3_group):
+    # one exception type for the one outcome, each subclass keeping its text
+    with pytest.raises(ConstraintViolation) as err:
+        triple_hypergroup("1/4", "1/4", "1/2", "1/4", "1/4", "1/2", "1/2", "1/2")
+    assert type(err.value) is NotAssociativeError and err.value.violations == ()
+    assert str(err.value) == "associativity fails at triple ('a', 'a', 'b')"
+    with pytest.raises(ConstraintViolation) as err:
+        coset_space(s3_group, ["e", "(123)"])
+    assert type(err.value) is NotASubgroupError and err.value.report is None
+    assert str(err.value) == "{e, (123)} is not a subgroup"
+    assert err.value.violations == (str(err.value),)
+
+
 # ---------------------------------------------------------------------------
 # double coset spaces
 
@@ -514,15 +527,16 @@ def test_orbit_space_of_a_non_automorphism_reports_the_oracle_witness(action):
 
 
 def test_from_semigroup_checks_the_integer_table_only(s3_group, monkeypatch):
-    # the integer table's pass is cached as the convolution's report, so the
-    # measure table is never scanned
-    def scan(shg):
-        raise AssertionError("check_associativity ran on the measure table")
+    # the factory hands its integer table over as the convolution table's
+    # `point_table`, so the checks never derive it from the supports
+    def derive(table):
+        raise AssertionError("point_table derived from the supports")
 
-    monkeypatch.setattr(algebra, "check_associativity", scan)
+    monkeypatch.setattr(ConvolutionTable.point_table, "func", derive)
     shg = from_semigroup(s3_group)
-    assert vars(shg)["associativity_report"] == CheckReport("associativity", True)
-    assert shg.associativity_report.passed
+    assert shg.table.point_table == s3_group.product
+    assert shg.associativity_report == CheckReport("associativity", True)
+    assert shg.probability_report == CheckReport("probability", True)
 
 
 @pytest.mark.parametrize(

@@ -50,6 +50,7 @@ from semihyp.files import (
     parse_affine_action,
     parse_group,
     parse_group_action,
+    parse_rational,
 )
 from semihyp.functions import PointFunction, TranslationMatrix
 
@@ -129,6 +130,14 @@ REJECTED = [
      lambda: parse_group_action(
          f'{{"acting": {TRIVIAL_GROUP}, "carrier": {TRIVIAL_GROUP}, "act": [["0"]]}}'),
      FileFormatError, "act entries must be carrier point indices"),
+    ("rational-final-newline", lambda: parse_rational("1/4\n"), FileFormatError,
+     "not a rational: '1/4\\n'"),
+    ("rational-non-ascii-digit", lambda: parse_rational("\u0661"), FileFormatError,
+     "not a rational: '\u0661'"),
+    ("hull-points",
+     lambda: parse_affine_action(
+         '{"dimension": 1, "carrier": {"hull": [["0"], "1"]}, "maps": {}}', Z2),
+     FileFormatError, "hull must be a list of points"),
     ("affine-action-maps",
      lambda: parse_affine_action('{"dimension": 1, "carrier": "simplex", "maps": []}', Z2),
      FileFormatError, "maps must be an object keyed by point label"),
