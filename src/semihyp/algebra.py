@@ -448,22 +448,19 @@ def generating_points(s: Semihypergroup) -> list[int]:
     the span under products with the chosen points on both sides, until it
     is R^n.  The span starts at the identity, which lies in every middle
     nucleus and is never a generator.  Point-mass tables run
-    `table_generators` on their `point_table`; others keep an echelon basis
-    of primitive int rows over `scaled`, as scaling keeps every span.
+    `table_generators` on their `point_table`; others feed int rows over
+    `scaled` (scaling keeps every span) to `_row_reduce` one at a time.
+    The greedy asks only whether a row lies in the span, so the basis that
+    represents it does not change the result.
     """
     if s.table.point_table is not None:
         return table_generators(s.table.point_table, s.identity)
-    ints, basis = s.table.scaled[1], {}  # basis: pivot column -> primitive row
+    ints, kept = s.table.scaled[1], {}  # the reduced span: pivot column -> row
 
     def insert(v: dict[int, int]) -> Optional[dict[int, int]]:
-        while v:
-            k = min(v)
-            if k not in basis:
-                g = gcd(*v.values())
-                basis[k] = v = {j: w // g for j, w in v.items()}
-                return v
-            v = _combine(((v.items(), basis[k][k]), (basis[k].items(), -v[k])))
-        return None
+        rank = len(kept)
+        _row_reduce((v,), s.n, kept)
+        return next(reversed(kept.values())) if len(kept) > rank else None
 
     def times(u: dict[int, int], v: dict[int, int]) -> dict[int, int]:
         return _combine((ints[x][y], a * b) for x, a in u.items() for y, b in v.items())
@@ -537,6 +534,55 @@ def _combine(terms: Iterable[tuple[Support, Fraction]]) -> dict[int, Fraction]:
         if not out[k]:
             del out[k]
     return out
+
+
+def _primitive(v: dict[int, int], c: int) -> dict[int, int]:
+    """v over the gcd of its entries, signed so that v[c] > 0; v if v[c] is 1."""
+    g = 1 if v[c] == 1 else gcd(*v.values()) * (1 if v[c] > 0 else -1)
+    return v if g == 1 else {j: a // g for j, a in v.items()}
+
+
+def _row_reduce(
+    rows: Iterable[dict[int, Fraction | int]], n: int, kept: Optional[dict] = None
+) -> tuple[dict[int, dict[int, int]], Optional[dict[int, Fraction]]]:
+    """Incremental reduced echelon form of sparse rows {column: value}.
+
+    Columns below n are variables and pivot; every column from n on rides
+    along, so a row [A | b | I] (b at column n, identity at n+1...) keeps its
+    combination of input rows in the identity block.  Rows reduce on
+    integers: a row is scaled by the lcm of its denominators, then in one
+    pass by L, the lcm of the pivots it meets, less integer multiples of
+    those kept rows.  Kept rows are primitive, with a positive pivot and 0
+    at the other pivot columns, so kept row / pivot is the unique rational
+    reduced echelon form, with or without the block.  Returns the kept rows
+    by pivot column, in the order kept, and None; or, when a row reduces to
+    0 = r != 0, the rows kept so far and that row as `Fraction`s, divided by
+    its last entry and signed so that r > 0.  With the block, that entry is
+    the row's own identity entry (kept rows combine only earlier rows), and
+    its block is a certificate.  A given `kept`, the reduction of earlier
+    rows, is extended in place, so rows may be fed in one at a time.
+    """
+    kept = {} if kept is None else kept
+    for v in rows:
+        d = lcm(*(a.denominator for a in v.values()))
+        v = {j: a.numerator * (d // a.denominator) for j, a in v.items()}
+        met = [(kept[c], c, a) for c, a in v.items() if c in kept]
+        if met:
+            scale = lcm(*(u[c] for u, c, _ in met))
+            v = _combine([(v.items(), scale),
+                          *((u.items(), -a * (scale // u[c])) for u, c, a in met)])
+        pc = min((j for j in v if j < n), default=None)
+        if pc is None:
+            if v.get(n):
+                last = abs(v[max(v)])
+                return kept, {j: Fraction(a, last if v[n] > 0 else -last) for j, a in v.items()}
+            continue  # redundant row
+        v = _primitive(v, pc)
+        for c, row in kept.items():
+            if pc in row:
+                kept[c] = _primitive(_combine(((row.items(), v[pc]), (v.items(), -row[pc]))), c)
+        kept[pc] = v
+    return kept, None
 
 
 def find_identity(s: Semihypergroup) -> Optional[int]:

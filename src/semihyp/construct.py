@@ -72,15 +72,16 @@ class CayleyTable:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
-        object.__setattr__(self, "product", tuple(tuple(map(int, row)) for row in self.product))
+        object.__setattr__(self, "product", tuple(map(tuple, self.product)))
         n = len(self.labels)
         if len(set(self.labels)) != n or n == 0:
             raise ValueError("labels must be nonempty and pairwise distinct")
         if len(self.product) != n or any(len(row) != n for row in self.product):
             raise ValueError("product table must be n-by-n")
-        if not 0 <= min(map(min, self.product)) <= max(map(max, self.product)) < n:
-            v = next(v for row in self.product for v in row if not 0 <= v < n)
-            raise ValueError(f"table entry {v} is not a valid index")
+        if not (set(map(type, chain.from_iterable(self.product))) <= {int}
+                and 0 <= min(map(min, self.product)) <= max(map(max, self.product)) < n):
+            v = next(v for row in self.product for v in row if type(v) is not int or not 0 <= v < n)
+            raise ValueError(f"table entry {v!r} is not a valid index")
 
     @property
     def n(self) -> int:
@@ -151,16 +152,17 @@ class GroupAction:
     act: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "act", tuple(tuple(map(int, row)) for row in self.act))
+        object.__setattr__(self, "act", tuple(map(tuple, self.act)))
         for role, table in (("acting", self.group), ("carrier", self.carrier)):
             if not table.is_group():
                 raise InvalidActionError(f"{role} table is not a group")
         nh, ng, act = self.group.n, self.carrier.n, self.act
         if len(act) != nh or any(len(row) != ng for row in act):
             raise InvalidActionError("action table must be |H|-by-|G|")
-        if not 0 <= min(map(min, act)) <= max(map(max, act)) < ng:
-            v = next(v for row in act for v in row if not 0 <= v < ng)
-            raise InvalidActionError(f"action image {v} is not a carrier point")
+        if not (set(map(type, chain.from_iterable(act))) <= {int}
+                and 0 <= min(map(min, act)) <= max(map(max, act)) < ng):
+            v = next(v for row in act for v in row if type(v) is not int or not 0 <= v < ng)
+            raise InvalidActionError(f"action image {v!r} is not a carrier point")
         e = self.group.identity()
         if e is None or act[e] != tuple(range(ng)):
             raise InvalidActionError("group identity must act as the identity map")
@@ -238,12 +240,6 @@ def triple_hypergroup(
     y1, y2, y3 = as_fraction(y1), as_fraction(y2), as_fraction(y3)
     z1, z2 = as_fraction(z1), as_fraction(z2)
     violations = triple_constraint_violations(x1, x2, x3, y1, y2, y3, z1, z2)
-    structural = [v for v in violations if "y1*x3" not in v]
-    if structural:
-        # without the sum/sign constraints the rows are not even probability
-        # measures, so there is no table to check
-        raise ConstraintViolation(violations)
-
     space = PointSpace(("e", "a", "b"))
     e, a, b = (point_mass(space, i) for i in range(3))
     ab = Measure(space, (Fraction(0), z1, z2))
@@ -254,7 +250,8 @@ def triple_hypergroup(
     ))
     s = Semihypergroup(space=space, table=table, name=name or "triple")
     if violations:
-        raise ConstraintViolation(violations, report=s.associativity_report)
+        report = s.associativity_report if s.probability_report.passed else None
+        raise ConstraintViolation(violations, report=report)
     return _verified(s)
 
 

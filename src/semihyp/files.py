@@ -103,7 +103,7 @@ def _read_canonical(text: str) -> Optional[Semihypergroup]:
         name, labels = scanstring(name, 1)[0], [scanstring(p, 5)[0] for p in points.split(",\n")]
         if not (name and text.startswith(_HEAD)) or any("|" in label for label in labels):
             return None
-        space, fractions, lists = PointSpace(tuple(labels)), {}, {"[]": ()}
+        space, rational, lists = PointSpace(tuple(labels)), _rational_memo(), {"[]": ()}
         quoted, rows = [encode_basestring_ascii(label) for label in labels], [()] * space.n
         index = {q: z for z, q in enumerate(quoted)}
         # entry (x, y) is '"x|y": LIST' less its first '"': LIST starts at len(qx) + len(qy)
@@ -115,8 +115,7 @@ def _read_canonical(text: str) -> Optional[Semihypergroup]:
                 support = []
                 for item in items[27:-15].split(_ITEM):
                     q, _, w = item.partition(_WEIGHT)
-                    support.append((index[q], fractions[w] if w in fractions
-                                    else fractions.setdefault(w, parse_rational(w))))
+                    support.append((index[q], rational(w)))
                 lists[items] = tuple(support)
             rows[x] = tuple(map(lists.__getitem__, row))
         del entry  # and so the pieces, before the render needs as much again
@@ -270,12 +269,7 @@ def _group_table(doc: Any) -> CayleyTable:
         raise FileFormatError(f"group label {bad[0][0]!r} contains {bad[0][1]!r}")
     if not isinstance(table, list) or any(not isinstance(row, list) for row in table):
         raise FileFormatError("table must be a list of index rows")
-    if not set(map(type, chain.from_iterable(table))) <= {int}:  # CayleyTable checks the range
-        n = len(labels)
-        v = next(v for row in table for v in row
-                 if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n)
-        raise FileFormatError(f"table entry {v!r} is not a valid index")
-    try:
+    try:  # CayleyTable checks the shape, then that every entry is an int index
         return CayleyTable(labels=tuple(labels), product=tuple(map(tuple, table)))
     except ValueError as exc:
         raise FileFormatError(str(exc)) from None

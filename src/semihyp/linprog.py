@@ -2,9 +2,10 @@
 
 The kernel decides feasibility of {A x = b, x_j >= 0 for flagged j} exactly.
 Each row of A is a `Support` of its nonzero `Fraction`s from the builders on;
-`LPProblem.from_dense` is the one dense entry point.  One sparse elimination,
-`_row_reduce`, brings rows to reduced echelon form on integers: each row is
-scaled by the lcm of its denominators, and each kept row is primitive with a
+`LPProblem.from_dense` is the one dense entry point.  The package's one
+sparse elimination, `algebra._row_reduce`, which the generator search also
+feeds, brings rows to reduced echelon form on integers: each row is scaled
+by the lcm of its denominators, and each kept row is primitive with a
 positive pivot.  The LP reduces [A | b | I]: the identity block never pivots,
 so each kept row carries its combination of the input rows, and a
 certificate is read off those columns.  A row that reduces to 0 = r != 0,
@@ -23,10 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from math import lcm
+from typing import Optional, Sequence
 
-from .algebra import RationalLike, Support, _combine, as_fraction
+from .algebra import RationalLike, Support, _combine, _row_reduce, as_fraction
 
 Row = tuple[Fraction, ...]
 
@@ -137,54 +138,6 @@ def _augmented(problem: LPProblem) -> list[dict[int, Fraction]]:
     """Rows of [A | b] as {column: value} over their nonzeros, b at column n."""
     n = problem.n_vars
     return [{**dict(row), n: b} if b else dict(row) for row, b in zip(problem.rows, problem.rhs)]
-
-
-def _primitive(v: dict[int, int], c: int) -> dict[int, int]:
-    """v over the gcd of its entries, signed so that v[c] > 0; v if v[c] is 1."""
-    g = 1 if v[c] == 1 else gcd(*v.values()) * (1 if v[c] > 0 else -1)
-    return v if g == 1 else {j: a // g for j, a in v.items()}
-
-
-def _row_reduce(
-    rows: Iterable[dict[int, Fraction | int]], n: int
-) -> tuple[dict[int, dict[int, int]], Optional[dict[int, Fraction]]]:
-    """Incremental reduced echelon form of sparse rows {column: value}.
-
-    Columns below n are variables and pivot; every column from n on rides
-    along, so a row [A | b | I] (b at column n, identity at n+1...) keeps its
-    combination of input rows in the identity block.  Rows reduce on
-    integers: a row is scaled by the lcm of its denominators, then in one
-    pass by L, the lcm of the pivots it meets, less integer multiples of
-    those kept rows.  Kept rows are primitive, with a positive pivot and 0
-    at the other pivot columns, so kept row / pivot is the unique rational
-    reduced echelon form, with or without the block.  Returns the kept rows
-    by pivot column, in the order kept, and None; or, when a row reduces to
-    0 = r != 0, the rows kept so far and that row as `Fraction`s, divided by
-    its last entry and signed so that r > 0.  With the block, that entry is
-    the row's own identity entry (kept rows combine only earlier rows), and
-    its block is a certificate.
-    """
-    kept: dict[int, dict[int, int]] = {}
-    for v in rows:
-        d = lcm(*(a.denominator for a in v.values()))
-        v = {j: a.numerator * (d // a.denominator) for j, a in v.items()}
-        met = [(kept[c], c, a) for c, a in v.items() if c in kept]
-        if met:
-            scale = lcm(*(u[c] for u, c, _ in met))
-            v = _combine([(v.items(), scale),
-                          *((u.items(), -a * (scale // u[c])) for u, c, a in met)])
-        pc = min((j for j in v if j < n), default=None)
-        if pc is None:
-            if v.get(n):
-                last = abs(v[max(v)])
-                return kept, {j: Fraction(a, last if v[n] > 0 else -last) for j, a in v.items()}
-            continue  # redundant row
-        v = _primitive(v, pc)
-        for c, row in kept.items():
-            if pc in row:
-                kept[c] = _primitive(_combine(((row.items(), v[pc]), (v.items(), -row[pc]))), c)
-        kept[pc] = v
-    return kept, None
 
 
 def solve_lp_feasibility(problem: LPProblem) -> LPSolution:

@@ -370,7 +370,7 @@ def _oracle_combine(terms):
 
 
 def oracle_row_reduce(rows, n: int):
-    """The `Fraction` elimination that `linprog._row_reduce` replaced:
+    """The `Fraction` elimination that `algebra._row_reduce` replaced:
     (kept, contradiction) for sparse rows {column: Fraction}.
 
     Each row is reduced against every kept row at once, scaled to 1 at its

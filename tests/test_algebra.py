@@ -341,6 +341,23 @@ def test_generating_points_of_quotients(corpus):
             assert generating_points(shg) == oracle_generating_points(table, n)
 
 
+@pytest.mark.parametrize("quotient, subgroup, built, read_back", [
+    (coset_space, ["e", "(12)"], [0, 1, 2, 6, 12, 18], [0, 2, 6, 12, 36]),
+    (coset_space, ["e", "(123)", "(132)"], [0, 1, 2, 4, 8, 10, 16], [0, 1, 2, 4, 16, 18]),
+    (double_coset_space, ["e", "(12)"], [1, 2, 6], [0, 1, 2, 9]),
+    (double_coset_space, ["e", "(123)", "(132)"], [1, 2, 12], [0, 1, 2, 6]),
+])
+def test_generating_points_of_s5_quotients(quotient, subgroup, built, read_back):
+    # past the oracle's reach (it runs for minutes at these sizes): the lists
+    # that the forward echelon the search used before `_row_reduce` computed.
+    # The canonical file sorts the points, so it has its own greedy order
+    from semihyp.files import canonical_structure_json, parse_structure
+
+    shg = quotient(symmetric_group(5), subgroup)
+    assert generating_points(shg) == built
+    assert generating_points(parse_structure(canonical_structure_json(shg))) == read_back
+
+
 def test_left_zero_table_needs_every_point():
     for k in range(1, 7):
         lz = left_zero_semigroup(k)

@@ -114,6 +114,22 @@ REJECTED = [
     ("action-image",
      lambda: GroupAction(cyclic_group(2), cyclic_group(2), ((0, 1), (1, 2))),
      InvalidActionError, "action image 2 is not a carrier point"),
+    # entries are taken as given, never coerced: True and 1.0 equal 1, "1" converts to it
+    ("table-entry-float", lambda: CayleyTable(("a", "b"), ((0, 1.9), (True, 0))), ValueError,
+     "table entry 1.9 is not a valid index"),
+    ("table-entry-bool", lambda: CayleyTable(("a", "b"), ((0, 1), (True, 0))), ValueError,
+     "table entry True is not a valid index"),
+    ("table-entry-str", lambda: CayleyTable(("a", "b"), ((0, "1"), (1, 0))), ValueError,
+     "table entry '1' is not a valid index"),
+    ("action-image-float",
+     lambda: GroupAction(cyclic_group(2), cyclic_group(2), ((0, 1), (1, 0.0))),
+     InvalidActionError, "action image 0.0 is not a carrier point"),
+    ("action-image-bool",
+     lambda: GroupAction(cyclic_group(2), cyclic_group(2), ((0, True), (1, 0))),
+     InvalidActionError, "action image True is not a carrier point"),
+    ("action-image-str",
+     lambda: GroupAction(cyclic_group(2), cyclic_group(2), ((0, 1), ("1", 0))),
+     InvalidActionError, "action image '1' is not a carrier point"),
     ("triple-y-sum", lambda: triple_hypergroup(*X, "1/4", "1/2", "1/2", "1/2", "1/2"),
      ConstraintViolation, "y1+y2+y3 = 5/4 != 1"),
     ("triple-z-sum", lambda: triple_hypergroup(*X, "1/4", "1/2", "1/4", "1/2", "1/4"),

@@ -264,13 +264,9 @@ def test_identity_block_rides_along_the_reduction(data):
 WIDE_RATIONALS = st.builds(F, st.integers(-2**80, 2**80), st.integers(1, 10**12))
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_integer_reduction_matches_the_fraction_oracle(data):
-    # the same pivots in the same order, each kept row equal to the oracle's
-    # once divided by its pivot, and the same contradiction, whose identity
-    # block is the certificate; small and wide rationals, with and without
-    # the block, with dependent and contradictory rows
+def draw_reduction_rows(data) -> tuple[list[dict], int, bool]:
+    """Rows of [A | b], or of [A | b | I] when the flag is set, over n
+    variables: small or wide rationals, with dependent and contradictory rows."""
     values = data.draw(st.sampled_from([RATIONALS, WIDE_RATIONALS]))
     n = data.draw(st.integers(1, 5))
     rows = data.draw(st.lists(
@@ -287,6 +283,16 @@ def test_integer_reduction_matches_the_fraction_oracle(data):
     block = data.draw(st.booleans())
     if block:
         augmented = [{**row, n + 1 + i: F(1)} for i, row in enumerate(augmented)]
+    return augmented, n, block
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_integer_reduction_matches_the_fraction_oracle(data):
+    # the same pivots in the same order, each kept row equal to the oracle's
+    # once divided by its pivot, and the same contradiction, whose identity
+    # block is the certificate
+    augmented, n, block = draw_reduction_rows(data)
     kept, contradiction = _row_reduce([dict(row) for row in augmented], n)
     expected, expected_contradiction = oracle_row_reduce(augmented, n)
     assert list(kept) == list(expected)
@@ -296,6 +302,24 @@ def test_integer_reduction_matches_the_fraction_oracle(data):
     assert (contradiction is None) == (expected_contradiction is None)
     if block:
         assert contradiction == expected_contradiction
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_reduction_row_by_row_through_a_shared_kept(data):
+    # the generator search feeds one row per call into the same `kept`: that
+    # keeps the same rows in the same order and meets the same contradiction
+    # as one call on all the rows
+    augmented, n, _ = draw_reduction_rows(data)
+    kept, contradiction = _row_reduce([dict(row) for row in augmented], n)
+    shared, found = {}, None
+    for row in augmented:
+        reduced, found = _row_reduce([dict(row)], n, shared)
+        assert reduced is shared
+        if found is not None:
+            break
+    assert list(shared.items()) == list(kept.items())
+    assert found == contradiction
 
 
 @settings(max_examples=400, deadline=None)
@@ -413,3 +437,4 @@ def test_integer_certificate_check_rejects_bad_evidence(y, message):
     assert oracle_is_farkas(MIXED_ROWS, [F(2, 3), F(1, 7)], (F(3, 5), F(-7, 5)))
     with pytest.raises(AssertionError, match=message):
         _verify_certificate(p, y)
+
