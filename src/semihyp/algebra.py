@@ -51,8 +51,6 @@ def as_fraction(value: RationalLike) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """`str` of the Fraction, also past the interpreter's int-string digit limit."""
-    if not isinstance(value, Fraction):
-        value = Fraction(value)
     try:
         return str(value)
     except ValueError:
@@ -146,8 +144,6 @@ class Mean(Measure):
     """Probability vector acting on functions as m(f) = sum_y m(y) f(y)."""
 
     def __post_init__(self) -> None:
-        if len(self.weights) != self.space.n:
-            raise ValueError("mean has the wrong number of weights")
         super().__post_init__()
         if any(w < 0 for w in self.weights):
             raise ValueError("mean weights must be nonnegative")

@@ -17,13 +17,11 @@ from typing import Optional, Sequence, Union
 from .actions import Simplex, fixed_point_problem
 from .algebra import (
     CheckReport,
-    DimensionMismatch,
     Mean,
     Measure,
     PointSpace,
     Semihypergroup,
     _combine,
-    as_fraction,
     format_rational,
     require_associative,
     translation_transpose,
@@ -84,16 +82,10 @@ MeanLike = Union[Measure, Sequence[Fraction]]
 
 
 def _mean_weights(m: MeanLike, space: PointSpace) -> tuple[Fraction, ...]:
-    if isinstance(m, Measure):  # a Mean too
-        if m.space != space:
-            raise ValueError("mean lives on a different point space")
-        return m.weights
-    weights = tuple(as_fraction(v) for v in m)
-    if len(weights) != space.n:
-        raise DimensionMismatch(
-            f"candidate has {len(weights)} weights for a {space.n}-point space"
-        )
-    return weights
+    measure = m if isinstance(m, Measure) else Measure(space, tuple(m))
+    if measure.space != space:
+        raise ValueError("mean lives on a different point space")
+    return measure.weights
 
 
 def verify_left_invariant_mean(m: MeanLike, shg: Semihypergroup) -> CheckReport:

@@ -286,8 +286,7 @@ def cmd_fixpoint(args: argparse.Namespace) -> tuple[dict, int]:
         payload["fixed_point"] = _vector_text(point)
         payload["verdict"] = "fixed point found"
         return payload, EXIT_PASS
-    if solution.certificate is not None:
-        payload["certificate"] = _vector_text(solution.certificate)
+    payload["certificate"] = _vector_text(solution.certificate)
     payload["verdict"] = "no common fixed point"
     return payload, EXIT_FAIL
 

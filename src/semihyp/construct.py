@@ -73,9 +73,7 @@ class CayleyTable:
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
         object.__setattr__(self, "product", tuple(map(tuple, self.product)))
-        n = len(self.labels)
-        if len(set(self.labels)) != n or n == 0:
-            raise ValueError("labels must be nonempty and pairwise distinct")
+        n = self.space.n
         if len(self.product) != n or any(len(row) != n for row in self.product):
             raise ValueError("product table must be n-by-n")
         if not (set(map(type, chain.from_iterable(self.product))) <= {int}
@@ -163,8 +161,8 @@ class GroupAction:
                 and 0 <= min(map(min, act)) <= max(map(max, act)) < ng):
             v = next(v for row in act for v in row if type(v) is not int or not 0 <= v < ng)
             raise InvalidActionError(f"action image {v!r} is not a carrier point")
-        e = self.group.identity()
-        if e is None or act[e] != tuple(range(ng)):
+        e = self.group.identity()  # not None: is_group() above requires one
+        if act[e] != tuple(range(ng)):
             raise InvalidActionError("group identity must act as the identity map")
         for h1 in range(nh):
             for h2 in range(nh):
@@ -259,7 +257,7 @@ def _require_subgroup(g: CayleyTable, members: Iterable[PointRef]) -> list[int]:
     if not g.is_group():
         raise NotASubgroupError("ambient table is not a group")
     idx = sorted({g.index(p) for p in members})
-    if not idx or not g.is_subgroup(idx):
+    if not g.is_subgroup(idx):
         raise NotASubgroupError(
             f"{{{', '.join(g.labels[i] for i in idx)}}} is not a subgroup"
         )

@@ -18,7 +18,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Optional
@@ -269,7 +269,7 @@ def _group_table(doc: Any) -> CayleyTable:
         raise FileFormatError(f"group label {bad[0][0]!r} contains {bad[0][1]!r}")
     if not isinstance(table, list) or any(not isinstance(row, list) for row in table):
         raise FileFormatError("table must be a list of index rows")
-    try:  # CayleyTable checks the shape, then that every entry is an int index
+    try:  # CayleyTable checks the labels (through PointSpace), the shape, then every entry
         return CayleyTable(labels=tuple(labels), product=tuple(map(tuple, table)))
     except ValueError as exc:
         raise FileFormatError(str(exc)) from None
@@ -283,8 +283,6 @@ def parse_group_action(text: str) -> GroupAction:
     act = doc["act"]
     if not isinstance(act, list) or any(not isinstance(row, list) for row in act):
         raise FileFormatError("act must be a list of rows, one per acting element")
-    if not set(map(type, chain.from_iterable(act))) <= {int}:
-        raise FileFormatError("act entries must be carrier point indices")
     try:
         return GroupAction(group=acting, carrier=carrier, act=tuple(map(tuple, act)))
     except ValueError as exc:

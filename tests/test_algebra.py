@@ -206,6 +206,12 @@ def test_check_associativity_passes(t3, lz2):
     assert check_associativity(lz2).passed
 
 
+def test_a_report_is_true_exactly_when_it_passed(t3, t3_corrupted):
+    passed, failed = check_associativity(t3), check_associativity(t3_corrupted)
+    assert bool(passed) is passed.passed is True
+    assert bool(failed) is failed.passed is False
+
+
 def test_check_associativity_fails_on_corrupted(t3_corrupted):
     report = check_associativity(t3_corrupted)
     assert not report.passed

@@ -98,30 +98,34 @@ def test_sort_points_preserves_structure(t3):
 def test_parse_structure_validation_errors(t3):
     good = json.loads(canonical_structure_json(t3))
 
-    def broken(mutate):
+    def broken(mutate, fragment):
         doc = json.loads(canonical_structure_json(t3))
         mutate(doc)
-        with pytest.raises(FileFormatError):
+        with pytest.raises(FileFormatError, match=re.escape(fragment)):
             parse_structure(json.dumps(doc))
 
-    broken(lambda d: d.pop("name"))
-    broken(lambda d: d.update(name=""))
-    broken(lambda d: d.update(points=["a", "a", "e"]))
-    broken(lambda d: d.update(points=[]))
-    broken(lambda d: d["convolution"].pop("a|a"))
-    broken(lambda d: d["convolution"].update({"a|zz": []}))
-    broken(lambda d: d["convolution"].update({"weird": []}))
+    broken(lambda d: d.pop("name"), "structure document must have exactly the keys")
+    broken(lambda d: d.update(name=""), "structure name must be a nonempty string")
+    broken(lambda d: d.update(points=["a", "a", "e"]), "point labels must be distinct")
+    broken(lambda d: d.update(points=[]), "points must be a nonempty list of labels")
+    broken(lambda d: d.update(convolution=[]), "convolution must be an object keyed by 'x|y'")
+    broken(lambda d: d["convolution"].pop("a|a"), "convolution table incomplete; missing ['a|a']")
+    broken(lambda d: d["convolution"].update({"a|zz": []}),
+           "convolution key 'a|zz' references unknown labels")
+    broken(lambda d: d["convolution"].update({"weird": []}), "bad convolution key 'weird'")
     broken(
         lambda d: d["convolution"].__setitem__(
             "a|a", [{"point": "a", "weight": "0.5"}]
-        )
+        ),
+        "not a rational: '0.5'",
     )
     broken(
         lambda d: d["convolution"].__setitem__(
             "a|a", [{"point": "zz", "weight": "1"}]
-        )
+        ),
+        "entry 'a|a' references unknown point 'zz'",
     )
-    broken(lambda d: d.update(extra=1))
+    broken(lambda d: d.update(extra=1), "structure document must have exactly the keys")
     # unchanged document still parses
     parse_structure(json.dumps(good))
 
@@ -424,11 +428,11 @@ def test_memoized_weights_parse_as_parse_rational_per_item(data, z2):
 
 
 def test_parse_group_errors():
-    with pytest.raises(FileFormatError):
+    with pytest.raises(FileFormatError, match="group document must have exactly the keys"):
         parse_group("{}")
-    with pytest.raises(FileFormatError):
+    with pytest.raises(FileFormatError, match="table entry 1 is not a valid index"):
         parse_group(json.dumps({"labels": ["a"], "table": [[1]]}))
-    with pytest.raises(FileFormatError):
+    with pytest.raises(FileFormatError, match="product table must be n-by-n"):
         parse_group(json.dumps({"labels": ["a", "b"], "table": [[0, 0]]}))
     table = parse_group(json.dumps({"labels": ["a", "b"], "table": [[0, 1], [1, 0]]}))
     assert table.is_group()
@@ -453,10 +457,10 @@ def test_parse_group_names_the_first_bad_entry(table, bad):
 
 def test_parse_group_action_errors():
     z2 = {"labels": ["0", "1"], "table": [[0, 1], [1, 0]]}
-    with pytest.raises(FileFormatError):
+    with pytest.raises(FileFormatError, match="group action document must have exactly the keys"):
         parse_group_action(json.dumps({"acting": z2, "carrier": z2}))
     bad = {"acting": z2, "carrier": z2, "act": [[0, 1], [1, 0], [0, 1]]}
-    with pytest.raises(FileFormatError):
+    with pytest.raises(FileFormatError, match=r"action table must be \|H\|-by-\|G\|"):
         parse_group_action(json.dumps(bad))
     good = {"acting": z2, "carrier": z2, "act": [[0, 1], [0, 1]]}
     action = parse_group_action(json.dumps(good))
@@ -475,20 +479,22 @@ def test_parse_affine_action_errors(z2):
     action = parse_affine_action(json.dumps(base), z2)
     assert action.axiom_report.passed
 
-    def broken(mutate):
+    def broken(mutate, fragment):
         doc = json.loads(json.dumps(base))
         mutate(doc)
-        with pytest.raises(FileFormatError):
+        with pytest.raises(FileFormatError, match=re.escape(fragment)):
             parse_affine_action(json.dumps(doc), z2)
 
-    broken(lambda d: d.pop("dimension"))
-    broken(lambda d: d.update(dimension=0))
-    broken(lambda d: d.update(carrier="cube"))
-    broken(lambda d: d["maps"].pop("1"))
-    broken(lambda d: d["maps"].update(extra={"A": [["1"]], "b": ["0"]}))
-    broken(lambda d: d["maps"]["1"].update(A=[["1", "0"]]))
-    broken(lambda d: d["maps"]["1"].update(b=["0"]))
-    broken(lambda d: d.update(carrier={"hull": [["0"], ["1", "0"]]}))
+    broken(lambda d: d.pop("dimension"), "action document must have exactly the keys")
+    broken(lambda d: d.update(dimension=0), "dimension must be a positive integer")
+    broken(lambda d: d.update(carrier="cube"), "carrier must be 'simplex' or {'hull': [...]}")
+    broken(lambda d: d["maps"].pop("1"), "maps must name exactly the structure's points")
+    broken(lambda d: d["maps"].update(extra={"A": [["1"]], "b": ["0"]}),
+           "maps must name exactly the structure's points")
+    broken(lambda d: d["maps"]["1"].update(A=[["1", "0"]]), "map '1': A must be 2x2")
+    broken(lambda d: d["maps"]["1"].update(b=["0"]), "map '1': b must have length 2")
+    broken(lambda d: d.update(carrier={"hull": [["0"], ["1", "0"]]}),
+           "hull points must match the stated dimension")
 
 
 def test_parse_affine_action_hull(z2):

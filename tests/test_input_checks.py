@@ -102,11 +102,20 @@ REJECTED = [
     ("table-space", lambda: Semihypergroup(PointSpace(("a", "b")), Z2.table), DimensionMismatch,
      "different point space"),
     # amenability
-    ("mean-length", lambda: Mean(Z2.space, (F(1),)), ValueError, "wrong number of weights"),
+    # the length of a mean or a candidate is Measure's rule
+    ("mean-length", lambda: Mean(Z2.space, (F(1),)), DimensionMismatch,
+     "measure has 1 weights for a 2-point space"),
+    ("candidate-length", lambda: verify_left_invariant_mean((F(1),), Z2), DimensionMismatch,
+     "measure has 1 weights for a 2-point space"),
     ("mean-space",
      lambda: verify_left_invariant_mean(uniform_mean(PointSpace(("x", "y"))), Z2), ValueError,
      "different point space"),
     # construct
+    # distinct, nonempty labels are PointSpace's rule
+    ("table-labels-repeated", lambda: CayleyTable(("a", "a"), ((0, 0), (0, 0))), ValueError,
+     "point labels must be pairwise distinct"),
+    ("table-labels-empty", lambda: CayleyTable((), ()), ValueError,
+     "point space must contain at least one point"),
     ("inverse-no-identity", lambda: left_zero_semigroup(2).inverse("a"), ValueError,
      "no identity"),
     ("inverse-none", lambda: CayleyTable(("e", "z"), ((0, 1), (1, 1))).inverse("z"), ValueError,
@@ -138,6 +147,9 @@ REJECTED = [
     # files
     ("group-table", lambda: parse_group('{"labels": ["a"], "table": "a"}'), FileFormatError,
      "table must be a list of index rows"),
+    ("group-labels-repeated",
+     lambda: parse_group('{"labels": ["a", "a"], "table": [[0, 0], [0, 0]]}'), FileFormatError,
+     "point labels must be pairwise distinct"),
     ("group-action-act",
      lambda: parse_group_action(
          f'{{"acting": {TRIVIAL_GROUP}, "carrier": {TRIVIAL_GROUP}, "act": 0}}'),
@@ -145,7 +157,11 @@ REJECTED = [
     ("group-action-entry",
      lambda: parse_group_action(
          f'{{"acting": {TRIVIAL_GROUP}, "carrier": {TRIVIAL_GROUP}, "act": [["0"]]}}'),
-     FileFormatError, "act entries must be carrier point indices"),
+     FileFormatError, "action image '0' is not a carrier point"),
+    ("group-action-null",
+     lambda: parse_group_action(
+         f'{{"acting": {TRIVIAL_GROUP}, "carrier": {TRIVIAL_GROUP}, "act": [[null]]}}'),
+     FileFormatError, "action image None is not a carrier point"),
     ("rational-final-newline", lambda: parse_rational("1/4\n"), FileFormatError,
      "not a rational: '1/4\\n'"),
     ("rational-non-ascii-digit", lambda: parse_rational("\u0661"), FileFormatError,
