@@ -182,8 +182,7 @@ class ConvolutionTable:
         n = self.space.n
         if len(self.supports) != n or any(len(row) != n for row in self.supports):
             raise DimensionMismatch("convolution table must be n-by-n")
-        # each distinct support object once, in first-occurrence order
-        check_supports({id(e): e for row in self.supports for e in row}.values(), n)
+        check_supports(self.distinct.values(), n)
 
     @classmethod
     def from_measures(
@@ -207,9 +206,14 @@ class ConvolutionTable:
         return tuple(tuple(self.entry(x, y) for y in range(n)) for x in range(n))
 
     @cached_property
+    def distinct(self) -> dict[int, Support]:
+        """Each distinct support object once, by id, in first-occurrence order."""
+        return {id(e): e for row in self.supports for e in row}
+
+    @cached_property
     def point_table(self) -> Optional[tuple[tuple[int, ...], ...]]:
         """t[x][y] = z if every product is a point mass p_x*p_y = p_z, else None."""
-        if all(len(e) == 1 and e[0][1] == 1 for row in self.supports for e in row):
+        if all(len(e) == 1 and e[0][1] == 1 for e in self.distinct.values()):
             return tuple(tuple(e[0][0] for e in row) for row in self.supports)
         return None
 
@@ -217,10 +221,9 @@ class ConvolutionTable:
     def scaled(self) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
         """(D, ints): D the least common denominator of all weights, ints the
         supports times D, each distinct support object scaled once."""
-        distinct = {id(e): e for row in self.supports for e in row}
-        d = lcm(*{w.denominator for e in distinct.values() for _, w in e})
+        d = lcm(*{w.denominator for e in self.distinct.values() for _, w in e})
         ints = {i: tuple((k, w.numerator * d // w.denominator) for k, w in e)
-                for i, e in distinct.items()}
+                for i, e in self.distinct.items()}
         return d, tuple(tuple(ints[id(e)] for e in row) for row in self.supports)
 
 
@@ -539,29 +542,29 @@ def _primitive(v: dict[int, int], c: int) -> dict[int, int]:
 
 
 def _row_reduce(
-    rows: Iterable[dict[int, Fraction | int]], n: int, kept: Optional[dict] = None
+    rows: Iterable[dict[int, int]], n: int, kept: Optional[dict] = None
 ) -> tuple[dict[int, dict[int, int]], Optional[dict[int, Fraction]]]:
-    """Incremental reduced echelon form of sparse rows {column: value}.
+    """Incremental reduced echelon form of sparse integer rows {column: int}.
 
-    Columns below n are variables and pivot; every column from n on rides
-    along, so a row [A | b | I] (b at column n, identity at n+1...) keeps its
-    combination of input rows in the identity block.  Rows reduce on
-    integers: a row is scaled by the lcm of its denominators, then in one
-    pass by L, the lcm of the pivots it meets, less integer multiples of
-    those kept rows.  Kept rows are primitive, with a positive pivot and 0
-    at the other pivot columns, so kept row / pivot is the unique rational
-    reduced echelon form, with or without the block.  Returns the kept rows
-    by pivot column, in the order kept, and None; or, when a row reduces to
-    0 = r != 0, the rows kept so far and that row as `Fraction`s, divided by
-    its last entry and signed so that r > 0.  With the block, that entry is
-    the row's own identity entry (kept rows combine only earlier rows), and
-    its block is a certificate.  A given `kept`, the reduction of earlier
-    rows, is extended in place, so rows may be fed in one at a time.
+    The callers scale: the LP reads `LPProblem.integer_rows`, the generator
+    search works over `ConvolutionTable.scaled`.  Columns below n are
+    variables and pivot; every column from n on rides along, so a row
+    [A | b | I] (b at column n, identity at n+1...) keeps its combination of
+    input rows in the identity block.  A row is scaled in one pass by L, the
+    lcm of the pivots it meets, less integer multiples of those kept rows.
+    Kept rows are primitive, with a positive pivot and 0 at the other pivot
+    columns, so kept row / pivot is the unique rational reduced echelon form,
+    with or without the block.  Returns the kept rows by pivot column, in the
+    order kept, and None; or, when a row reduces to 0 = r != 0, the rows kept
+    so far and that row as `Fraction`s, divided by its last entry and signed
+    so that r > 0.  With the block, that entry is the row's own identity
+    entry (kept rows combine only earlier rows), and its block is a
+    certificate.  A given `kept`, the reduction of earlier rows, is extended
+    in place, so rows may be fed in one at a time.  No input row is
+    modified, though one may be kept as it is.
     """
     kept = {} if kept is None else kept
     for v in rows:
-        d = lcm(*(a.denominator for a in v.values()))
-        v = {j: a.numerator * (d // a.denominator) for j, a in v.items()}
         met = [(kept[c], c, a) for c, a in v.items() if c in kept]
         if met:
             scale = lcm(*(u[c] for u, c, _ in met))

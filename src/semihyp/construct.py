@@ -71,7 +71,7 @@ class CayleyTable:
     product: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
+        object.__setattr__(self, "labels", self.space.labels)  # `PointSpace` coerces them
         object.__setattr__(self, "product", tuple(map(tuple, self.product)))
         n = self.space.n
         if len(self.product) != n or any(len(row) != n for row in self.product):

@@ -2,20 +2,21 @@
 
 The kernel decides feasibility of {A x = b, x_j >= 0 for flagged j} exactly.
 Each row of A is a `Support` of its nonzero `Fraction`s from the builders on;
-`LPProblem.from_dense` is the one dense entry point.  The package's one
-sparse elimination, `algebra._row_reduce`, which the generator search also
-feeds, brings rows to reduced echelon form on integers: each row is scaled
-by the lcm of its denominators, and each kept row is primitive with a
-positive pivot.  The LP reduces [A | b | I]: the identity block never pivots,
-so each kept row carries its combination of the input rows, and a
-certificate is read off those columns.  A row that reduces to 0 = r != 0,
-divided by its own identity entry and signed so that r > 0, is already one.
-Kept rows of rank n fix the only solution: if it meets the sign flags it is
-the witness, with no pivots.  Otherwise a phase-1 simplex with Bland's rule
-runs on the kept rows over their pivots, as `Fraction`s, and an infeasible
-optimum combines their blocks with the final reduced costs.
-`solve_linear_system` reduces [A | b] alone, as it returns no certificate.
-Both LP outcomes are self-verified on integers against the input rows: a
+`LPProblem.from_dense` is the one dense entry point.  `LPProblem` scales each
+row of [A | b] once to integers, and the package's one sparse elimination,
+`algebra._row_reduce`, which the generator search also feeds, brings those
+rows to reduced echelon form: each kept row is primitive with a positive
+pivot.  The LP reduces [A | b] alone.  Kept rows of rank n fix the only
+solution: if it meets the sign flags it is the witness, with no pivots.
+Otherwise a phase-1 simplex with Bland's rule runs on the kept rows over
+their pivots, as `Fraction`s.  Only a certificate needs the identity block:
+a contradiction or an infeasible optimum reduces the kept input rows, and
+any contradicting one, again over [A | b | I].  Rows that reduced to zero
+change no kept row, so the block rides along the same elimination and each
+kept row carries its combination of the input rows.  A contradicting row,
+divided by its own identity entry and signed so that r > 0, is already a
+certificate; an infeasible optimum combines the blocks with the final
+reduced costs.  Both LP outcomes are self-verified on the integer rows: a
 witness satisfies them, and a certificate y has y.A <= 0 on nonnegative
 columns, y.A = 0 on free ones and y.b > 0.
 """
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Optional, Sequence
 
@@ -68,6 +70,20 @@ class LPProblem:
         return cls(tuple(tuple((j, a) for j, a in enumerate(map(as_fraction, row)) if a)
                          for row in matrix), rhs, nonneg)
 
+    @cached_property
+    def integer_rows(self) -> tuple[tuple[int, dict[int, int]], ...]:
+        """(s, s * [a_i | b_i]) for each row i, s the lcm of the denominators
+        of row i and b_i, the scaled row as {column: int} over its nonzeros,
+        b at column n."""
+        n, out = self.n_vars, []
+        for row, b in zip(self.rows, self.rhs):
+            s = lcm(b.denominator, *(a.denominator for _, a in row))
+            v = {j: a.numerator * (s // a.denominator) for j, a in row}
+            if b:
+                v[n] = b.numerator * (s // b.denominator)
+            out.append((s, v))
+        return tuple(out)
+
     @property
     def n_vars(self) -> int:
         return len(self.nonneg)
@@ -101,43 +117,28 @@ class LPSolution:
         return self.status == "feasible"
 
 
-def _integer_row(row: Support, b: Fraction) -> tuple[int, list[tuple[int, int]], int]:
-    """(s, s * row, s * b) for s the lcm of the denominators of row and b."""
-    s = lcm(b.denominator, *(a.denominator for _, a in row))
-    ints = [(j, a.numerator * (s // a.denominator)) for j, a in row]
-    return s, ints, b.numerator * (s // b.denominator)
-
-
 def _verify_witness(problem: LPProblem, x: Sequence[Fraction]) -> None:
-    d = lcm(*(v.denominator for v in x))  # d * x is an integer vector
-    dx = [v.numerator * (d // v.denominator) for v in x]
-    for row, b in zip(problem.rows, problem.rhs):
-        _, ints, sb = _integer_row(row, b)
-        if sum(a * dx[j] for j, a in ints) != sb * d:
-            raise AssertionError("witness does not satisfy an equality row")
+    d = lcm(*(v.denominator for v in x))  # d * [x | -1] is an integer vector
+    dx = [v.numerator * (d // v.denominator) for v in x] + [-d]
+    if any(sum(a * dx[j] for j, a in v.items()) for _, v in problem.integer_rows):
+        raise AssertionError("witness does not satisfy an equality row")
     for v, flag in zip(x, problem.nonneg):
         if flag and v < 0:
             raise AssertionError("witness violates a nonnegativity flag")
 
 
 def _verify_certificate(problem: LPProblem, y: Sequence[Fraction]) -> None:
-    # e * y.A and e * y.b in integers, for y_i = p/q, row i over s and e = lcm(q * s)
-    terms = [(yi, *_integer_row(row, b)) for yi, row, b in zip(y, problem.rows, problem.rhs) if yi]
-    e = lcm(*(yi.denominator * s for yi, s, _, _ in terms))
-    terms = [(yi.numerator * (e // (yi.denominator * s)), ints, sb) for yi, s, ints, sb in terms]
-    if sum(c * sb for c, _, sb in terms) <= 0:
+    # e * y.[A | b] in integers, for y_i = p/q, row i over s and e = lcm(q * s)
+    terms = [(yi, s, v) for yi, (s, v) in zip(y, problem.integer_rows) if yi]
+    e = lcm(*(yi.denominator * s for yi, s, _ in terms))
+    g = _combine((v.items(), yi.numerator * (e // (yi.denominator * s))) for yi, s, v in terms)
+    if g.pop(problem.n_vars, 0) <= 0:
         raise AssertionError("certificate does not separate the right-hand side")
-    for j, g in _combine((ints, c) for c, ints, _ in terms).items():
+    for j, gj in g.items():
         if not problem.nonneg[j]:
             raise AssertionError("certificate fails on a free column")
-        if g > 0:
+        if gj > 0:
             raise AssertionError("certificate fails on a nonnegative column")
-
-
-def _augmented(problem: LPProblem) -> list[dict[int, Fraction]]:
-    """Rows of [A | b] as {column: value} over their nonzeros, b at column n."""
-    n = problem.n_vars
-    return [{**dict(row), n: b} if b else dict(row) for row, b in zip(problem.rows, problem.rhs)]
 
 
 def solve_lp_feasibility(problem: LPProblem) -> LPSolution:
@@ -150,30 +151,40 @@ def solve_lp_feasibility(problem: LPProblem) -> LPSolution:
     where b < 0, with artificial i at column n+1+i, and a last row of minus
     their sum.  Pivots keep that row -y.T T for multipliers y of the first rows
     T: the artificial sum's reduced costs, but -y on the artificials, so an
-    infeasible optimum certifies with y.  Free x_j = x_j+ - x_j- keeps only
-    x_j+'s column, as x_j-'s is its negation.  Bland's rule ranks split column
-    (j, sign) 2j + (sign < 0) and artificial i 2n + i, in order.
+    infeasible optimum certifies with y, applied to the kept rows' blocks.
+    Free x_j = x_j+ - x_j- keeps only x_j+'s column, as x_j-'s is its
+    negation.  Bland's rule ranks split column (j, sign) 2j + (sign < 0) and
+    artificial i 2n + i, in order.
     """
     n, m, zero = problem.n_vars, problem.n_rows, Fraction(0)
-    rows = [{**row, n + 1 + i: 1} for i, row in enumerate(_augmented(problem))]
-    kept, contradiction = _row_reduce(rows, n)
+    ints, kept, noted = problem.integer_rows, {}, []  # noted: the input rows kept
+
+    def signed(kept: dict[int, dict[int, int]]) -> list[tuple[dict[int, int], int]]:
+        return [(v, v[c] if v.get(n, 0) >= 0 else -v[c]) for c, v in kept.items()]
+
+    def blocked(rows: list[int]) -> tuple[dict[int, dict[int, int]], Optional[dict]]:
+        # row i scaled by s carries s at its identity column, as s * [a_i | b_i | e_i]
+        return _row_reduce(({**ints[i][1], n + 1 + i: ints[i][0]} for i in rows), n)
 
     def infeasible(v: dict[int, Fraction], pivots: int) -> LPSolution:
         certificate = tuple(v.get(n + 1 + i, zero) for i in range(m))
         _verify_certificate(problem, certificate)
         return LPSolution(status="infeasible", certificate=certificate, pivots=pivots)
 
-    if contradiction is not None:
-        return infeasible(contradiction, 0)
+    for i, (_, v) in enumerate(ints):
+        rank = len(kept)
+        if _row_reduce((v,), n, kept)[1] is not None:
+            return infeasible(blocked(noted + [i])[1], 0)
+        if len(kept) > rank:
+            noted.append(i)
     if len(kept) == n and all(v.get(n, 0) >= 0 for c, v in kept.items() if problem.nonneg[c]):
         # rank n: the reduction fixes the only solution, and it is feasible
         witness = tuple(Fraction(kept[c].get(n, 0), kept[c][c]) for c in range(n))
         _verify_witness(problem, witness)
         return LPSolution(status="feasible", witness=witness)
-    # each kept row over its pivot, negated where b < 0, with its combination
-    rows = [(v, v[c] if v.get(n, 0) >= 0 else -v[c]) for c, v in kept.items()]
-    tableau = [{j: Fraction(a, p) for j, a in v.items() if j <= n} | {n + 1 + i: Fraction(1)}
-               for i, (v, p) in enumerate(rows)]
+    # each kept row over its pivot, negated where b < 0
+    tableau = [{j: Fraction(a, p) for j, a in v.items()} | {n + 1 + i: Fraction(1)}
+               for i, (v, p) in enumerate(signed(kept))]
     k = len(tableau)
     tableau.append(_combine((v.items(), -1) for v in tableau))
     basis = [2 * n + i for i in range(k)]
@@ -195,6 +206,7 @@ def solve_lp_feasibility(problem: LPProblem) -> LPSolution:
 
     if cost.get(n, zero) < 0:  # the artificial sum stays positive
         y = (-cost.get(n + 1 + i, zero) for i in range(k))
+        rows = signed(blocked(noted)[0])  # the same kept rows, with their combinations
         return infeasible(_combine((v.items(), c / p) for (v, p), c in zip(rows, y)), pivots)
 
     # drive any zero-level artificials out of the basis
@@ -245,8 +257,8 @@ def solve_linear_system(
     """Solve A x = b exactly, for A's sparse rows over n columns as in
     `LPProblem`; returns (particular, null-space basis) or None.
 
-    Reads the reduced row echelon form of [A | b] off `_row_reduce`, with no
-    identity block since nothing is certified: its kept rows over their
+    Reads the reduced row echelon form of `LPProblem.integer_rows` off
+    `_row_reduce`, with no identity block: its kept rows over their
     pivots are zero before their pivot, 1 at it and 0 at the other pivot
     columns.  The particular solution sets every free variable to zero; the
     null-space basis has one vector per free column in the standard echelon
@@ -254,7 +266,7 @@ def solve_linear_system(
     outside 0..n-1, is a ValueError.
     """
     problem = LPProblem(rows, rhs, nonneg=(False,) * n)
-    kept, contradiction = _row_reduce(_augmented(problem), n)
+    kept, contradiction = _row_reduce((v for _, v in problem.integer_rows), n)
     if contradiction is not None:
         return None
 

@@ -536,6 +536,17 @@ def test_point_table_reads_point_masses_only(t3):
         assert ConvolutionTable(space, supports).point_table is None
 
 
+def test_point_table_reads_each_distinct_support_once():
+    # one half-half support object shared by two entries among point masses
+    space = PointSpace(("a", "b", "c"))
+    half, masses = ((0, F(1, 2)), (1, F(1, 2))), [((z, F(1)),) for z in range(3)]
+    supports = ((masses[0], half, masses[2]), (masses[1], masses[2], half), (masses[2],) * 3)
+    table = ConvolutionTable(space, supports)
+    assert len(table.distinct) == 4 and table.point_table is None
+    shared = ConvolutionTable(space, ((masses[0], masses[1], masses[2]),) * 3)
+    assert len(shared.distinct) == 3 and shared.point_table == ((0, 1, 2),) * 3
+
+
 # supports without zero weights, on a few keys so that sums cancel; signed
 # int or Fraction weights, coefficients 0 and 1 included
 COMBINE_TERMS = st.lists(st.tuples(

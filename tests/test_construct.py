@@ -61,6 +61,12 @@ def test_cayley_validation():
         CayleyTable(labels=("a", "b"), product=((0,),))
 
 
+def test_cayley_labels_are_its_space_labels():
+    # `PointSpace` alone turns labels into strings
+    table = CayleyTable((0, 1), ((0, 1), (1, 0)))
+    assert table.labels == ("0", "1") == table.space.labels
+
+
 @settings(max_examples=400, deadline=None)
 @given(magma_tables())
 def test_cayley_associativity_witness_matches_brute_force(table):

@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semihyp.amenability import left_invariance_problem
@@ -15,7 +15,6 @@ from semihyp.construct import from_semigroup, symmetric_group
 from semihyp.linprog import (
     LPProblem,
     LPSolution,
-    _augmented,
     _row_reduce,
     _verify_certificate,
     _verify_witness,
@@ -237,8 +236,9 @@ def test_solve_linear_system_matches_oracle(data):
 def test_identity_block_rides_along_the_reduction(data):
     # the block columns n+1... never pivot, so [A | b] reduces the same with
     # or without them, and a contradiction's block is a Farkas certificate;
-    # the integer rows carry different scales in the two runs, so each kept
-    # row is compared divided by its pivot (the rational reduced echelon form)
+    # each row i comes scaled by its s_i, which is its identity entry, and
+    # the primitive kept rows differ between the two runs, so each kept row
+    # is compared divided by its pivot (the rational reduced echelon form)
     n = data.draw(st.integers(1, 5))
     rows = data.draw(st.lists(
         st.lists(RATIONALS, min_size=n, max_size=n), min_size=1, max_size=6
@@ -247,8 +247,8 @@ def test_identity_block_rides_along_the_reduction(data):
         rows.append([a + b for a, b in zip(rows[0], rows[-1])])  # dependent
     rhs = data.draw(st.lists(RATIONALS, min_size=len(rows), max_size=len(rows)))
     p = problem(rows, rhs, [True] * n)
-    plain = _augmented(p)
-    blocked = [{**row, n + 1 + i: F(1)} for i, row in enumerate(_augmented(p))]
+    plain = [dict(v) for _, v in p.integer_rows]
+    blocked = [{**v, n + 1 + i: s} for i, (s, v) in enumerate(p.integer_rows)]
     kept, contradiction = _row_reduce(plain, n)
     kept_blocked, contradiction_blocked = _row_reduce(blocked, n)
     assert list(kept) == list(kept_blocked)
@@ -264,9 +264,11 @@ def test_identity_block_rides_along_the_reduction(data):
 WIDE_RATIONALS = st.builds(F, st.integers(-2**80, 2**80), st.integers(1, 10**12))
 
 
-def draw_reduction_rows(data) -> tuple[list[dict], int, bool]:
-    """Rows of [A | b], or of [A | b | I] when the flag is set, over n
-    variables: small or wide rationals, with dependent and contradictory rows."""
+def draw_reduction_rows(data) -> tuple[list[dict], list[dict], int, bool]:
+    """The integer rows s_i [A | b] of `LPProblem.integer_rows`, or
+    s_i [A | b | I] when the flag is set, over n variables, and the same
+    rows over s_i as `Fraction`s, for the oracle: small or wide rationals,
+    with dependent and contradictory rows."""
     values = data.draw(st.sampled_from([RATIONALS, WIDE_RATIONALS]))
     n = data.draw(st.integers(1, 5))
     rows = data.draw(st.lists(
@@ -279,11 +281,11 @@ def draw_reduction_rows(data) -> tuple[list[dict], int, bool]:
     if data.draw(st.booleans()):  # contradicts row 0
         rows.append(list(rows[0]))
         rhs.append(rhs[0] + data.draw(values.filter(bool)))
-    augmented = _augmented(problem(rows, rhs, [True] * n))
+    scaled = problem(rows, rhs, [True] * n).integer_rows
     block = data.draw(st.booleans())
-    if block:
-        augmented = [{**row, n + 1 + i: F(1)} for i, row in enumerate(augmented)]
-    return augmented, n, block
+    ints = [{**v, n + 1 + i: s} if block else dict(v) for i, (s, v) in enumerate(scaled)]
+    exact = [{j: F(a, s) for j, a in v.items()} for (s, _), v in zip(scaled, ints)]
+    return ints, exact, n, block
 
 
 @settings(max_examples=300, deadline=None)
@@ -292,9 +294,9 @@ def test_integer_reduction_matches_the_fraction_oracle(data):
     # the same pivots in the same order, each kept row equal to the oracle's
     # once divided by its pivot, and the same contradiction, whose identity
     # block is the certificate
-    augmented, n, block = draw_reduction_rows(data)
-    kept, contradiction = _row_reduce([dict(row) for row in augmented], n)
-    expected, expected_contradiction = oracle_row_reduce(augmented, n)
+    ints, exact, n, block = draw_reduction_rows(data)
+    kept, contradiction = _row_reduce(ints, n)
+    expected, expected_contradiction = oracle_row_reduce(exact, n)
     assert list(kept) == list(expected)
     for c, row in kept.items():
         assert row[c] > 0 and gcd(*row.values()) == 1
@@ -310,11 +312,11 @@ def test_reduction_row_by_row_through_a_shared_kept(data):
     # the generator search feeds one row per call into the same `kept`: that
     # keeps the same rows in the same order and meets the same contradiction
     # as one call on all the rows
-    augmented, n, _ = draw_reduction_rows(data)
-    kept, contradiction = _row_reduce([dict(row) for row in augmented], n)
+    ints, _, n, _ = draw_reduction_rows(data)
+    kept, contradiction = _row_reduce(ints, n)
     shared, found = {}, None
-    for row in augmented:
-        reduced, found = _row_reduce([dict(row)], n, shared)
+    for row in ints:
+        reduced, found = _row_reduce([row], n, shared)
         assert reduced is shared
         if found is not None:
             break
@@ -379,6 +381,57 @@ def test_the_s4_mean_lp_is_read_off_the_reduction():
     sol = solve_lp_feasibility(left_invariance_problem(from_semigroup(symmetric_group(4))))
     assert sol.feasible and sol.pivots == 0
     assert sol.witness == (F(1, 24),) * 24
+
+
+def test_only_a_certificate_builds_the_identity_block(monkeypatch):
+    # a read-off witness (the S4 mean LP) and a feasible phase 1 reduce
+    # [A | b] alone: no row handed to `_row_reduce` has a column past n
+    widest = []
+
+    def spy(rows, n, kept=None):
+        rows = list(rows)
+        widest.append(max((j - n for v in rows for j in v), default=0))
+        return _row_reduce(rows, n, kept)
+
+    monkeypatch.setattr("semihyp.linprog._row_reduce", spy)
+    s4 = solve_lp_feasibility(left_invariance_problem(from_semigroup(symmetric_group(4))))
+    phase1 = solve_lp_feasibility(problem([[1, 1, 0], [0, 1, 1]], [1, 1], [True] * 3))
+    assert s4.feasible and s4.pivots == 0 and phase1.feasible and phase1.pivots > 0
+    assert widest and max(widest) <= 0
+    # a certificate does read the block
+    assert not solve_lp_feasibility(problem([[1, 1], [1, 1]], [1, 2], [True] * 2)).feasible
+    assert max(widest) > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_certificates_from_the_kept_rows_match_the_dense_oracle(data):
+    # row scales s_i != 1, duplicates and multiples of other rows, and a row
+    # that contradicts one or is positive on the nonnegative columns with
+    # b < 0, in any order: the block pass over the kept rows alone gives the
+    # certificate and pivots of the oracle's full [A | b | I] pass
+    n = data.draw(st.integers(1, 4))
+    rows = data.draw(st.lists(
+        st.lists(RATIONALS, min_size=n, max_size=n), min_size=1, max_size=4
+    ))
+    rhs = data.draw(st.lists(RATIONALS, min_size=len(rows), max_size=len(rows)))
+    nonneg = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        c = data.draw(st.sampled_from([F(1), F(-2, 3), F(5, 7)]))
+        rows.append([c * a for a in rows[i]])
+        rhs.append(c * rhs[i])
+    if data.draw(st.booleans()):  # contradicts row i
+        i = data.draw(st.integers(0, len(rows) - 1))
+        rows.append(list(rows[i]))
+        rhs.append(rhs[i] + data.draw(RATIONALS.filter(bool)))
+    else:  # no nonnegative x meets it
+        rows.append([F(1, data.draw(st.integers(2, 5))) if f else F(0) for f in nonneg])
+        rhs.append(F(-1, data.draw(st.integers(2, 5))))
+    order = data.draw(st.permutations(range(len(rows))))
+    rows, rhs = [rows[i] for i in order], [rhs[i] for i in order]
+    assume(any(s > 1 for s, _ in problem(rows, rhs, nonneg).integer_rows))
+    assert assert_bland_or_read_off(rows, rhs, nonneg).status == "infeasible"
 
 
 @pytest.mark.parametrize("rows, rhs, nonneg, status, pivots", [
