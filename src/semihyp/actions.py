@@ -730,7 +730,7 @@ def mean_via_dual_action(
 
 
 PointMap = Union[AffineMap, Callable[[tuple[float, ...]], Sequence[float]]]
-_SPOT_SLACK = 1e-9  # float tolerance of `_spot_check_maps`
+_SPOT_SLACK = 1e-9  # float tolerance of `_spot_check_maps`, per unit of coordinate size
 
 
 @dataclass(frozen=True)
@@ -832,15 +832,17 @@ def _spot_check_maps(
 ) -> None:
     vertices = [tuple(float(v) for v in p) for p in carrier_vertices(carrier)]
     d = len(vertices[0])
-    lo = [min(p[i] for p in vertices) - _SPOT_SLACK for i in range(d)]
-    hi = [max(p[i] for p in vertices) + _SPOT_SLACK for i in range(d)]
+    # an image's float error grows with the coordinates it is computed from
+    slack = _SPOT_SLACK * max(1.0, *(abs(v) for p in vertices for v in p))
+    lo = [min(p[i] for p in vertices) - slack for i in range(d)]
+    hi = [max(p[i] for p in vertices) + slack for i in range(d)]
     for fn in applied:
         for p in vertices:
             img = fn(p)
             if len(img) != d:
                 raise ValueError("a map's image does not match the carrier dimension")
             if isinstance(carrier, Simplex):
-                if min(img) < -_SPOT_SLACK or abs(sum(img) - 1.0) > _SPOT_SLACK:
+                if min(img) < -slack or abs(sum(img) - 1.0) > slack:
                     raise CarrierError("a map leaves the simplex (numeric spot check)")
             elif any(v < l or v > h for v, l, h in zip(img, lo, hi)):
                 raise CarrierError(

@@ -17,7 +17,7 @@ from functools import cached_property
 from itertools import product
 from math import gcd, lcm
 from operator import itemgetter, ne
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 if TYPE_CHECKING:
     from .functions import PointFunction  # which imports this module
@@ -393,24 +393,29 @@ def check_associativity(s: Semihypergroup) -> CheckReport:
     g in `generating_points(s)` (Light's test).  A failure there, or a table
     whose every point is a generator, runs the exhaustive ordered scan for
     the first failing triple and its dense lhs and rhs.  A point-mass table
-    runs both on its `point_table`, where (p_x*p_y)*p_z = p_{(xy)z}; other
-    tables compare D^2 times both sides, summed over the `scaled` supports as
-    ints with exact zeros removed: signed weights cancel.
+    runs both on its `point_table`, where (p_x*p_y)*p_z = p_{(xy)z}: Light's
+    test compares, for the generators g only, each row x*g with row g mapped
+    through row x (rows as tuples), all rows at once.  At n = 1 `itemgetter`
+    returns an entry, not a row, so the comparison fails and the scan of the
+    one triple decides.  Other tables compare D^2 times both sides, summed
+    over the `scaled` supports as ints with exact zeros removed: signed
+    weights cancel.
     """
-    n, table, gens = s.n, s.table, s.generators
+    n, table, gens, p = s.n, s.table, s.generators, s.table.point_table
 
     def sides(x: int, y: int, z: int) -> tuple[dict[int, int], dict[int, int]]:
         ints = table.scaled[1]  # built on first use: point masses never need it
         return (_combine((ints[u][z], a) for u, a in ints[x][y]),
                 _combine((ints[x][v], b) for v, b in ints[y][z]))
 
-    at_gens = (sides(x, g, z) for g in gens for x, z in product(range(n), repeat=2))
-    if table.point_table is not None:
-        triple = table_associativity_witness(table.point_table, gens)
-    elif len(gens) < n and all(lhs == rhs for lhs, rhs in at_gens):
-        triple = None
+    if p is not None:
+        passed = all(list(map(itemgetter(*p[g]), p)) == [p[row[g]] for row in p] for g in gens)
+        differs = lambda x, y, z: p[p[x][y]][z] != p[x][p[y][z]]
     else:
-        triple = next((t for t in product(range(n), repeat=3) if ne(*sides(*t))), None)
+        at_gens = (sides(x, g, z) for g in gens for x, z in product(range(n), repeat=2))
+        passed = len(gens) < n and all(lhs == rhs for lhs, rhs in at_gens)
+        differs = lambda x, y, z: ne(*sides(x, y, z))
+    triple = None if passed else next((t for t in product(range(n), repeat=3) if differs(*t)), None)
     if triple is None:
         return CheckReport(check="associativity", passed=True)
     a, b, c = (s.space.label(i) for i in triple)
@@ -424,75 +429,46 @@ def check_associativity(s: Semihypergroup) -> CheckReport:
     )
 
 
-def table_associativity_witness(
-    table: Sequence[Sequence[int]], gens: Sequence[int]
-) -> Optional[tuple[int, int, int]]:
-    """First triple with (x*y)*z != x*(y*z) in (x, y, z) order, or None, for
-    the magma with integer table table[x][y] and generators `gens`: Light's
-    test compares, for the generators g only, each row x*g with row g mapped
-    through row x (rows as tuples), all rows at once; a failure runs the
-    ordered scan.  At n = 1 `itemgetter` returns an entry, not a row, so the
-    comparison fails and the scan of the one triple decides."""
-    p, n = table, len(table)
-    if all(list(map(itemgetter(*p[g]), p)) == [p[row[g]] for row in p] for g in gens):
-        return None
-    return next(((x, y, z) for x, y, z in product(range(n), repeat=3)
-                 if p[p[x][y]][z] != p[x][p[y][z]]), None)
-
-
 def generating_points(s: Semihypergroup) -> list[int]:
     """Points whose masses generate R^n under the convolution product.
 
     Greedy: take the next point whose mass is not in the span, then close
     the span under products with the chosen points on both sides, until it
     is R^n.  The span starts at the identity, which lies in every middle
-    nucleus and is never a generator.  Point-mass tables run
-    `table_generators` on their `point_table`; others feed int rows over
-    `scaled` (scaling keeps every span) to `_row_reduce` one at a time.
-    The greedy asks only whether a row lies in the span, so the basis that
-    represents it does not change the result.
+    nucleus and is never a generator.  On a point-mass table a span of
+    point masses is a set of points of its `point_table`, reached in
+    O(n*|G|) products; other tables feed int rows over `scaled` (scaling
+    keeps every span) to `_row_reduce` one at a time.  insert(v) adds v to
+    the span and returns the element spanning the new direction, or None
+    when v was in the span already, so the basis that represents the span
+    does not change the result; every spanning element meets every
+    generator once on each side.
     """
-    if s.table.point_table is not None:
-        return table_generators(s.table.point_table, s.identity)
-    ints, kept = s.table.scaled[1], {}  # the reduced span: pivot column -> row
+    n, t = s.n, s.table.point_table
+    if t is not None:
+        reached: set[int] = set()
 
-    def insert(v: dict[int, int]) -> Optional[dict[int, int]]:
-        rank = len(kept)
-        _row_reduce((v,), s.n, kept)
-        return next(reversed(kept.values())) if len(kept) > rank else None
+        def insert(k: int) -> Optional[int]:
+            if k in reached:
+                return None
+            reached.add(k)
+            return k
 
-    def times(u: dict[int, int], v: dict[int, int]) -> dict[int, int]:
-        return _combine((ints[x][y], a * b) for x, a in u.items() for y, b in v.items())
+        unit, times = (lambda i: i), (lambda u, v: t[u][v])
+    else:
+        ints, kept = s.table.scaled[1], {}  # the reduced span: pivot column -> row
 
-    return _greedy_generators(s.n, lambda i: {i: 1}, insert, times, s.identity)
+        def insert(v: dict[int, int]) -> Optional[dict[int, int]]:
+            rank = len(kept)
+            _row_reduce((v,), n, kept)
+            return next(reversed(kept.values())) if len(kept) > rank else None
 
+        def times(u: dict[int, int], v: dict[int, int]) -> dict[int, int]:
+            return _combine((ints[x][y], a * b) for x, a in u.items() for y, b in v.items())
 
-def table_generators(product: Sequence[Sequence[int]], identity: Optional[int]) -> list[int]:
-    """`generating_points` of the magma with integer table product[x][y] and
-    identity `identity`: a span of point masses is a set of points, reached
-    in O(n*|G|) products."""
-    reached: set[int] = set()
-
-    def insert(k: int) -> Optional[int]:
-        if k in reached:
-            return None
-        reached.add(k)
-        return k
-
-    return _greedy_generators(
-        len(product), lambda i: i, insert, lambda u, v: product[u][v], identity
-    )
-
-
-def _greedy_generators(
-    n: int, unit: Callable, insert: Callable, times: Callable, identity: Optional[int]
-) -> list[int]:
-    """The search behind both: insert(v) adds v to the span and returns the
-    element spanning the new direction, or None when v was in the span
-    already; every spanning element meets every generator once on each side.
-    The span starts at the identity, if any, so it is never returned."""
+        unit = lambda i: {i: 1}
     points, gens = [], []
-    spanned = [] if identity is None else [insert(unit(identity))]
+    spanned = [] if s.identity is None else [insert(unit(s.identity))]
     for i in range(n):
         if len(spanned) == n:
             break

@@ -7,7 +7,10 @@ to hand back an unverified structure: its verdict is the exact probability
 and associativity checks of the structure it returns, and every rejection is
 a `ConstraintViolation`.  A quotient entry is computed from one pair of
 representatives: the group, subgroup and action-homomorphism checks that
-precede it make every other pair give the same entry (`_quotient`).
+precede it make every other pair give the same entry (`_quotient`).  A
+Cayley table's identity, generators and Light's test are those of its one
+point-mass structure, `CayleyTable.semigroup`, whose convolution table
+`from_semigroup` wraps.
 """
 
 from __future__ import annotations
@@ -30,8 +33,6 @@ from .algebra import (
     Support,
     as_fraction,
     point_mass,
-    table_associativity_witness,
-    table_generators,
 )
 
 
@@ -92,27 +93,29 @@ class CayleyTable:
     def index(self, point: PointRef) -> int:
         return self.space.index(point)
 
+    @cached_property
+    def semigroup(self) -> Semihypergroup:
+        """The point-mass structure p_x * p_y = p_{x.y}, unchecked.  Its
+        convolution table is handed the integer table as its `point_table`,
+        so its checks read the integer table itself."""
+        one = Fraction(1)
+        masses = [((z, one),) for z in range(self.n)]
+        conv = ConvolutionTable(self.space, tuple(_pick(row)(masses) for row in self.product))
+        vars(conv)["point_table"] = self.product  # passed on: deriving it rescans every support
+        return Semihypergroup(space=self.space, table=conv, name="semigroup")
+
     def is_associative(self) -> bool:
         return self.associativity_witness() is None
 
     def associativity_witness(self) -> Optional[tuple[int, int, int]]:
         """First triple with (x*y)*z != x*(y*z) in (x, y, z) order, or None:
-        `table_associativity_witness`, Light's test as `check_associativity`
-        runs it on point-mass tables, run once per table."""
-        return self._associativity_witness
-
-    @cached_property
-    def _associativity_witness(self) -> Optional[tuple[int, int, int]]:
-        gens = table_generators(self.product, self.identity())
-        return table_associativity_witness(self.product, gens)
+        the witness of `check_associativity` on `semigroup`, run once per
+        table, mapped back to indices."""
+        witness = self.semigroup.associativity_report.witness
+        return None if witness is None else tuple(map(self.index, witness["triple"]))
 
     def identity(self) -> Optional[int]:
-        return self._identity
-
-    @cached_property
-    def _identity(self) -> Optional[int]:
-        n, t = self.n, self.product
-        return next((e for e in range(n) if all(t[e][x] == x == t[x][e] for x in range(n))), None)
+        return self.semigroup.identity
 
     def is_group(self) -> bool:
         """Associative, with identity, every row onto.  Columns follow: an onto
@@ -178,19 +181,12 @@ class GroupAction:
 
 
 def from_semigroup(table: CayleyTable, name: Optional[str] = None) -> Semihypergroup:
-    """Semihypergroup with point-mass convolution p_x * p_y = p_{x.y}.
-
-    The convolution table is handed the integer table as its `point_table`,
-    so `check_associativity` runs Light's test on the integer table itself:
+    """Semihypergroup with point-mass convolution p_x * p_y = p_{x.y}: the
+    convolution table of `table.semigroup`, under its own name.  Its
+    `check_associativity` runs Light's test on the integer table itself:
     (p_x*p_y)*p_z = p_{(xy)z}, and the first failing triple is the table's.
     """
-    space = table.space
-    masses = [((z, Fraction(1)),) for z in range(table.n)]
-    conv = ConvolutionTable(
-        space, tuple(tuple(masses[z] for z in row) for row in table.product)
-    )
-    vars(conv)["point_table"] = table.product  # passed on: deriving it rescans every support
-    shg = Semihypergroup(space=space, table=conv, name=name or "semigroup")
+    shg = Semihypergroup(space=table.space, table=table.semigroup.table, name=name or "semigroup")
     if not shg.is_associative:
         x, y, z = shg.associativity_report.witness["triple"]
         raise ConstraintViolation([f"input table is not associative at ({x}, {y}, {z})"])
@@ -264,9 +260,10 @@ def _require_subgroup(g: CayleyTable, members: Iterable[PointRef]) -> list[int]:
     return idx
 
 
-def _left_coset(h: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """Row x of a table -> the tuple of x.t, t in h, at C speed (`itemgetter`
-    gives the entry itself, not a 1-tuple, for one index)."""
+def _pick(h: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """A sequence -> the tuple of its entries at the indices in h, at C speed
+    (`itemgetter` gives the entry itself, not a 1-tuple, for one index); on
+    row x of a table, the tuple of x.t, t in h."""
     return itemgetter(*h) if len(h) > 1 else lambda row: (row[h[0]],)
 
 
@@ -340,7 +337,7 @@ def coset_space(
     "<rep>H" by their earliest-listed member.
     """
     h = _require_subgroup(g, subgroup)
-    p, coset = g.product, _left_coset(h)
+    p, coset = g.product, _pick(h)
     classes = _classes(g.n, lambda x: frozenset(coset(p[x])))
     return _quotient(
         g, classes, lambda c: f"{g.labels[min(c)]}H",
@@ -358,7 +355,7 @@ def double_coset_space(
     order and labeled "H<rep>H" by their earliest-listed member.
     """
     h = _require_subgroup(g, subgroup)
-    p, coset = g.product, _left_coset(h)  # HxH is the union of the cosets uH, u in Hx
+    p, coset = g.product, _pick(h)  # HxH is the union of the cosets uH, u in Hx
     classes = _classes(g.n, lambda x: frozenset(chain.from_iterable(coset(p[p[s][x]]) for s in h)))
     return _quotient(
         g, classes, lambda c: f"H{g.labels[min(c)]}H",

@@ -882,6 +882,23 @@ def test_iterate_spot_check_rejects_escaping_map(z2):
         iterate_fixed_point([doubling], Simplex(2))
 
 
+def test_iterate_spot_check_slack_grows_with_the_hull(lz2):
+    # float images of vertices near 4e9 miss the exact bounding box by more
+    # than 1e-9: a valid action, whose exact fixed point is (0, 0), iterates;
+    # a shift by a thousandth of the hull still leaves it
+    c = F(201916997759, 50)
+    hull = Hull(((F(0), F(0)), (c, c), (c, F(0))))
+    m = AffineMap.from_dense(((F(4, 5), F(1, 5)),) * 2, (F(0), F(0)))
+    action = AffineAction(structure=lz2, carrier=hull, maps=(m, m))
+    assert action.axiom_report.passed and action.invariance_report.passed
+    assert common_fixed_point_solution(action)[1] == (0, 0)
+    result = iterate_fixed_point(action.maps, hull, tol=1e-9, max_iter=100)
+    assert result.converged and result.iterations == 52
+    shift = AffineMap.from_dense(((F(1), F(0)), (F(0), F(1))), (c / 1000, F(0)))
+    with pytest.raises(CarrierError):
+        iterate_fixed_point([shift], hull)
+
+
 def test_iterate_accepts_callables():
     result = iterate_fixed_point(
         [lambda x: (x[0] / 2, x[1] / 2 + 0.5)], Simplex(2), tol=1e-9

@@ -437,6 +437,34 @@ def test_reused_parser_keeps_every_golden_in_reverse_order(tmp_path, capsys):
             assert written == (GOLDEN / f"{case.name}.file.json").read_bytes()
 
 
+@pytest.mark.parametrize("max_iter, code, verdict", [
+    ("10", 1, "did not converge"),
+    ("100", 0, "fixed point approximated"),
+])
+def test_fixpoint_iterate_on_a_hull_with_large_coordinates(
+    max_iter, code, verdict, tmp_path, capsys
+):
+    # lz2 acting by one contraction toward (0, 0) on a hull with coordinates
+    # near 4e9: the float spot check must not reject the valid action
+    c, a = "201916997759/50", [["4/5", "1/5"], ["4/5", "1/5"]]
+    action = tmp_path / "action.json"
+    action.write_text(json.dumps({"dimension": 2, "carrier": {"hull": [["0", "0"], [c, c], [c, "0"]]},
+                                  "maps": {p: {"A": a, "b": ["0", "0"]} for p in "ab"}}))
+    argv = ["fixpoint", str(FIXTURES / "lz2.json"), str(action), "--iterate", "1e-9", max_iter]
+    assert cli.main([*argv, "--json"]) == code
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["verdict"] == verdict and captured.err == ""
+    assert _json_report(argv[:3], capsys)["fixed_point"] == "0, 0"
+
+
+def test_construct_semigroup_with_an_empty_name_is_named_semigroup(tmp_path, capsys):
+    out = tmp_path / "z4.json"
+    argv = ["construct", "semigroup", "--group", str(FIXTURES / "z4-group.json"),
+            "--out", str(out), "--name", ""]
+    assert _json_report(argv, capsys)["structure"] == "semigroup"
+    assert json.loads(out.read_text())["name"] == "semigroup"
+
+
 def _json_report(argv, capsys) -> dict:
     cli.main([*argv, "--json"])
     return json.loads(capsys.readouterr().out)

@@ -8,11 +8,10 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 
-from semihyp import algebra, construct
+from semihyp import algebra
 from semihyp.algebra import (
     CheckReport,
     ConvolutionTable,
-    Semihypergroup,
     check_associativity,
     point_mass,
 )
@@ -40,7 +39,9 @@ from oracles import (
     oracle_cayley_witness,
     oracle_coset_space,
     oracle_double_coset_space,
+    oracle_identity,
     oracle_orbit_space,
+    oracle_point,
     oracle_subgroups,
     table_of,
 )
@@ -77,14 +78,24 @@ def test_cayley_associativity_witness_matches_brute_force(table):
 
 @settings(max_examples=300, deadline=None)
 @given(magma_tables())
+def test_cayley_identity_matches_brute_force(table):
+    # read by `find_identity` off the supports of the point-mass structure
+    n = len(table)
+    cayley = CayleyTable(tuple(str(i) for i in range(n)), table)
+    masses = {(x, y): oracle_point(table[x][y], n) for x in range(n) for y in range(n)}
+    assert cayley.identity() == oracle_identity(masses, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(magma_tables())
 def test_cayley_witness_and_check_associativity_agree(table):
-    # the two run one kernel on the integer table: same first triple
+    # the witness is read from the check on the table's point-mass structure:
+    # same first triple, and the report's sides are the point masses
     n = len(table)
     cayley = CayleyTable(tuple(f"p{i}" for i in range(n)), table)
-    masses = [((z, Fraction(1)),) for z in range(n)]
-    conv = ConvolutionTable(cayley.space, tuple(tuple(masses[z] for z in row) for row in table))
-    report = check_associativity(Semihypergroup(cayley.space, conv))
+    report = check_associativity(cayley.semigroup)
     witness = cayley.associativity_witness()
+    assert cayley.semigroup.table.point_table == cayley.product
     assert report.passed == (witness is None)
     if witness is not None:
         x, y, z = witness
@@ -94,8 +105,12 @@ def test_cayley_witness_and_check_associativity_agree(table):
 
 
 def test_light_test_on_one_point():
-    # one index makes itemgetter return an entry, not a row: the scan decides
-    assert algebra.table_associativity_witness(((0,),), [0]) is None
+    # one index makes itemgetter return an entry, not a row: the scan decides.
+    # The one point is the identity, so no generator: make it one, so that
+    # Light's test runs
+    shg = CayleyTable(("a",), ((0,),)).semigroup
+    vars(shg)["generators"] = (0,)
+    assert check_associativity(shg).passed
 
 
 def test_order_120_light_test_keeps_the_first_witness():
@@ -106,16 +121,14 @@ def test_order_120_light_test_keeps_the_first_witness():
     table[s5.index("(12)")][s5.index("(345)")] = s5.index("e")
     expected = oracle_cayley_witness(table)
     assert expected is not None
-    assert CayleyTable(s5.labels, table).associativity_witness() == expected
-    space = s5.space
-    masses = [point_mass(space, z) for z in range(s5.n)]
-    entries = tuple(tuple(masses[z] for z in row) for row in table)
-    report = check_associativity(Semihypergroup(space, ConvolutionTable.from_measures(space, entries)))
+    broken = CayleyTable(s5.labels, table)
+    assert broken.associativity_witness() == expected
+    report = check_associativity(broken.semigroup)
     x, y, z = expected
     assert report.witness == {
         "triple": (s5.labels[x], s5.labels[y], s5.labels[z]),
-        "lhs": masses[table[table[x][y]][z]].weights,
-        "rhs": masses[table[x][table[y][z]]].weights,
+        "lhs": point_mass(s5.space, table[table[x][y]][z]).weights,
+        "rhs": point_mass(s5.space, table[x][table[y][z]]).weights,
     }
 
 
@@ -178,6 +191,22 @@ def test_from_semigroup_rejects_nonassociative():
     assert not diff3.is_associative()
     with pytest.raises(ConstraintViolation):
         from_semigroup(diff3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(magma_tables())
+def test_from_semigroup_names_the_brute_force_first_triple(table):
+    # and an empty name falls back to "semigroup"
+    labels = tuple(f"p{i}" for i in range(len(table)))
+    cayley, expected = CayleyTable(labels, table), oracle_cayley_witness(table)
+    if expected is None:
+        assert from_semigroup(cayley, name="").name == "semigroup"
+        return
+    with pytest.raises(ConstraintViolation) as err:
+        from_semigroup(cayley, name="")
+    x, y, z = (labels[i] for i in expected)
+    assert err.value.violations == (f"input table is not associative at ({x}, {y}, {z})",)
+    assert str(err.value) == err.value.violations[0] and err.value.report is None
 
 
 # ---------------------------------------------------------------------------
@@ -569,14 +598,15 @@ def test_from_semigroup_cached_report_equals_the_check_on_random_tables(table):
 
 def test_each_table_is_proved_associative_once(monkeypatch):
     # the group checks of an action and of two quotients of one table reuse
-    # the table's cached witness and identity
+    # the cached report of the table's point-mass structure
     calls = []
 
-    def counting(product, generators):
-        calls.append(product)
-        return algebra.table_associativity_witness(product, generators)
+    def counting(s):
+        if s.table.point_table is not None:
+            calls.append(s.table.point_table)
+        return check_associativity(s)
 
-    monkeypatch.setattr(construct, "table_associativity_witness", counting)
+    monkeypatch.setattr(algebra, "check_associativity", counting)
     s4 = symmetric_group(4)
     inversion_action(s4)  # proves S4 and the acting Z2
     assert calls == [s4.product, cyclic_group(2).product]
