@@ -17,7 +17,7 @@ from functools import cached_property
 from itertools import product
 from math import gcd, lcm
 from operator import itemgetter, ne
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, Union
 
 if TYPE_CHECKING:
     from .functions import PointFunction  # which imports this module
@@ -172,7 +172,8 @@ class ConvolutionTable:
     supports[x][y] is the `Support` of p_x * p_y: its (index, weight) pairs
     with weight != 0, indices ascending.  `from_measures` and `entry` are the
     dense boundary; `entries` is the dense view, for callers outside the
-    kernels, which read `point_table` or, on other tables, `scaled`.
+    kernels, which read `point_table` or, on other tables, `scaled`.  A
+    checked integer table gives its point-mass table by `from_point_table`.
     """
 
     space: PointSpace
@@ -196,6 +197,18 @@ class ConvolutionTable:
             for row in entries
         ))
 
+    @classmethod
+    def from_point_table(cls, space: PointSpace, t: tuple[tuple[int, ...], ...]):
+        """The table p_x * p_y = p_{t[x][y]}, for t trusted to be n tuples of n
+        ints in 0..n-1 (as `CayleyTable` checks): `point_table` is t, `distinct`
+        all n masses, each built once, so neither the n^2 gather nor `check_supports` runs."""
+        one = Fraction(1)
+        masses = [((z, one),) for z in range(space.n)]
+        table = object.__new__(cls)  # frozen: fill the fields and the caches directly
+        vars(table).update(space=space, point_table=t, supports=tuple(_pick(r)(masses) for r in t),
+                           distinct={id(m): m for m in masses})
+        return table
+
     def entry(self, x: PointRef, y: PointRef) -> Measure:
         support = dict(self.supports[self.space.index(x)][self.space.index(y)])
         return Measure(self.space, tuple(support.get(k, Fraction(0)) for k in range(self.space.n)))
@@ -207,7 +220,8 @@ class ConvolutionTable:
 
     @cached_property
     def distinct(self) -> dict[int, Support]:
-        """Each distinct support object once, by id, in first-occurrence order."""
+        """Each distinct support object once, by id, in first-occurrence order;
+        from `from_point_table`, all n masses in index order, occurring or not."""
         return {id(e): e for row in self.supports for e in row}
 
     @cached_property
@@ -236,6 +250,12 @@ def check_supports(supports: Iterable[Support], n: int) -> None:
             raise DimensionMismatch(f"support indices not ascending in 0..{n - 1}: {support!r}")
         if not all(isinstance(w, Fraction) and w != 0 for _, w in support):
             raise ValueError(f"support weights must be nonzero Fractions: {support!r}")
+
+
+def _pick(h: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """A sequence -> the tuple of its entries at the indices in h, at C speed
+    (`itemgetter` gives the entry itself, not a 1-tuple, for one index)."""
+    return itemgetter(*h) if len(h) > 1 else lambda row: (row[h[0]],)
 
 
 def translation_transpose(table: ConvolutionTable, s: int) -> list[dict[int, Fraction]]:
@@ -323,8 +343,10 @@ def opposite(s: Semihypergroup) -> Semihypergroup:
     opposite: R_t f on s is L_t f on opposite(s), so right invariant means
     of s are the left invariant means of opposite(s).
     """
-    supports = tuple(zip(*s.table.supports))
-    return Semihypergroup(s.space, ConvolutionTable(s.space, supports), f"{s.name}^op")
+    p = s.table.point_table
+    table = (ConvolutionTable(s.space, tuple(zip(*s.table.supports))) if p is None
+             else ConvolutionTable.from_point_table(s.space, tuple(zip(*p))))
+    return Semihypergroup(s.space, table, f"{s.name}^op")
 
 
 def require_associative(s: Semihypergroup) -> None:

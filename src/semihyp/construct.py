@@ -9,8 +9,8 @@ a `ConstraintViolation`.  A quotient entry is computed from one pair of
 representatives: the group, subgroup and action-homomorphism checks that
 precede it make every other pair give the same entry (`_quotient`).  A
 Cayley table's identity, generators and Light's test are those of its one
-point-mass structure, `CayleyTable.semigroup`, whose convolution table
-`from_semigroup` wraps.
+point-mass structure, `CayleyTable.semigroup`, built from the checked integer
+table with no pass over its n^2 supports; `from_semigroup` wraps its table.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, permutations
-from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import (
@@ -31,6 +30,7 @@ from .algebra import (
     RationalLike,
     Semihypergroup,
     Support,
+    _pick,
     as_fraction,
     point_mass,
 )
@@ -96,12 +96,9 @@ class CayleyTable:
     @cached_property
     def semigroup(self) -> Semihypergroup:
         """The point-mass structure p_x * p_y = p_{x.y}, unchecked.  Its
-        convolution table is handed the integer table as its `point_table`,
-        so its checks read the integer table itself."""
-        one = Fraction(1)
-        masses = [((z, one),) for z in range(self.n)]
-        conv = ConvolutionTable(self.space, tuple(_pick(row)(masses) for row in self.product))
-        vars(conv)["point_table"] = self.product  # passed on: deriving it rescans every support
+        convolution table is `ConvolutionTable.from_point_table` of the
+        integer table `__post_init__` checked, so its checks read that table."""
+        conv = ConvolutionTable.from_point_table(self.space, self.product)
         return Semihypergroup(space=self.space, table=conv, name="semigroup")
 
     def is_associative(self) -> bool:
@@ -258,13 +255,6 @@ def _require_subgroup(g: CayleyTable, members: Iterable[PointRef]) -> list[int]:
             f"{{{', '.join(g.labels[i] for i in idx)}}} is not a subgroup"
         )
     return idx
-
-
-def _pick(h: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """A sequence -> the tuple of its entries at the indices in h, at C speed
-    (`itemgetter` gives the entry itself, not a 1-tuple, for one index); on
-    row x of a table, the tuple of x.t, t in h."""
-    return itemgetter(*h) if len(h) > 1 else lambda row: (row[h[0]],)
 
 
 def _classes(n: int, class_of: Callable[[int], frozenset[int]]) -> list[frozenset[int]]:

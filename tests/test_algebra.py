@@ -35,6 +35,7 @@ from semihyp.algebra import (
     zero_measure,
 )
 from semihyp.construct import (
+    CayleyTable,
     coset_space,
     cyclic_group,
     double_coset_space,
@@ -501,9 +502,10 @@ def test_from_measures_inverts_the_dense_view(corpus):
 
 def test_opposite_transposes_the_supports(corpus):
     for _, shg in corpus:
-        op = opposite(shg).table.supports
-        assert all(op[x][y] == shg.table.supports[y][x]
+        op, p = opposite(shg).table, shg.table.point_table
+        assert all(op.supports[x][y] == shg.table.supports[y][x]
                    for x, y in itertools.product(range(shg.n), repeat=2))
+        assert op.point_table == (None if p is None else tuple(zip(*p)))
 
 
 def test_kernels_never_build_the_dense_view():
@@ -544,6 +546,40 @@ def test_point_table_reads_each_distinct_support_once():
     assert len(table.distinct) == 4 and table.point_table is None
     shared = ConvolutionTable(space, ((masses[0], masses[1], masses[2]),) * 3)
     assert len(shared.distinct) == 3 and shared.point_table == ((0, 1, 2),) * 3
+
+
+def _facts(table):
+    """What a fresh structure over the table reads off it, witnesses included."""
+    s = Semihypergroup(table.space, table)
+    return s.identity, s.generators, s.probability_report, s.associativity_report
+
+
+@settings(max_examples=200, deadline=None)
+@given(magma_tables())
+def test_point_mass_table_equals_the_same_supports_checked(table):
+    # `from_point_table` trusts the integer table `CayleyTable` checked; the
+    # general constructor checks the same supports, built here one by one
+    cayley = CayleyTable(tuple(str(i) for i in range(len(table))), table)
+    built, n = cayley.semigroup.table, cayley.n
+    general = ConvolutionTable(cayley.space, tuple(
+        tuple(((z, F(1)),) for z in row) for row in cayley.product))
+    assert built.supports == general.supports
+    assert built.point_table == general.point_table == cayley.product
+    assert built.scaled == general.scaled
+    # `distinct`: all n masses in index order, whether or not they occur
+    assert list(built.distinct.values()) == [((z, F(1)),) for z in range(n)]
+    occurring = {e for row in general.supports for e in row}
+    assert set(general.distinct.values()) == occurring <= set(built.distinct.values())
+    assert _facts(built) == _facts(general)
+
+
+@pytest.mark.parametrize("cayley", [symmetric_group(4), left_zero_semigroup(5), cyclic_group(6)],
+                         ids=["s4", "lz5", "z6"])
+def test_opposite_of_a_point_mass_table_reads_the_transpose(cayley):
+    op = opposite(from_semigroup(cayley)).table
+    assert op.point_table == tuple(zip(*cayley.product))
+    general = ConvolutionTable(op.space, op.supports)
+    assert general.point_table == op.point_table and _facts(op) == _facts(general)
 
 
 # supports without zero weights, on a few keys so that sums cancel; signed

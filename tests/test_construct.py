@@ -13,6 +13,7 @@ from semihyp.algebra import (
     CheckReport,
     ConvolutionTable,
     check_associativity,
+    check_supports,
     point_mass,
 )
 from semihyp.construct import (
@@ -572,6 +573,31 @@ def test_from_semigroup_checks_the_integer_table_only(s3_group, monkeypatch):
     assert shg.table.point_table == s3_group.product
     assert shg.associativity_report == CheckReport("associativity", True)
     assert shg.probability_report == CheckReport("probability", True)
+
+
+def test_group_checks_build_their_point_masses_unchecked(monkeypatch):
+    # S5's group check builds its point-mass table from the checked integer
+    # table: no n^2 gather of `distinct`, no `check_supports` over its masses;
+    # the coset space's own table still goes through both
+    gather, checked = ConvolutionTable.distinct.func, []
+
+    def guarded(table):
+        if all(len(e) == 1 and e[0][1] == 1 for row in table.supports for e in row):
+            raise AssertionError("distinct gathered from a point-mass table")
+        return gather(table)
+
+    def recording(supports, n):
+        checked.append((list(supports), n))
+        check_supports(checked[-1][0], n)
+
+    monkeypatch.setattr(ConvolutionTable.distinct, "func", guarded)
+    monkeypatch.setattr(algebra, "check_supports", recording)
+    s5 = symmetric_group(5)
+    assert s5.is_group()
+    assert coset_space(s5, [l for l in s5.labels if "5" not in l]).n == 5
+    masses = {id(e) for e in s5.semigroup.table.distinct.values()}
+    assert [n for _, n in checked] == [5]
+    assert not masses & {id(e) for supports, _ in checked for e in supports}
 
 
 @pytest.mark.parametrize(
