@@ -172,8 +172,8 @@ class ConvolutionTable:
     supports[x][y] is the `Support` of p_x * p_y: its (index, weight) pairs
     with weight != 0, indices ascending.  `from_measures` and `entry` are the
     dense boundary; `entries` is the dense view, for callers outside the
-    kernels, which read `point_table` or, on other tables, `scaled`.  A
-    checked integer table gives its point-mass table by `from_point_table`.
+    kernels, which read `point_table` or, on other tables, `scaled`.
+    `CayleyTable` alone builds its point-mass table, by `_from_point_table`.
     """
 
     space: PointSpace
@@ -198,10 +198,12 @@ class ConvolutionTable:
         ))
 
     @classmethod
-    def from_point_table(cls, space: PointSpace, t: tuple[tuple[int, ...], ...]):
+    def _from_point_table(cls, space: PointSpace, t: tuple[tuple[int, ...], ...]):
         """The table p_x * p_y = p_{t[x][y]}, for t trusted to be n tuples of n
-        ints in 0..n-1 (as `CayleyTable` checks): `point_table` is t, `distinct`
-        all n masses, each built once, so neither the n^2 gather nor `check_supports` runs."""
+        ints in 0..n-1, as `CayleyTable.__post_init__` checks it (private: an
+        unchecked t goes through `ConvolutionTable(space, supports)`):
+        `point_table` is t, `distinct` all n masses, each built once, so
+        neither the n^2 gather nor `check_supports` runs."""
         one = Fraction(1)
         masses = [((z, one),) for z in range(space.n)]
         table = object.__new__(cls)  # frozen: fill the fields and the caches directly
@@ -221,7 +223,7 @@ class ConvolutionTable:
     @cached_property
     def distinct(self) -> dict[int, Support]:
         """Each distinct support object once, by id, in first-occurrence order;
-        from `from_point_table`, all n masses in index order, occurring or not."""
+        from `_from_point_table`, all n masses in index order, occurring or not."""
         return {id(e): e for row in self.supports for e in row}
 
     @cached_property
@@ -343,10 +345,8 @@ def opposite(s: Semihypergroup) -> Semihypergroup:
     opposite: R_t f on s is L_t f on opposite(s), so right invariant means
     of s are the left invariant means of opposite(s).
     """
-    p = s.table.point_table
-    table = (ConvolutionTable(s.space, tuple(zip(*s.table.supports))) if p is None
-             else ConvolutionTable.from_point_table(s.space, tuple(zip(*p))))
-    return Semihypergroup(s.space, table, f"{s.name}^op")
+    supports = tuple(zip(*s.table.supports))
+    return Semihypergroup(s.space, ConvolutionTable(s.space, supports), f"{s.name}^op")
 
 
 def require_associative(s: Semihypergroup) -> None:

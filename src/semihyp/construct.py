@@ -96,9 +96,9 @@ class CayleyTable:
     @cached_property
     def semigroup(self) -> Semihypergroup:
         """The point-mass structure p_x * p_y = p_{x.y}, unchecked.  Its
-        convolution table is `ConvolutionTable.from_point_table` of the
+        convolution table is `ConvolutionTable._from_point_table` of the
         integer table `__post_init__` checked, so its checks read that table."""
-        conv = ConvolutionTable.from_point_table(self.space, self.product)
+        conv = ConvolutionTable._from_point_table(self.space, self.product)
         return Semihypergroup(space=self.space, table=conv, name="semigroup")
 
     def is_associative(self) -> bool:

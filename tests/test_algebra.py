@@ -557,7 +557,7 @@ def _facts(table):
 @settings(max_examples=200, deadline=None)
 @given(magma_tables())
 def test_point_mass_table_equals_the_same_supports_checked(table):
-    # `from_point_table` trusts the integer table `CayleyTable` checked; the
+    # `_from_point_table` trusts the integer table `CayleyTable` checked; the
     # general constructor checks the same supports, built here one by one
     cayley = CayleyTable(tuple(str(i) for i in range(len(table))), table)
     built, n = cayley.semigroup.table, cayley.n
@@ -571,15 +571,6 @@ def test_point_mass_table_equals_the_same_supports_checked(table):
     occurring = {e for row in general.supports for e in row}
     assert set(general.distinct.values()) == occurring <= set(built.distinct.values())
     assert _facts(built) == _facts(general)
-
-
-@pytest.mark.parametrize("cayley", [symmetric_group(4), left_zero_semigroup(5), cyclic_group(6)],
-                         ids=["s4", "lz5", "z6"])
-def test_opposite_of_a_point_mass_table_reads_the_transpose(cayley):
-    op = opposite(from_semigroup(cayley)).table
-    assert op.point_table == tuple(zip(*cayley.product))
-    general = ConvolutionTable(op.space, op.supports)
-    assert general.point_table == op.point_table and _facts(op) == _facts(general)
 
 
 # supports without zero weights, on a few keys so that sums cancel; signed
