@@ -217,10 +217,7 @@ class AffineFunctional:
     def apply(self, x: Sequence[Fraction]) -> Fraction:
         if len(x) != len(self.coeffs):
             raise ValueError("point dimension does not match the functional")
-        return (
-            sum((c * as_fraction(v) for c, v in zip(self.coeffs, x)), Fraction(0))
-            + self.constant
-        )
+        return sum((c * as_fraction(v) for c, v in zip(self.coeffs, x)), self.constant)
 
 
 def identity_map(dim: int) -> AffineMap:
@@ -491,13 +488,9 @@ def check_nonexpansive(
 def _require_verified(action: AffineAction) -> None:
     """A non-associative structure fails `axiom_report`'s own precondition."""
     if not action.axiom_report.passed:
-        raise PreconditionError(
-            f"not an action: {action.axiom_report.detail}"
-        )
+        raise PreconditionError(f"not an action: {action.axiom_report.detail}")
     if not action.invariance_report.passed:
-        raise PreconditionError(
-            f"carrier is not invariant: {action.invariance_report.detail}"
-        )
+        raise PreconditionError(f"carrier is not invariant: {action.invariance_report.detail}")
 
 
 def fixed_point_problem(

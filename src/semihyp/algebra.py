@@ -42,9 +42,7 @@ class PreconditionError(ValueError):
 def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
 
@@ -174,10 +172,12 @@ class ConvolutionTable:
     dense boundary; `entries` is the dense view, for callers outside the
     kernels, which read `point_table` or, on other tables, `scaled`.
     `CayleyTable` alone builds its point-mass table, by `_from_point_table`.
+    `facts` keeps the checks' results, which `Semihypergroup` fills on first use.
     """
 
     space: PointSpace
     supports: tuple[tuple[Support, ...], ...]
+    facts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.space.n
@@ -208,7 +208,7 @@ class ConvolutionTable:
         masses = [((z, one),) for z in range(space.n)]
         table = object.__new__(cls)  # frozen: fill the fields and the caches directly
         vars(table).update(space=space, point_table=t, supports=tuple(_pick(r)(masses) for r in t),
-                           distinct={id(m): m for m in masses})
+                           distinct={id(m): m for m in masses}, facts={})
         return table
 
     def entry(self, x: PointRef, y: PointRef) -> Measure:
@@ -285,47 +285,50 @@ class CheckReport:
 
 @dataclass(frozen=True)
 class Semihypergroup:
-    """Finite point space plus convolution table.
-
-    The structural flags (`probability_report`, `associativity_report`,
-    `identity`, `is_commutative`) are computed once on first use and cached;
-    the value is immutable, so the cache can never go stale.  Operations that
-    require associativity call :func:`require_associative` first.
+    """A named view of a convolution table.  Its facts (`probability_report`,
+    `associativity_report`, `identity`, `generators`, `is_commutative`) are
+    the table's: each is computed on first use and kept in `table.facts`, so
+    every name for the table reuses them, and, the table being immutable,
+    they never go stale.  Operations that require associativity call
+    :func:`require_associative` first.
     """
 
-    space: PointSpace
     table: ConvolutionTable
     name: str = "semihypergroup"
 
-    def __post_init__(self) -> None:
-        if self.table.space != self.space:
-            raise DimensionMismatch("table belongs to a different point space")
+    @property
+    def space(self) -> PointSpace:
+        return self.table.space
 
     @property
     def n(self) -> int:
-        return self.space.n
+        return self.table.space.n
 
-    @cached_property
+    def _fact(self, key: str, check: Callable[["Semihypergroup"], object]):
+        facts = self.table.facts  # the check runs once per table: a miss stores it
+        return facts[key] if key in facts else facts.setdefault(key, check(self))
+
+    @property
     def probability_report(self) -> CheckReport:
-        return check_probability(self)
+        return self._fact("probability_report", check_probability)
 
-    @cached_property
+    @property
     def associativity_report(self) -> CheckReport:
-        return check_associativity(self)
+        return self._fact("associativity_report", check_associativity)
 
     @property
     def is_associative(self) -> bool:
         return self.associativity_report.passed
 
-    @cached_property
+    @property
     def identity(self) -> Optional[int]:
-        return find_identity(self)
+        return self._fact("identity", find_identity)
 
-    @cached_property
+    @property
     def generators(self) -> tuple[int, ...]:
-        return tuple(generating_points(self))
+        return self._fact("generators", lambda s: tuple(generating_points(s)))
 
-    @cached_property
+    @property
     def kept_points(self) -> tuple[int, ...]:
         """The points whose rows the LPs, the dual system and the action
         axiom keep: `generators` on a probability table, else every point.
@@ -333,9 +336,9 @@ class Semihypergroup:
         mass multiplicative, a subalgebra holding p_e, so it holds them all."""
         return self.generators if self.probability_report.passed else tuple(range(self.n))
 
-    @cached_property
+    @property
     def is_commutative(self) -> bool:
-        return check_commutative(self)
+        return self._fact("is_commutative", check_commutative)
 
 
 def opposite(s: Semihypergroup) -> Semihypergroup:
@@ -346,7 +349,7 @@ def opposite(s: Semihypergroup) -> Semihypergroup:
     of s are the left invariant means of opposite(s).
     """
     supports = tuple(zip(*s.table.supports))
-    return Semihypergroup(s.space, ConvolutionTable(s.space, supports), f"{s.name}^op")
+    return Semihypergroup(ConvolutionTable(s.space, supports), f"{s.name}^op")
 
 
 def require_associative(s: Semihypergroup) -> None:

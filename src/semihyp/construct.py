@@ -10,7 +10,8 @@ representatives: the group, subgroup and action-homomorphism checks that
 precede it make every other pair give the same entry (`_quotient`).  A
 Cayley table's identity, generators and Light's test are those of its one
 point-mass structure, `CayleyTable.semigroup`, built from the checked integer
-table with no pass over its n^2 supports; `from_semigroup` wraps its table.
+table with no pass over its n^2 supports; `from_semigroup` names its table,
+whose facts every name shares, so a proved table is not proved again.
 """
 
 from __future__ import annotations
@@ -97,9 +98,10 @@ class CayleyTable:
     def semigroup(self) -> Semihypergroup:
         """The point-mass structure p_x * p_y = p_{x.y}, unchecked.  Its
         convolution table is `ConvolutionTable._from_point_table` of the
-        integer table `__post_init__` checked, so its checks read that table."""
+        integer table `__post_init__` checked, so its checks read that table,
+        and it keeps their results for every structure named over it."""
         conv = ConvolutionTable._from_point_table(self.space, self.product)
-        return Semihypergroup(space=self.space, table=conv, name="semigroup")
+        return Semihypergroup(conv, "semigroup")
 
     def is_associative(self) -> bool:
         return self.associativity_witness() is None
@@ -179,11 +181,12 @@ class GroupAction:
 
 def from_semigroup(table: CayleyTable, name: Optional[str] = None) -> Semihypergroup:
     """Semihypergroup with point-mass convolution p_x * p_y = p_{x.y}: the
-    convolution table of `table.semigroup`, under its own name.  Its
-    `check_associativity` runs Light's test on the integer table itself:
+    convolution table of `table.semigroup` under its own name, with the facts
+    that table keeps, so nothing is checked again after `table.is_group()`.
+    Its `check_associativity` runs Light's test on the integer table itself:
     (p_x*p_y)*p_z = p_{(xy)z}, and the first failing triple is the table's.
     """
-    shg = Semihypergroup(space=table.space, table=table.semigroup.table, name=name or "semigroup")
+    shg = Semihypergroup(table.semigroup.table, name or "semigroup")
     if not shg.is_associative:
         x, y, z = shg.associativity_report.witness["triple"]
         raise ConstraintViolation([f"input table is not associative at ({x}, {y}, {z})"])
@@ -239,7 +242,7 @@ def triple_hypergroup(
         (a, Measure(space, (x1, x2, x3)), ab),
         (b, ab, Measure(space, (y1, y2, y3))),
     ))
-    s = Semihypergroup(space=space, table=table, name=name or "triple")
+    s = Semihypergroup(table, name or "triple")
     if violations:
         report = s.associativity_report if s.probability_report.passed else None
         raise ConstraintViolation(violations, report=report)
@@ -303,7 +306,7 @@ def _quotient(
         return shared[key]
 
     table = ConvolutionTable(space, tuple(tuple(entry(a, b) for b in range(k)) for a in range(k)))
-    return _verified(Semihypergroup(space=space, table=table, name=name))
+    return _verified(Semihypergroup(table, name))
 
 
 def _verified(s: Semihypergroup) -> Semihypergroup:
@@ -409,13 +412,9 @@ def symmetric_group(n: int) -> CayleyTable:
     """
     elems = sorted(permutations(range(n)))
     index = {p: i for i, p in enumerate(elems)}
-
-    def mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(p[q[i]] for i in range(n))
-
     return CayleyTable(
         labels=tuple(_cycle_label(p) for p in elems),
-        product=tuple(tuple(index[mul(p, q)] for q in elems) for p in elems),
+        product=tuple(tuple(index[tuple(map(p.__getitem__, q))] for q in elems) for p in elems),
     )
 
 
@@ -423,9 +422,7 @@ def left_zero_semigroup(n: int) -> CayleyTable:
     if not 1 <= n <= 26:
         raise ValueError("supported sizes are 1..26")
     labels = tuple(chr(ord("a") + i) for i in range(n))
-    return CayleyTable(
-        labels=labels, product=tuple((i,) * n for i in range(n))
-    )
+    return CayleyTable(labels=labels, product=tuple((i,) * n for i in range(n)))
 
 
 def inversion_action(g: CayleyTable) -> GroupAction:

@@ -61,6 +61,14 @@ def _rational_memo() -> Callable[[Any], Fraction]:
     return parse
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")  # the code points UTF-8 cannot write
+
+
+def _require_utf8(kind: str, *texts: str) -> None:
+    if (bad := next(filter(_SURROGATE.search, texts), None)) is not None:
+        raise FileFormatError(f"{kind} {bad!r} holds a surrogate code point (U+D800-U+DFFF)")
+
+
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     doc = dict(pairs)
     if len(doc) < len(pairs):
@@ -123,7 +131,7 @@ def _read_canonical(text: str) -> Optional[Semihypergroup]:
         table = ConvolutionTable(space, tuple(rows))
     except (KeyError, ValueError):
         return None
-    shg = Semihypergroup(space, table, name=name)
+    shg = Semihypergroup(table, name)
     return shg if canonical_structure_json(shg) == text else None
 
 
@@ -149,6 +157,8 @@ def parse_structure(text: str) -> Semihypergroup:
         raise FileFormatError("points must be a nonempty list of labels")
     if len(set(points)) != len(points):
         raise FileFormatError("point labels must be distinct")
+    _require_utf8("structure name", name)
+    _require_utf8("point label", *points)
     space = PointSpace(tuple(points))
     conv = doc["convolution"]
     if not isinstance(conv, dict):
@@ -185,7 +195,7 @@ def parse_structure(text: str) -> Semihypergroup:
     table = ConvolutionTable(space, tuple(
         tuple(supports[(x, y)] for y in range(space.n)) for x in range(space.n)
     ))
-    return Semihypergroup(space=space, table=table, name=name)
+    return Semihypergroup(table, name)
 
 
 def sort_points(shg: Semihypergroup) -> Semihypergroup:
@@ -200,7 +210,7 @@ def sort_points(shg: Semihypergroup) -> Semihypergroup:
         tuple(tuple(sorted((new[k], w) for k, w in sup[x][y])) for y in order)
         for x in order
     ))
-    return Semihypergroup(space=space, table=table, name=shg.name)
+    return Semihypergroup(table, shg.name)
 
 
 def canonical_structure_json(shg: Semihypergroup) -> str:
@@ -210,12 +220,15 @@ def canonical_structure_json(shg: Semihypergroup) -> str:
     Each entry lists its support in sorted-label order, and each distinct
     support object and weight is rendered once.  A label containing "|"
     would make the "x|y" keys ambiguous, so it raises `FileFormatError`
-    naming the first such label in point order, before anything is written.
+    naming the first such label in point order, before anything is written,
+    and so does a name or label that the readers reject for a surrogate.
     """
     labels = shg.space.labels
     bad = next((label for label in labels if "|" in label), None)
     if bad is not None:
         raise FileFormatError(f"point label {bad!r} contains '|', which the 'x|y' keys reserve")
+    _require_utf8("structure name", shg.name)
+    _require_utf8("point label", *labels)
     order = sorted(range(shg.n), key=labels.__getitem__)
     in_order = order == list(range(shg.n))  # then each support, by index, is by label too
     quoted = [encode_basestring_ascii(label) for label in labels]
@@ -262,6 +275,7 @@ def _group_table(doc: Any) -> CayleyTable:
     table = doc["table"]
     if not isinstance(labels, list) or any(not isinstance(l, str) for l in labels):
         raise FileFormatError("labels must be a list of strings")
+    _require_utf8("group label", *labels)
     bad = [(l, c) for l in labels for c in "|," if c in l]
     if bad:
         # structure files key the convolution by "x|y"; orbit labels and

@@ -59,10 +59,7 @@ def constant_function(space: PointSpace, value: RationalLike) -> PointFunction:
 
 
 def indicator(space: PointSpace, point: PointRef) -> PointFunction:
-    i = space.index(point)
-    return PointFunction(
-        space, tuple(Fraction(1 if j == i else 0) for j in range(space.n))
-    )
+    return PointFunction(space, point_mass(space, point).weights)
 
 
 @dataclass(frozen=True)

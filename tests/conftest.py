@@ -64,7 +64,7 @@ def make_t3_corrupted() -> Semihypergroup:
             tuple(Measure(space, rows[(x, y)]) for y in range(3)) for x in range(3)
         ),
     )
-    return Semihypergroup(space=space, table=table, name="t3-corrupted")
+    return Semihypergroup(table, name="t3-corrupted")
 
 
 def right_zero_semigroup(n: int) -> CayleyTable:

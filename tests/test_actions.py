@@ -134,7 +134,7 @@ def test_canonical_action_requires_probability_rows():
     # p*p = 2p is associative ((p*p)*p = 4p = p*(p*p)) but not a probability
     space = PointSpace(("p",))
     table = ConvolutionTable.from_measures(space, ((Measure(space, (F(2),)),),))
-    doubled = Semihypergroup(space=space, table=table, name="doubled")
+    doubled = Semihypergroup(table, name="doubled")
     assert doubled.is_associative
     with pytest.raises(PreconditionError, match="probability"):
         canonical_means_action(doubled)
@@ -177,7 +177,7 @@ def test_action_axiom_ignores_the_augmented_identity_row():
               for y in range(2))
         for x in range(2)
     ))
-    doubled = Semihypergroup(space=space, table=table, name="z2-doubled")
+    doubled = Semihypergroup(table, name="z2-doubled")
     assert doubled.is_associative and doubled.identity is None
     twice = AffineMap.from_dense(matrix=((F(2), F(0)), (F(0), F(2))), offset=(F(0), F(0)))
     action = AffineAction(structure=doubled, carrier=Simplex(2), maps=(twice, twice))
@@ -771,7 +771,7 @@ def test_dual_action_orbit_bound_scales_by_the_l1_seminorm():
     # p*p = 4p is associative but not a probability table: T_p u = 4(u + v0)
     # - v0, so T_p(0) = 3 and the bound is 4 * ||v0||_1 + ||v0||_1
     space = PointSpace(("p",))
-    shg = Semihypergroup(space, ConvolutionTable(space, ((((0, F(4)),),),)))
+    shg = Semihypergroup(ConvolutionTable(space, ((((0, F(4)),),),)))
     assert dual_action(shg).orbit_bound((F(0),)) == (F(3), F(5))
 
 
@@ -827,7 +827,7 @@ def test_dual_route_base_point_choice(t3):
 def test_dual_route_on_one_point_tables_matches_direct(w):
     # p_a * p_a = w p_a is a probability table only for w = 1
     space = PointSpace(("a",))
-    shg = Semihypergroup(space, ConvolutionTable(space, ((((0, w),),),)))
+    shg = Semihypergroup(ConvolutionTable(space, ((((0, w),),),)))
     direct = find_left_invariant_mean(shg)
     assert (direct is None) == (w != 1)
     assert mean_via_dual_action(shg) == direct

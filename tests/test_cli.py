@@ -20,7 +20,7 @@ import semihyp.cli as cli
 from semihyp import algebra
 from semihyp.algebra import CheckReport
 from semihyp.amenability import Mean
-from semihyp.construct import from_semigroup, left_zero_semigroup
+from semihyp.construct import CayleyTable, from_semigroup, left_zero_semigroup
 from semihyp.files import canonical_structure_json
 from cli_cases import CASES, FIXTURES, GOLDEN, CliCase, normalize, run_case
 from oracles import oracle_decimal_text
@@ -321,6 +321,40 @@ def test_group_label_with_pipe_exit_2(tmp_path, capsys):
     code = cli.main(["construct", "orbit", "--action", str(action), "--out", str(out)])
     assert code == 2
     assert "'|'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_construct_with_a_surrogate_in_the_name_exit_2(tmp_path, capsys):
+    # UTF-8 has no form for U+D800..U+DFFF, so the report could not print it
+    group = tmp_path / "g.json"
+    group.write_text(json.dumps({"labels": ["a", "b"], "table": [[0, 1], [1, 0]]}))
+    out = tmp_path / "out.json"
+    argv = ["construct", "semigroup", "--group", str(group), "--out", str(out), "--name", "s\ud800"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == ("error: structure name 's\\ud800' holds a surrogate code point "
+                            "(U+D800-U+DFFF)\n")
+
+
+def test_a_surrogate_label_exit_2_in_a_subprocess(tmp_path):
+    # io.StringIO holds a surrogate, so only a real UTF-8 stdout shows the
+    # crash this guards against: a group file with one, and the structure
+    # file that `construct` used to write from it
+    group = tmp_path / "g.json"
+    group.write_text(json.dumps({"labels": ["\ud800", "b"], "table": [[0, 1], [1, 0]]}))
+    structure = tmp_path / "s.json"
+    shg = from_semigroup(CayleyTable(("a", "z"), ((0, 1), (1, 0))))
+    structure.write_text(canonical_structure_json(shg).replace("z", "\\ud800"))
+    out = tmp_path / "out.json"
+    env = dict(_module_env(), PYTHONIOENCODING="utf-8")
+    for argv in (["construct", "semigroup", "--group", str(group), "--out", str(out)],
+                 ["check", str(structure)]):
+        proc = subprocess.run([sys.executable, "-m", "semihyp.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+        assert "label '\\ud800' holds a surrogate code point" in proc.stderr
     assert not out.exists()
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -14,6 +15,8 @@ from semihyp.algebra import (
     ConvolutionTable,
     check_associativity,
     check_supports,
+    find_identity,
+    generating_points,
     point_mass,
 )
 from semihyp.construct import (
@@ -110,7 +113,7 @@ def test_light_test_on_one_point():
     # The one point is the identity, so no generator: make it one, so that
     # Light's test runs
     shg = CayleyTable(("a",), ((0,),)).semigroup
-    vars(shg)["generators"] = (0,)
+    shg.table.facts["generators"] = (0,)
     assert check_associativity(shg).passed
 
 
@@ -607,7 +610,7 @@ def test_group_checks_build_their_point_masses_unchecked(monkeypatch):
 )
 def test_from_semigroup_cached_report_equals_the_check(table):
     shg = from_semigroup(table)
-    assert vars(shg)["associativity_report"] == check_associativity(shg)
+    assert shg.table.facts["associativity_report"] == check_associativity(shg)
 
 
 @settings(max_examples=150, deadline=None)
@@ -619,25 +622,43 @@ def test_from_semigroup_cached_report_equals_the_check_on_random_tables(table):
             from_semigroup(cayley)
         return
     shg = from_semigroup(cayley)
-    assert vars(shg)["associativity_report"] == check_associativity(shg)
+    assert shg.table.facts["associativity_report"] == check_associativity(shg)
 
 
 def test_each_table_is_proved_associative_once(monkeypatch):
-    # the group checks of an action and of two quotients of one table reuse
-    # the cached report of the table's point-mass structure
-    calls = []
+    # the group checks of an action and of two quotients of one table, and
+    # every name for it, reuse the facts its point-mass structure keeps
+    calls = []  # (check, integer table) of each check run on a point-mass table
 
-    def counting(s):
-        if s.table.point_table is not None:
-            calls.append(s.table.point_table)
-        return check_associativity(s)
+    def counting(check):
+        def counted(s):
+            if s.table.point_table is not None:
+                calls.append((check.__name__, s.table.point_table))
+            return check(s)
+        return counted
 
-    monkeypatch.setattr(algebra, "check_associativity", counting)
+    for check in (check_associativity, find_identity, generating_points):
+        monkeypatch.setattr(algebra, check.__name__, counting(check))
+
+    def proofs():
+        return [t for check, t in calls if check == "check_associativity"]
+
     s4 = symmetric_group(4)
     inversion_action(s4)  # proves S4 and the acting Z2
-    assert calls == [s4.product, cyclic_group(2).product]
+    assert proofs() == [s4.product, cyclic_group(2).product]
     s3 = symmetric_group(3)
     coset_space(s3, ["e", "(12)"])
     double_coset_space(s3, ["e", "(12)"])
     assert s3.identity() == 0 and s3.is_group() and s3.associativity_witness() is None
-    assert calls[2:] == [s3.product]
+    assert proofs()[2:] == [s3.product]
+
+    # a proved table under a new name: the same facts, proved once
+    assert s4.is_group()
+    named, own = from_semigroup(s4, name="s4"), s4.semigroup
+    assert named.name == "s4" and named.table is own.table
+    for fact in ("probability_report", "associativity_report", "identity", "generators",
+                 "is_commutative"):
+        assert getattr(named, fact) is getattr(own, fact), fact
+    assert named.associativity_report.passed and named.identity == 0
+    assert Counter(check for check, t in calls if t == s4.product) == {
+        "check_associativity": 1, "find_identity": 1, "generating_points": 1}

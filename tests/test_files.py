@@ -197,7 +197,7 @@ def test_structure_round_trip_property(doc):
 
 def structure_of(labels, supports, name="s") -> Semihypergroup:
     space = PointSpace(tuple(labels))
-    return Semihypergroup(space, ConvolutionTable(space, supports), name=name)
+    return Semihypergroup(ConvolutionTable(space, supports), name=name)
 
 
 # labels that json escapes, and "1", "10", "1a", whose raw "x|y" keys sort
@@ -465,6 +465,33 @@ def test_parse_group_action_errors():
     good = {"acting": z2, "carrier": z2, "act": [[0, 1], [0, 1]]}
     action = parse_group_action(json.dumps(good))
     assert action.orbit(0) == frozenset({0})
+
+
+def test_a_label_or_name_with_a_surrogate_code_point_is_rejected():
+    # UTF-8 has no form for U+D800..U+DFFF, so no report could print such a
+    # text; json.dumps writes the one here as the escape \ud800
+    def rejected(kind):
+        return pytest.raises(FileFormatError, match=re.escape(
+            f"{kind} '\\ud800' holds a surrogate code point (U+D800-U+DFFF)"))
+
+    group = {"labels": ["\ud800", "b"], "table": [[0, 1], [1, 0]]}
+    with rejected("group label"):
+        parse_group(json.dumps(group))
+    z2 = json.loads(Z2_GROUP)
+    with rejected("group label"):
+        parse_group_action(json.dumps({"acting": z2, "carrier": group, "act": [[0, 1], [0, 1]]}))
+    # structure files: "z" sorts as \ud800 does, so the first text stays canonical
+    shg = from_semigroup(CayleyTable(("a", "z"), ((0, 1), (1, 0))), name="s")
+    text = canonical_structure_json(shg)
+    for canonical, kind in ((text.replace("z", "\\ud800"), "point label"),
+                            (text.replace('"name": "s"', '"name": "\\ud800"'), "structure name")):
+        with rejected(kind):
+            files._read_canonical(canonical)  # its verification render refuses it
+        for doc in (canonical, json.dumps(json.loads(canonical))):
+            with rejected(kind):
+                parse_structure(doc)
+    with rejected("structure name"):
+        canonical_structure_json(Semihypergroup(shg.table, "\ud800"))
 
 
 def test_parse_affine_action_errors(z2):

@@ -30,7 +30,6 @@ from semihyp.algebra import (
     DimensionMismatch,
     PointSpace,
     PreconditionError,
-    Semihypergroup,
     as_fraction,
 )
 from semihyp.amenability import Mean, uniform_mean, verify_left_invariant_mean
@@ -99,8 +98,6 @@ REJECTED = [
      CarrierError, "hull bounding box"),
     # algebra
     ("as-fraction-float", lambda: as_fraction(0.5), TypeError, "not an exact rational"),
-    ("table-space", lambda: Semihypergroup(PointSpace(("a", "b")), Z2.table), DimensionMismatch,
-     "different point space"),
     # amenability
     # the length of a mean or a candidate is Measure's rule
     ("mean-length", lambda: Mean(Z2.space, (F(1),)), DimensionMismatch,
