@@ -193,29 +193,6 @@ def from_semigroup(table: CayleyTable, name: Optional[str] = None) -> Semihyperg
     return shg
 
 
-def triple_constraint_violations(
-    x1: Fraction, x2: Fraction, x3: Fraction,
-    y1: Fraction, y2: Fraction, y3: Fraction,
-    z1: Fraction, z2: Fraction,
-) -> list[str]:
-    """Arithmetic preconditions of the 3-point family, with named failures."""
-    out = []
-    named = [("x1", x1), ("x2", x2), ("x3", x3), ("y1", y1), ("y2", y2),
-             ("y3", y3), ("z1", z1), ("z2", z2)]
-    for label, v in named:
-        if v < 0:
-            out.append(f"{label} = {v} is negative")
-    if x1 + x2 + x3 != 1:
-        out.append(f"x1+x2+x3 = {x1 + x2 + x3} != 1")
-    if y1 + y2 + y3 != 1:
-        out.append(f"y1+y2+y3 = {y1 + y2 + y3} != 1")
-    if z1 + z2 != 1:
-        out.append(f"z1+z2 = {z1 + z2} != 1")
-    if y1 * x3 != z1 * x1:
-        out.append(f"y1*x3 != z1*x1 ({y1 * x3} != {z1 * x1})")
-    return out
-
-
 def triple_hypergroup(
     x1: RationalLike, x2: RationalLike, x3: RationalLike,
     y1: RationalLike, y2: RationalLike, y3: RationalLike,
@@ -226,14 +203,20 @@ def triple_hypergroup(
 
     e is the identity; p_a*p_a = x1 p_e + x2 p_a + x3 p_b, p_b*p_b uses the
     y's, and p_a*p_b = p_b*p_a = z1 p_a + z2 p_b.  The documented parameter
-    constraints (three unit sums and y1*x3 = z1*x1) are necessary but not
-    sufficient for associativity, so acceptance is decided by the exact
-    associativity check; whichever diagnostics fail are reported together.
+    constraints (nonnegative parameters, the unit sums of the x's, the y's
+    and the z's, and y1*x3 = z1*x1) are necessary but not sufficient for
+    associativity, so acceptance is decided by the exact associativity
+    check; whichever constraints fail are reported together, in that order.
     """
-    x1, x2, x3 = as_fraction(x1), as_fraction(x2), as_fraction(x3)
-    y1, y2, y3 = as_fraction(y1), as_fraction(y2), as_fraction(y3)
-    z1, z2 = as_fraction(z1), as_fraction(z2)
-    violations = triple_constraint_violations(x1, x2, x3, y1, y2, y3, z1, z2)
+    names = ("x1", "x2", "x3", "y1", "y2", "y3", "z1", "z2")
+    values = tuple(map(as_fraction, (x1, x2, x3, y1, y2, y3, z1, z2)))
+    x1, x2, x3, y1, y2, y3, z1, z2 = values
+    violations = [f"{k} = {v} is negative" for k, v in zip(names, values) if v < 0]
+    for part in slice(0, 3), slice(3, 6), slice(6, 8):
+        if (total := sum(values[part])) != 1:
+            violations.append(f"{'+'.join(names[part])} = {total} != 1")
+    if y1 * x3 != z1 * x1:
+        violations.append(f"y1*x3 != z1*x1 ({y1 * x3} != {z1 * x1})")
     space = PointSpace(("e", "a", "b"))
     e, a, b = (point_mass(space, i) for i in range(3))
     ab = Measure(space, (Fraction(0), z1, z2))
@@ -387,20 +370,15 @@ def cyclic_group(n: int) -> CayleyTable:
 
 
 def _cycle_label(p: tuple[int, ...]) -> str:
-    seen = [False] * len(p)
-    out = ""
-    for i in range(len(p)):
-        if seen[i] or p[i] == i:
+    seen, out = [False] * len(p), ""
+    for i in range(len(p)):  # each cycle is walked once, from its least point
+        cycle = []
+        while not seen[i]:
             seen[i] = True
-            continue
-        cycle = [i]
-        seen[i] = True
-        j = p[i]
-        while j != i:
-            cycle.append(j)
-            seen[j] = True
-            j = p[j]
-        out += "(" + "".join(str(k + 1) for k in cycle) + ")"
+            cycle.append(str(i + 1))
+            i = p[i]
+        if len(cycle) > 1:
+            out += "(" + "".join(cycle) + ")"
     return out or "e"
 
 

@@ -85,6 +85,14 @@ def _load_json(text: str) -> Any:
         raise FileFormatError(f"invalid JSON: {exc}") from None
 
 
+def _owned(build: Callable[..., Any], *args: Any) -> Any:
+    """build(*args), whose owner's `ValueError` becomes a `FileFormatError`."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise FileFormatError(str(exc)) from None
+
+
 def _expect_keys(doc: dict, keys: set[str], kind: str) -> None:
     if not isinstance(doc, dict):
         raise FileFormatError(f"{kind} document must be a JSON object")
@@ -153,13 +161,11 @@ def parse_structure(text: str) -> Semihypergroup:
     if not isinstance(name, str) or not name:
         raise FileFormatError("structure name must be a nonempty string")
     points = doc["points"]
-    if not isinstance(points, list) or not points or any(not isinstance(p, str) for p in points):
-        raise FileFormatError("points must be a nonempty list of labels")
-    if len(set(points)) != len(points):
-        raise FileFormatError("point labels must be distinct")
+    if not isinstance(points, list) or any(not isinstance(p, str) for p in points):
+        raise FileFormatError("points must be a list of labels")  # `PointSpace` would coerce
+    space = _owned(PointSpace, tuple(points))  # nonempty and distinct are its rules
     _require_utf8("structure name", name)
     _require_utf8("point label", *points)
-    space = PointSpace(tuple(points))
     conv = doc["convolution"]
     if not isinstance(conv, dict):
         raise FileFormatError("convolution must be an object keyed by 'x|y'")
@@ -199,18 +205,10 @@ def parse_structure(text: str) -> Semihypergroup:
 
 
 def sort_points(shg: Semihypergroup) -> Semihypergroup:
-    """Relabel-preserving reorder of the points into sorted label order."""
-    order = sorted(range(shg.n), key=lambda i: shg.space.label(i))
-    if order == list(range(shg.n)):
-        return shg
-    space = PointSpace(tuple(shg.space.label(i) for i in order))
-    new = {old: i for i, old in enumerate(order)}
-    sup = shg.table.supports
-    table = ConvolutionTable(space, tuple(
-        tuple(tuple(sorted((new[k], w) for k, w in sup[x][y])) for y in order)
-        for x in order
-    ))
-    return Semihypergroup(table, shg.name)
+    """A fresh structure equal to `shg` with its points in sorted label
+    order: its canonical file, read back.  So it raises `FileFormatError`
+    where `canonical_structure_json` does, and for an empty name."""
+    return parse_structure(canonical_structure_json(shg))
 
 
 def canonical_structure_json(shg: Semihypergroup) -> str:
@@ -283,10 +281,8 @@ def _group_table(doc: Any) -> CayleyTable:
         raise FileFormatError(f"group label {bad[0][0]!r} contains {bad[0][1]!r}")
     if not isinstance(table, list) or any(not isinstance(row, list) for row in table):
         raise FileFormatError("table must be a list of index rows")
-    try:  # CayleyTable checks the labels (through PointSpace), the shape, then every entry
-        return CayleyTable(labels=tuple(labels), product=tuple(map(tuple, table)))
-    except ValueError as exc:
-        raise FileFormatError(str(exc)) from None
+    # exit 2 for what CayleyTable checks: the labels (through PointSpace), shape, each entry
+    return _owned(CayleyTable, tuple(labels), tuple(map(tuple, table)))
 
 
 def parse_group_action(text: str) -> GroupAction:
@@ -297,10 +293,7 @@ def parse_group_action(text: str) -> GroupAction:
     act = doc["act"]
     if not isinstance(act, list) or any(not isinstance(row, list) for row in act):
         raise FileFormatError("act must be a list of rows, one per acting element")
-    try:
-        return GroupAction(group=acting, carrier=carrier, act=tuple(map(tuple, act)))
-    except ValueError as exc:
-        raise FileFormatError(str(exc)) from None
+    return _owned(GroupAction, acting, carrier, tuple(map(tuple, act)))
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +318,7 @@ def parse_affine_action(text: str, shg: Semihypergroup) -> AffineAction:
         pts = tuple(tuple(map(parse, p)) for p in hull)
         if any(len(p) != dim for p in pts):
             raise FileFormatError("hull points must match the stated dimension")
-        try:
-            carrier = Hull(pts)
-        except ValueError as exc:
-            raise FileFormatError(str(exc)) from None
+        carrier = _owned(Hull, pts)
     else:
         raise FileFormatError("carrier must be 'simplex' or {'hull': [...]}")
 

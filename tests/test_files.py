@@ -93,6 +93,8 @@ def test_sort_points_preserves_structure(t3):
     assert entry.weights[sorted_t3.space.index("e")] == F(1, 4)
     assert entry.weights[sorted_t3.space.index("b")] == F(1, 2)
     assert sorted_t3.identity == sorted_t3.space.index("e")
+    again = sort_points(sorted_t3)  # already sorted: a fresh, equal structure
+    assert again == sorted_t3 and again is not sorted_t3
 
 
 def test_parse_structure_validation_errors(t3):
@@ -106,13 +108,17 @@ def test_parse_structure_validation_errors(t3):
 
     broken(lambda d: d.pop("name"), "structure document must have exactly the keys")
     broken(lambda d: d.update(name=""), "structure name must be a nonempty string")
-    broken(lambda d: d.update(points=["a", "a", "e"]), "point labels must be distinct")
-    broken(lambda d: d.update(points=[]), "points must be a nonempty list of labels")
+    # nonempty and distinct labels are PointSpace's rules
+    broken(lambda d: d.update(points=["a", "a", "e"]), "point labels must be pairwise distinct")
+    broken(lambda d: d.update(points=[]), "point space must contain at least one point")
+    broken(lambda d: d.update(points=["a", 1, "e"]), "points must be a list of labels")
     broken(lambda d: d.update(convolution=[]), "convolution must be an object keyed by 'x|y'")
     broken(lambda d: d["convolution"].pop("a|a"), "convolution table incomplete; missing ['a|a']")
     broken(lambda d: d["convolution"].update({"a|zz": []}),
            "convolution key 'a|zz' references unknown labels")
     broken(lambda d: d["convolution"].update({"weird": []}), "bad convolution key 'weird'")
+    broken(lambda d: d["convolution"].update({"a|a": {}}),
+           "entry 'a|a' must be a list of weighted points")
     broken(
         lambda d: d["convolution"].__setitem__(
             "a|a", [{"point": "a", "weight": "0.5"}]
@@ -188,7 +194,7 @@ def test_structure_round_trip_property(doc):
     reparsed = parse_structure(first)
     assert canonical_structure_json(reparsed).encode() == first.encode()
     ordered = sort_points(shg)
-    assert reparsed.table == ordered.table
+    assert reparsed.table == ordered.table  # by construction; the oracle below checks sort_points
     sorted_labels, sorted_dense = oracle_sorted_table(labels, dense)
     assert ordered.space.labels == tuple(sorted_labels)
     assert {(x, y): ordered.table.entry(x, y).weights

@@ -50,6 +50,7 @@ from semihyp.files import (
     parse_group,
     parse_group_action,
     parse_rational,
+    sort_points,
 )
 from semihyp.functions import PointFunction, TranslationMatrix
 
@@ -73,6 +74,8 @@ REJECTED = [
     ("simplex-dim", lambda: Simplex(0), ValueError, "dimension must be at least 1"),
     ("hull-empty", lambda: Hull(()), ValueError, "at least one point"),
     ("hull-dims", lambda: Hull(((F(0),), (F(0), F(1)))), ValueError, "share one dimension"),
+    ("hull-repeated", lambda: Hull(((F(0),), (F(1),), (F(0),))), ValueError,
+     "hull points must be pairwise distinct"),
     ("map-apply-dim", lambda: identity_map(2).apply((F(1),)), ValueError,
      "does not match the map"),
     ("action-map-count", lambda: AffineAction(Z2, Simplex(1), (identity_map(1),)), ValueError,
@@ -167,6 +170,15 @@ REJECTED = [
      lambda: parse_affine_action(
          '{"dimension": 1, "carrier": {"hull": [["0"], "1"]}, "maps": {}}', Z2),
      FileFormatError, "hull must be a list of points"),
+    # Hull's own rule, as exit 2
+    ("hull-points-repeated",
+     lambda: parse_affine_action(
+         '{"dimension": 1, "carrier": {"hull": [["0"], ["1"], ["0"]]}, "maps": {}}', Z2),
+     FileFormatError, "hull points must be pairwise distinct"),
+    # the canonical writer reserves "|" for its "x|y" keys
+    ("sort-points-bar",
+     lambda: sort_points(from_semigroup(CayleyTable(("a|b",), ((0,),)), name="bar")),
+     FileFormatError, "point label 'a|b' contains '|'"),
     ("affine-action-maps",
      lambda: parse_affine_action('{"dimension": 1, "carrier": "simplex", "maps": []}', Z2),
      FileFormatError, "maps must be an object keyed by point label"),
