@@ -12,9 +12,9 @@ certificate when none does.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence, Union
 
-from .actions import Simplex, fixed_point_problem
 from .algebra import (
     CheckReport,
     Mean,
@@ -24,7 +24,6 @@ from .algebra import (
     _combine,
     format_rational,
     require_associative,
-    translation_transpose,
 )
 from .linprog import LPProblem, LPSolution, pad_certificate, solve_lp_feasibility
 
@@ -40,13 +39,25 @@ def left_invariance_problem(shg: Semihypergroup) -> LPProblem:
     maps m -> M_s^T m on the simplex, for s in `shg.kept_points`: the rows
     sum_y (p_s*p_y)(z) m_y - m_z = 0, then sum(m) = 1.  M_{mu*nu} = M_nu M_mu,
     so each dropped row is a combination of kept rows before it, and
-    `_row_reduce` keeps the rows it would keep on all n^2+1.  Right invariant
-    means are the feasible points of this problem on `algebra.opposite(shg)`.
+    `_row_reduce` keeps the rows it would keep on all n^2+1.  Posed in integers
+    from `point_table` or `scaled` (D, ints), row (s, z) is D (M_s^T - I) row z
+    over the gcd of D and its entries.  Right invariant means are its feasible
+    points on `algebra.opposite(shg)`.
     """
     require_associative(shg)
-    zeros = (Fraction(0),) * shg.n
-    return fixed_point_problem(Simplex(shg.n), (
-        (translation_transpose(shg.table, s), zeros) for s in shg.kept_points))
+    n, t = shg.n, shg.table.point_table
+    d, ints = (1, None) if t is not None else shg.table.scaled
+    rows = []
+    for s in shg.kept_points:
+        out: list[dict[int, int]] = [{} for _ in range(n)]
+        for y, e in enumerate(ints[s] if t is None else (((z, 1),) for z in t[s])):
+            for z, w in e:
+                out[z][y] = w
+        for z, r in enumerate(out):  # less D at (z, z), over the gcd, zeros dropped
+            r[z] = r.get(z, 0) - d
+            g = gcd(d, *r.values())
+            rows.append((d // g, {j: a // g for j, a in r.items() if a}))
+    return LPProblem._from_integer_rows((*rows, (1, dict.fromkeys(range(n + 1), 1))), (True,) * n)
 
 
 def left_invariant_mean_solution(shg: Semihypergroup) -> LPSolution:
@@ -81,13 +92,6 @@ def is_left_amenable(shg: Semihypergroup) -> bool:
 MeanLike = Union[Measure, Sequence[Fraction]]
 
 
-def _mean_weights(m: MeanLike, space: PointSpace) -> tuple[Fraction, ...]:
-    measure = m if isinstance(m, Measure) else Measure(space, tuple(m))
-    if measure.space != space:
-        raise ValueError("mean lives on a different point space")
-    return measure.weights
-
-
 def verify_left_invariant_mean(m: MeanLike, shg: Semihypergroup) -> CheckReport:
     """Exact check of m(L_s f) = m(f) on every point s and indicator f.
 
@@ -100,14 +104,14 @@ def verify_left_invariant_mean(m: MeanLike, shg: Semihypergroup) -> CheckReport:
     validates any claimed mean independently.  Right invariance is this
     check on `algebra.opposite(shg)`.
     """
-    weights = _mean_weights(m, shg.space)
+    measure = m if isinstance(m, Measure) else Measure(shg.space, tuple(m))
+    if measure.space != shg.space:
+        raise ValueError("mean lives on a different point space")
+    weights = measure.weights
     if any(w < 0 for w in weights) or sum(weights, Fraction(0)) != 1:
         return CheckReport(
-            check="left-invariant-mean",
-            passed=False,
-            detail="candidate is not a mean (needs nonnegative weights summing to 1)",
-            witness={"weights": weights},
-        )
+            check="left-invariant-mean", passed=False, witness={"weights": weights},
+            detail="candidate is not a mean (needs nonnegative weights summing to 1)")
     require_associative(shg)
 
     def push(s: int) -> dict[int, Fraction]:
@@ -121,11 +125,8 @@ def verify_left_invariant_mean(m: MeanLike, shg: Semihypergroup) -> CheckReport:
         for p, rhs in enumerate(weights):
             if (lhs := pushed.get(p, Fraction(0))) != rhs:
                 point, ind = shg.space.label(s), shg.space.label(p)
-                return CheckReport(
-                    check="left-invariant-mean",
-                    passed=False,
-                    detail=f"m(L_{point} 1_{ind}) = {format_rational(lhs)} but "
-                    f"m(1_{ind}) = {format_rational(rhs)}",
-                    witness={"point": point, "indicator": ind, "lhs": lhs, "rhs": rhs},
-                )
+                return CheckReport(check="left-invariant-mean", passed=False, detail=(
+                    f"m(L_{point} 1_{ind}) = {format_rational(lhs)} but "
+                    f"m(1_{ind}) = {format_rational(rhs)}"),
+                    witness={"point": point, "indicator": ind, "lhs": lhs, "rhs": rhs})
     return CheckReport(check="left-invariant-mean", passed=True)

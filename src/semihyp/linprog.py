@@ -1,24 +1,23 @@
 """Exact rational linear algebra and linear-programming feasibility.
 
 The kernel decides feasibility of {A x = b, x_j >= 0 for flagged j} exactly.
-Each row of A is a `Support` of its nonzero `Fraction`s from the builders on;
-`LPProblem.from_dense` is the one dense entry point.  `LPProblem` scales each
-row of [A | b] once to integers, and the package's one sparse elimination,
-`algebra._row_reduce`, which the generator search also feeds, brings those
-rows to reduced echelon form: each kept row is primitive with a positive
-pivot.  The LP reduces [A | b] alone.  Kept rows of rank n fix the only
-solution: if it meets the sign flags it is the witness, with no pivots.
-Otherwise a phase-1 simplex with Bland's rule runs on the kept rows over
-their pivots, as `Fraction`s.  Only a certificate needs the identity block:
-a contradiction or an infeasible optimum reduces the kept input rows, and
-any contradicting one, again over [A | b | I].  Rows that reduced to zero
-change no kept row, so the block rides along the same elimination and each
-kept row carries its combination of the input rows.  A contradicting row,
-divided by its own identity entry and signed so that r > 0, is already a
-certificate; an infeasible optimum combines the blocks with the final
-reduced costs.  Both LP outcomes are self-verified on the integer rows: a
-witness satisfies them, and a certificate y has y.A <= 0 on nonnegative
-columns, y.A = 0 on free ones and y.b > 0.
+Rows of A are `Support`s of nonzero `Fraction`s (`LPProblem.from_dense` is
+the dense entry point), which `LPProblem` scales once to integer rows of
+[A | b]; the mean LP is posed in them directly (`_from_integer_rows`).
+`algebra._row_reduce`, the package's one sparse elimination, brings them to
+reduced echelon form, each kept row primitive with a positive pivot, until
+the kept rows reach rank n and fix the only solution x*: each later row is
+then one integer dot product with x*, redundant at 0 and a contradiction
+otherwise.  If x* meets the sign flags it is the witness, with no pivots;
+else a phase-1 simplex with Bland's rule runs on the kept rows over their
+pivots, as `Fraction`s.  Only a certificate needs the identity block: a
+contradiction or an infeasible optimum reduces the kept input rows, and any
+contradicting one, again over [A | b | I], so each kept row carries its
+combination of them.  A contradicting row, over its own identity entry and
+signed so that r > 0, is a certificate; an infeasible optimum combines the
+blocks with the final reduced costs.  Both outcomes are self-verified on the
+integer rows: a witness satisfies them, and a certificate y has y.A <= 0 on
+nonnegative columns, y.A = 0 on free ones and y.b > 0.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .algebra import RationalLike, Support, _combine, _row_reduce, as_fraction
 
@@ -40,7 +39,8 @@ class LPProblem:
 
     Row i is the `Support` of its nonzero (j, a_ij): distinct columns in
     0..n_vars-1, in any order, with nonzero `Fraction` values.  Any other
-    row, or a row count other than len(rhs), is a ValueError.
+    row, or a row count other than len(rhs), is a ValueError.  A problem from
+    `_from_integer_rows` derives `rows` and `rhs` from `integer_rows` when read.
     """
 
     rows: tuple[Support, ...]
@@ -70,6 +70,21 @@ class LPProblem:
         return cls(tuple(tuple((j, a) for j, a in enumerate(map(as_fraction, row)) if a)
                          for row in matrix), rhs, nonneg)
 
+    @classmethod
+    def _from_integer_rows(cls, ints: tuple, nonneg: tuple[bool, ...]) -> "LPProblem":
+        """The problem with `integer_rows` ints, trusted: its builder read them off a table."""
+        problem = object.__new__(cls)  # frozen: fill the field and the cache directly
+        vars(problem).update(integer_rows=ints, nonneg=nonneg)
+        return problem
+
+    def __getattr__(self, name: str):  # `rows` and `rhs` of a `_from_integer_rows` problem
+        if name not in ("rows", "rhs"):
+            raise AttributeError(name)
+        n, ints = self.n_vars, self.integer_rows
+        vars(self).update(rhs=tuple(Fraction(v.get(n, 0), s) for s, v in ints), rows=tuple(
+            tuple((j, Fraction(a, s)) for j, a in v.items() if j < n) for s, v in ints))
+        return vars(self)[name]
+
     @cached_property
     def integer_rows(self) -> tuple[tuple[int, dict[int, int]], ...]:
         """(s, s * [a_i | b_i]) for each row i, s the lcm of the denominators
@@ -90,7 +105,7 @@ class LPProblem:
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.integer_rows)
 
 
 @dataclass(frozen=True)
@@ -122,9 +137,8 @@ def _verify_witness(problem: LPProblem, x: Sequence[Fraction]) -> None:
     dx = [v.numerator * (d // v.denominator) for v in x] + [-d]
     if any(sum(a * dx[j] for j, a in v.items()) for _, v in problem.integer_rows):
         raise AssertionError("witness does not satisfy an equality row")
-    for v, flag in zip(x, problem.nonneg):
-        if flag and v < 0:
-            raise AssertionError("witness violates a nonnegativity flag")
+    if any(flag and v < 0 for v, flag in zip(x, problem.nonneg)):
+        raise AssertionError("witness violates a nonnegativity flag")
 
 
 def _verify_certificate(problem: LPProblem, y: Sequence[Fraction]) -> None:
@@ -139,6 +153,25 @@ def _verify_certificate(problem: LPProblem, y: Sequence[Fraction]) -> None:
             raise AssertionError("certificate fails on a free column")
         if gj > 0:
             raise AssertionError("certificate fails on a nonnegative column")
+
+
+def _reduce_until_fixed(rows: Iterable[dict[int, int]], n: int) -> tuple[dict, list, Optional[int]]:
+    """`_row_reduce` of integer rows [a_i | b_i] one at a time: (kept rows, the
+    indices of the rows kept, the index of the first contradicting row or None).
+    Once all n columns pivot, the kept rows fix x*, and a later row is redundant
+    if its dot product with d [x* | -1], d the lcm of the pivots, is 0."""
+    kept, noted, indexed = {}, [], enumerate(rows)
+    for i, v in indexed:
+        if _row_reduce((v,), n, kept)[1] is not None:
+            return kept, noted, i
+        if len(kept) > len(noted):
+            noted.append(i)
+            if len(kept) == n:
+                d = lcm(*(kept[c][c] for c in range(n)))
+                dx = [kept[c].get(n, 0) * (d // kept[c][c]) for c in range(n)] + [-d]
+                return kept, noted, next(
+                    (i for i, v in indexed if sum(a * dx[j] for j, a in v.items())), None)
+    return kept, noted, None
 
 
 def solve_lp_feasibility(problem: LPProblem) -> LPSolution:
@@ -156,8 +189,7 @@ def solve_lp_feasibility(problem: LPProblem) -> LPSolution:
     negation.  Bland's rule ranks split column (j, sign) 2j + (sign < 0) and
     artificial i 2n + i, in order.
     """
-    n, m, zero = problem.n_vars, problem.n_rows, Fraction(0)
-    ints, kept, noted = problem.integer_rows, {}, []  # noted: the input rows kept
+    n, m, zero, ints = problem.n_vars, problem.n_rows, Fraction(0), problem.integer_rows
 
     def signed(kept: dict[int, dict[int, int]]) -> list[tuple[dict[int, int], int]]:
         return [(v, v[c] if v.get(n, 0) >= 0 else -v[c]) for c, v in kept.items()]
@@ -171,12 +203,9 @@ def solve_lp_feasibility(problem: LPProblem) -> LPSolution:
         _verify_certificate(problem, certificate)
         return LPSolution(status="infeasible", certificate=certificate, pivots=pivots)
 
-    for i, (_, v) in enumerate(ints):
-        rank = len(kept)
-        if _row_reduce((v,), n, kept)[1] is not None:
-            return infeasible(blocked(noted + [i])[1], 0)
-        if len(kept) > rank:
-            noted.append(i)
+    kept, noted, i = _reduce_until_fixed((v for _, v in ints), n)
+    if i is not None:
+        return infeasible(blocked(noted + [i])[1], 0)
     if len(kept) == n and all(v.get(n, 0) >= 0 for c, v in kept.items() if problem.nonneg[c]):
         # rank n: the reduction fixes the only solution, and it is feasible
         witness = tuple(Fraction(kept[c].get(n, 0), kept[c][c]) for c in range(n))
@@ -258,7 +287,7 @@ def solve_linear_system(
     `LPProblem`; returns (particular, null-space basis) or None.
 
     Reads the reduced row echelon form of `LPProblem.integer_rows` off
-    `_row_reduce`, with no identity block: its kept rows over their
+    `_reduce_until_fixed`, with no identity block: its kept rows over their
     pivots are zero before their pivot, 1 at it and 0 at the other pivot
     columns.  The particular solution sets every free variable to zero; the
     null-space basis has one vector per free column in the standard echelon
@@ -266,7 +295,7 @@ def solve_linear_system(
     outside 0..n-1, is a ValueError.
     """
     problem = LPProblem(rows, rhs, nonneg=(False,) * n)
-    kept, contradiction = _row_reduce((v for _, v in problem.integer_rows), n)
+    kept, _, contradiction = _reduce_until_fixed((v for _, v in problem.integer_rows), n)
     if contradiction is not None:
         return None
 

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semihyp.amenability import left_invariance_problem
-from semihyp.construct import from_semigroup, symmetric_group
+from semihyp.construct import from_semigroup, left_zero_semigroup, symmetric_group
 from semihyp.linprog import (
     LPProblem,
     LPSolution,
@@ -401,6 +401,60 @@ def test_only_a_certificate_builds_the_identity_block(monkeypatch):
     # a certificate does read the block
     assert not solve_lp_feasibility(problem([[1, 1], [1, 1]], [1, 2], [True] * 2)).feasible
     assert max(widest) > 0
+
+
+def test_reduction_stops_once_every_column_pivots(monkeypatch):
+    # lz24's mean LP has rank 24 after 25 of its 577 rows; the 552 later
+    # rows are each one dot product with the fixed point, and the last one,
+    # sum(m) = 1, contradicts it: one more call reduces the kept rows with
+    # their identity block for the certificate
+    calls = []
+
+    def spy(rows, n, kept=None):
+        calls.append(len(kept or ()))
+        return _row_reduce(rows, n, kept)
+
+    problem = left_invariance_problem(from_semigroup(left_zero_semigroup(24)))
+    monkeypatch.setattr("semihyp.linprog._row_reduce", spy)
+    sol = solve_lp_feasibility(problem)
+    assert problem.n_rows == 577 and sol.status == "infeasible"
+    assert len(calls) == 25 + 1 and calls[-2] == 23 and calls[-1] == 0
+    monkeypatch.undo()
+    assert sol == solve_lp_feasibility(problem)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_rank_n_systems_with_appended_rows_match_the_oracles(data):
+    # an invertible n-by-n system (a triangular one, mixed by row additions
+    # and permuted), with rows appended that agree with its solution or
+    # contradict it, in any order: the kernels that stop eliminating at
+    # rank n give the oracles' status, witness, certificate and pivots, and
+    # the linear system solves or fails as the Fraction elimination does
+    n = data.draw(st.integers(1, 4))
+    rows = [[F(0)] * j + [data.draw(RATIONALS.filter(bool))]
+            + data.draw(st.lists(RATIONALS, min_size=n - j - 1, max_size=n - j - 1))
+            for j in range(n)]
+    rhs = data.draw(st.lists(RATIONALS, min_size=n, max_size=n))
+    for _ in range(data.draw(st.integers(0, 3))):  # row j += c * row i keeps the rank
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        c = data.draw(RATIONALS)
+        if i != j:
+            rows[j] = [a + c * b for a, b in zip(rows[j], rows[i])]
+            rhs[j] += c * rhs[i]
+    for _ in range(data.draw(st.integers(0, 4))):
+        cs = data.draw(st.lists(RATIONALS, min_size=n, max_size=n))
+        rows.append([sum((c * row[j] for c, row in zip(cs, rows)), F(0)) for j in range(n)])
+        rhs.append(sum((c * b for c, b in zip(cs, rhs)), F(0))
+                   + (data.draw(RATIONALS.filter(bool)) if data.draw(st.booleans()) else 0))
+    order = data.draw(st.permutations(range(len(rows))))
+    rows, rhs = [rows[i] for i in order], [rhs[i] for i in order]
+    nonneg = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    assert_bland_or_read_off(rows, rhs, nonneg)
+    kept, contradiction = oracle_row_reduce(
+        [{**{j: a for j, a in enumerate(row) if a}, n: b} for row, b in zip(rows, rhs)], n)
+    expected = None if contradiction else (tuple(kept[c].get(n, F(0)) for c in range(n)), ())
+    assert solve_dense(rows, rhs) == expected
 
 
 @settings(max_examples=300, deadline=None)

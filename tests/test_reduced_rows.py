@@ -27,12 +27,19 @@ from semihyp.actions import (
     common_fixed_point_problem,
     common_fixed_point_solution,
     find_common_fixed_point,
+    fixed_point_problem,
     mean_via_dual_action,
 )
-from semihyp.algebra import opposite
+from semihyp.algebra import opposite, translation_transpose
 from semihyp.amenability import left_invariance_problem, left_invariant_mean_solution
-from semihyp.construct import CayleyTable, from_semigroup, symmetric_group
-from semihyp.linprog import LPProblem, LPSolution, solve_linear_system, solve_lp_feasibility
+from semihyp.construct import CayleyTable, from_semigroup, left_zero_semigroup, symmetric_group
+from semihyp.linprog import (
+    LPProblem,
+    LPSolution,
+    pad_certificate,
+    solve_linear_system,
+    solve_lp_feasibility,
+)
 
 from conftest import _closure_table
 from oracles import (
@@ -125,6 +132,34 @@ def test_mean_lp_is_the_canonical_fixed_point_lp(shg):
     # the paper's identity, row for row: the left invariant means are the
     # common fixed points of the canonical action on the simplex of means
     assert left_invariance_problem(shg) == common_fixed_point_problem(canonical_means_action(shg))
+
+
+@functools.cache
+def point_mass_tables():
+    """Left-zero semigroups lz1-lz6 and lz24, S4, and their opposites."""
+    shgs = [from_semigroup(left_zero_semigroup(k)) for k in (1, 2, 3, 4, 5, 6, 24)]
+    shgs.append(from_semigroup(symmetric_group(4)))
+    return shgs + [opposite(shg) for shg in shgs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(associative_structures(), st.sampled_from(point_mass_tables())))
+def test_mean_lp_posed_in_integers_is_the_fraction_lp(shg):
+    # the integer rows read off the table are the ones `LPProblem` scales
+    # from the Fraction rows of the fixed-point builder, key order included,
+    # and so are the rows and right-hand sides derived back from them
+    zeros = (F(0),) * shg.n
+    posed = fixed_point_problem(Simplex(shg.n), (
+        (translation_transpose(shg.table, s), zeros) for s in shg.kept_points))
+    old = LPProblem(posed.rows, posed.rhs, posed.nonneg)
+    new = left_invariance_problem(shg)
+    assert [list(v.items()) for _, v in new.integer_rows] == [
+        list(v.items()) for _, v in old.integer_rows]
+    assert new.integer_rows == old.integer_rows and new.n_rows == old.n_rows
+    assert (new.rows, new.rhs, new.nonneg) == (old.rows, old.rhs, old.nonneg)
+    assert new == old
+    expected = pad_certificate(solve_lp_feasibility(old), shg.kept_points, shg.n, shg.n)
+    assert left_invariant_mean_solution(shg) == expected
 
 
 @settings(max_examples=100, deadline=None)
