@@ -6,10 +6,10 @@ rational points) such that composing two maps equals averaging the family
 against the convolution of the two point masses.  The module verifies the
 action axiom and carrier invariance exactly, measures equicontinuity and
 non-expansiveness through operator seminorms, solves for common fixed points
-by exact LP (`fixed_point_problem`, which poses the mean LP of `amenability`
-too), and builds the two canonical actions whose fixed points are precisely
-the left invariant means: the translation-dual action on means and the
-affine action on the subspace of functionals annihilating constants.
+by exact LP (`fixed_point_problem`, hull membership's LP too), and builds
+the two canonical actions whose fixed points are precisely the left
+invariant means: the translation-dual action on means (its LP `amenability`
+poses in integers) and the affine action on functionals annihilating constants.
 """
 
 from __future__ import annotations
@@ -112,15 +112,14 @@ def carrier_columns(carrier: Carrier) -> tuple[Support, ...]:
 
 
 def carrier_contains(carrier: Carrier, x: Sequence[Fraction]) -> bool:
-    """Exact membership; hull membership solves for barycentric weights."""
+    """Exact membership; on a hull, whether barycentric weights exist."""
     vec = tuple(as_fraction(v) for v in x)
     if len(vec) != carrier_dim(carrier):
         return False
     if isinstance(carrier, Simplex):
         return all(v >= 0 for v in vec) and sum(vec, Fraction(0)) == 1
-    k = len(carrier.points)  # V lam = x, sum(lam) = 1
-    rows = (*carrier_columns(carrier), tuple((v, Fraction(1)) for v in range(k)))
-    return solve_lp_feasibility(LPProblem(rows, (*vec, Fraction(1)), (True,) * k)).feasible
+    # the fixed-point LP of the constant map to x: -V lam = -x, sum(lam) = 1
+    return solve_lp_feasibility(fixed_point_problem(carrier, [(((),) * len(vec), vec)])).feasible
 
 
 def carrier_centroid(carrier: Carrier) -> Vector:
@@ -577,7 +576,7 @@ def _translation_action(shg: Semihypergroup) -> AffineAction:
     (p_s*p_y)(z) is the left-translation matrix of s, by the rows of
     `translation_transpose`; unchecked, so the simplex need not be invariant."""
     zero = (Fraction(0),) * shg.n
-    transposes = (translation_transpose(shg.table, s) for s in range(shg.n))
+    transposes = (translation_transpose(row, shg.n) for row in shg.table.supports)
     return AffineAction(shg, Simplex(shg.n), tuple(
         AffineMap(tuple(tuple(r.items()) for r in t), zero) for t in transposes))
 
@@ -693,7 +692,7 @@ def mean_via_dual_action(
     rows: list[Support] = []
     rhs: list[Fraction] = []
     for s in shg.kept_points:
-        for i, ni in enumerate(translation_transpose(shg.table, s)):
+        for i, ni in enumerate(translation_transpose(shg.table.supports[s], n)):
             ni[i] = ni.get(i, zero) - 1
             rhs.append(-ni.get(b, zero))
             t = ni.pop(n - 1, zero)  # subtracted at every k

@@ -260,11 +260,11 @@ def _pick(h: Sequence[int]) -> Callable[[Sequence], tuple]:
     return itemgetter(*h) if len(h) > 1 else lambda row: (row[h[0]],)
 
 
-def translation_transpose(table: ConvolutionTable, s: int) -> list[dict[int, Fraction]]:
-    """The rows {y: w} of L[z][y] = (p_s*p_y)(z), w != 0, the transpose of
-    the left-translation matrix of s, gathered from the supports of row s."""
-    out: list[dict[int, Fraction]] = [{} for _ in range(table.space.n)]
-    for y, support in enumerate(table.supports[s]):
+def translation_transpose(row: Iterable[Iterable[tuple]], n: int) -> list[dict]:
+    """The n rows {y: w}, w != 0, of L[z][y] = (p_s*p_y)(z), the transpose of
+    the left-translation matrix of s, from `supports[s]` or `scaled` ints[s]."""
+    out: list[dict] = [{} for _ in range(n)]
+    for y, support in enumerate(row):
         for z, w in support:
             out[z][y] = w
     return out

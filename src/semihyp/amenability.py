@@ -3,10 +3,10 @@
 A mean is a probability vector acting on functions by weighted sum.  A left
 invariant mean is one that every left translation fixes; on a finite space
 its existence is an exact linear-programming feasibility question: the
-fixed-point LP (`actions.fixed_point_problem`) of the canonical action on the
-simplex of means, whose common fixed points are exactly those means.  It
-gives a two-sided oracle: a witness mean when one exists, a Farkas
-certificate when none does.
+fixed-point LP of the canonical action on the simplex of means, whose common
+fixed points are exactly those means, posed here in integers from the table
+rather than by `actions.fixed_point_problem`.  It gives a two-sided oracle:
+a witness mean when one exists, a Farkas certificate when none does.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .algebra import (
     _combine,
     format_rational,
     require_associative,
+    translation_transpose,
 )
 from .linprog import LPProblem, LPSolution, pad_certificate, solve_lp_feasibility
 
@@ -49,11 +50,8 @@ def left_invariance_problem(shg: Semihypergroup) -> LPProblem:
     d, ints = (1, None) if t is not None else shg.table.scaled
     rows = []
     for s in shg.kept_points:
-        out: list[dict[int, int]] = [{} for _ in range(n)]
-        for y, e in enumerate(ints[s] if t is None else (((z, 1),) for z in t[s])):
-            for z, w in e:
-                out[z][y] = w
-        for z, r in enumerate(out):  # less D at (z, z), over the gcd, zeros dropped
+        row = ints[s] if t is None else (((z, 1),) for z in t[s])
+        for z, r in enumerate(translation_transpose(row, n)):  # less D at (z, z), over the gcd
             r[z] = r.get(z, 0) - d
             g = gcd(d, *r.values())
             rows.append((d // g, {j: a // g for j, a in r.items() if a}))

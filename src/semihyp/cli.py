@@ -8,10 +8,10 @@ solves for a common fixed point exactly or by the heuristic iterator, and
 group actions.
 
 Exit codes: 0 success/pass, 1 verified negative (axiom failure, no mean, no
-fixed point, constraint violation), 2 parse/usage/IO error, 3 oracle
-disagreement in `lim --method both` (a bug signal, never expected).
-Reports go to stdout, errors to stderr; output is deterministic except for
-the timing field.
+fixed point, constraint violation), 2 parse/usage/IO error or an action
+`fixpoint --iterate` cannot follow in floats, 3 oracle disagreement in `lim
+--method both` (a bug signal).  Reports go to stdout, errors to stderr;
+output is deterministic except for the timing field.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 
 from .algebra import Mean, PreconditionError, Semihypergroup, UnknownLabel
 from .actions import (
+    CarrierError,
     check_nonexpansive,
     common_fixed_point_solution,
     equicontinuity_bound,
@@ -269,9 +270,10 @@ def cmd_fixpoint(args: argparse.Namespace) -> tuple[dict, int]:
         return payload, EXIT_FAIL
 
     if args.iterate:
-        result = iterate_fixed_point(
-            action.maps, action.carrier, tol=tol, max_iter=max_iter
-        )
+        try:
+            result = iterate_fixed_point(action.maps, action.carrier, tol=tol, max_iter=max_iter)
+        except (OverflowError, CarrierError) as exc:  # floats cannot follow the exact maps
+            raise PreconditionError(f"the float iterator cannot run this action: {exc}") from None
         payload["converged"] = result.converged
         payload["iterations"] = result.iterations
         payload["residual"] = repr(result.residual)

@@ -1,9 +1,9 @@
 """Exact rational linear algebra and linear-programming feasibility.
 
 The kernel decides feasibility of {A x = b, x_j >= 0 for flagged j} exactly.
-Rows of A are `Support`s of nonzero `Fraction`s (`LPProblem.from_dense` is
-the dense entry point), which `LPProblem` scales once to integer rows of
-[A | b]; the mean LP is posed in them directly (`_from_integer_rows`).
+An `LPProblem` stores only integer rows of [A | b], scaled once from rows of
+`Fraction` `Support`s (`from_dense` is the dense entry point) or, for the
+mean LP, read off a table (`_from_integer_rows`).
 `algebra._row_reduce`, the package's one sparse elimination, brings them to
 reduced echelon form, each kept row primitive with a positive pivot, until
 the kept rows reach rank n and fix the only solution x*: each later row is
@@ -33,33 +33,39 @@ from .algebra import RationalLike, Support, _combine, _row_reduce, as_fraction
 Row = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LPProblem:
     """Equality constraints sum_j a_ij x_j = rhs_i with per-variable sign flags.
 
-    Row i is the `Support` of its nonzero (j, a_ij): distinct columns in
-    0..n_vars-1, in any order, with nonzero `Fraction` values.  Any other
-    row, or a row count other than len(rhs), is a ValueError.  A problem from
-    `_from_integer_rows` derives `rows` and `rhs` from `integer_rows` when read.
+    Row i of `LPProblem(rows, rhs, nonneg)` is the `Support` of its nonzero
+    (j, a_ij): distinct columns in 0..n_vars-1, in any order, with nonzero
+    `Fraction` values; any other row, or a row count other than len(rhs), is
+    a ValueError.  It is stored only as (s, s * [a_i | b_i]) in `integer_rows`,
+    s the lcm of its denominators, {column: int} over its nonzeros in input
+    order, b at column n; `rows` and `rhs` read the input back from them.
     """
 
-    rows: tuple[Support, ...]
-    rhs: tuple[Fraction, ...]
+    integer_rows: tuple[tuple[int, dict[int, int]], ...]
     nonneg: tuple[bool, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
-        object.__setattr__(self, "rhs", tuple(as_fraction(v) for v in self.rhs))
-        object.__setattr__(self, "nonneg", tuple(bool(f) for f in self.nonneg))
-        n = len(self.nonneg)
-        if len(self.rows) != len(self.rhs):
+    def __init__(self, rows: Iterable[Support], rhs: Iterable[RationalLike],
+                 nonneg: Iterable[bool]) -> None:
+        nonneg, rhs, ints = tuple(map(bool, nonneg)), tuple(map(as_fraction, rhs)), []
+        rows, n = tuple(map(tuple, rows)), len(nonneg)
+        if len(rows) != len(rhs):
             raise ValueError("rows and rhs have different counts")
-        for row in self.rows:
+        for row, b in zip(rows, rhs):
             if len({j for j, _ in row}) != len(row) or not all(
                     isinstance(j, int) and 0 <= j < n and isinstance(a, Fraction) and a
                     for j, a in row):
                 raise ValueError(f"row needs distinct columns in 0..{n - 1} and nonzero "
                                  f"Fraction values: {row!r}")
+            s = lcm(b.denominator, *(a.denominator for _, a in row))
+            v = {j: a.numerator * (s // a.denominator) for j, a in row}
+            if b:
+                v[n] = b.numerator * (s // b.denominator)
+            ints.append((s, v))
+        vars(self).update(integer_rows=tuple(ints), nonneg=nonneg)  # frozen: fill directly
 
     @classmethod
     def from_dense(cls, matrix: Sequence[Sequence[RationalLike]],
@@ -73,31 +79,19 @@ class LPProblem:
     @classmethod
     def _from_integer_rows(cls, ints: tuple, nonneg: tuple[bool, ...]) -> "LPProblem":
         """The problem with `integer_rows` ints, trusted: its builder read them off a table."""
-        problem = object.__new__(cls)  # frozen: fill the field and the cache directly
+        problem = object.__new__(cls)  # skips the scaling and checks of __init__
         vars(problem).update(integer_rows=ints, nonneg=nonneg)
         return problem
 
-    def __getattr__(self, name: str):  # `rows` and `rhs` of a `_from_integer_rows` problem
-        if name not in ("rows", "rhs"):
-            raise AttributeError(name)
-        n, ints = self.n_vars, self.integer_rows
-        vars(self).update(rhs=tuple(Fraction(v.get(n, 0), s) for s, v in ints), rows=tuple(
-            tuple((j, Fraction(a, s)) for j, a in v.items() if j < n) for s, v in ints))
-        return vars(self)[name]
+    @cached_property
+    def rows(self) -> tuple[Support, ...]:
+        n = self.n_vars
+        return tuple(tuple((j, Fraction(a, s)) for j, a in v.items() if j < n)
+                     for s, v in self.integer_rows)
 
     @cached_property
-    def integer_rows(self) -> tuple[tuple[int, dict[int, int]], ...]:
-        """(s, s * [a_i | b_i]) for each row i, s the lcm of the denominators
-        of row i and b_i, the scaled row as {column: int} over its nonzeros,
-        b at column n."""
-        n, out = self.n_vars, []
-        for row, b in zip(self.rows, self.rhs):
-            s = lcm(b.denominator, *(a.denominator for _, a in row))
-            v = {j: a.numerator * (s // a.denominator) for j, a in row}
-            if b:
-                v[n] = b.numerator * (s // b.denominator)
-            out.append((s, v))
-        return tuple(out)
+    def rhs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v.get(self.n_vars, 0), s) for s, v in self.integer_rows)
 
     @property
     def n_vars(self) -> int:

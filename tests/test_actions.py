@@ -69,6 +69,7 @@ from conftest import make_t3, random_triple_params, right_zero_semigroup
 from oracles import (
     _left_matrices,
     oracle_action_axiom_failure,
+    oracle_feasible,
     oracle_fixed_point_rows,
     oracle_invariance_failure,
     oracle_iterate,
@@ -110,6 +111,26 @@ def test_carrier_membership_hull():
     assert carrier_contains(h, (F(1), F(1)))  # midpoint of two vertices
     assert carrier_contains(h, (F(1, 2), F(1, 2)))
     assert not carrier_contains(h, (F(2), F(2)))
+
+
+SMALL = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_hull_membership_matches_the_oracle(data):
+    # a convex combination of the hull's points, perturbed or not, is in
+    # the hull exactly when V lam = x, sum(lam) = 1, lam >= 0 is feasible
+    d = data.draw(st.integers(1, 3))
+    points = data.draw(st.lists(st.tuples(*[SMALL] * d), min_size=1, max_size=4, unique=True))
+    weights = data.draw(st.lists(st.integers(0, 3), min_size=len(points),
+                                 max_size=len(points)).filter(any))
+    x = [sum(w * p[j] for w, p in zip(weights, points)) / sum(weights) for j in range(d)]
+    if data.draw(st.booleans()):
+        x = [v + data.draw(SMALL) / 2 for v in x]
+    rows = [[p[j] for p in points] for j in range(d)] + [[F(1)] * len(points)]
+    expected = oracle_feasible(rows, [*x, F(1)], len(points))
+    assert carrier_contains(Hull(tuple(points)), tuple(x)) is expected
 
 
 def test_carrier_centroid():

@@ -303,6 +303,38 @@ def test_fixpoint_iterate_huge_max_ends_on_the_repeated_state(capsys):
     assert (report["point"], report["residual"]) == (golden["point"], golden["residual"])
 
 
+BIG = 10**20
+FLOAT_DEFEATING_ACTIONS = {
+    # a hull vertex beyond the float range, under the identity map
+    "overflow": ({"name": "e", "points": ["e"],
+                  "convolution": {"e|e": [{"point": "e", "weight": "1"}]}},
+                 {"dimension": 1, "carrier": {"hull": [["0"], [str(10**400)]]},
+                  "maps": {"e": {"A": [["1"]], "b": ["0"]}}}),
+    # lz2 projecting onto the diagonal of a segment on it: the float image of
+    # a vertex cancels to (0, 0), off the hull's bounding box
+    "cancellation": (None, {"dimension": 2, "carrier": {"hull": [["1", "1"], ["2", "2"]]},
+                            "maps": {p: {"A": [[str(1 + BIG), str(-BIG)]] * 2, "b": ["0", "0"]}
+                                     for p in "ab"}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_DEFEATING_ACTIONS))
+def test_fixpoint_iterate_on_an_action_floats_cannot_follow_exit_2(case, tmp_path, capsys):
+    structure, action = FLOAT_DEFEATING_ACTIONS[case]
+    paths = [FIXTURES / "lz2.json", tmp_path / "action.json"]
+    if structure is not None:
+        paths[0] = tmp_path / "structure.json"
+        paths[0].write_text(json.dumps(structure))
+    paths[1].write_text(json.dumps(action))
+    argv = ["fixpoint", *map(str, paths)]
+    # the exact mode verifies the action and finds its fixed point
+    assert _json_report(argv, capsys)["verdict"] == "fixed point found"
+    assert cli.main([*argv, "--iterate", "1e-9", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
 def test_group_label_with_pipe_exit_2(tmp_path, capsys):
     # structure files key the convolution by "x|y", so such a label could
     # be written but never read back

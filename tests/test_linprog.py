@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -216,6 +216,34 @@ def test_solve_linear_system_rejects_out_of_range_columns():
 
 
 RATIONALS = st.builds(F, st.integers(-2, 2), st.integers(1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_problem_stores_only_its_integer_rows(data):
+    # each row's nonzeros in any order; `rows` and `rhs` read them back from
+    # the one stored form, in that order, and `==` compares that form
+    n = data.draw(st.integers(1, 5))
+    entry = st.tuples(st.integers(0, n - 1), RATIONALS.filter(bool))
+    rows = data.draw(st.lists(st.lists(entry, max_size=n, unique_by=lambda e: e[0]).map(tuple),
+                              max_size=5))
+    rhs = data.draw(st.lists(RATIONALS, min_size=len(rows), max_size=len(rows)))
+    nonneg = tuple(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    p = LPProblem(rows, rhs, nonneg)
+    assert set(vars(p)) == {"integer_rows", "nonneg"}
+    assert (p.rows, p.rhs, p.nonneg) == (tuple(rows), tuple(rhs), nonneg)
+    for (s, v), row, b in zip(p.integer_rows, rows, rhs):
+        assert s == lcm(b.denominator, *(a.denominator for _, a in row))
+        assert v == {j: s * a for j, a in row} | ({n: s * b} if b else {})
+    assert p == LPProblem([row[::-1] for row in rows], rhs, nonneg)
+
+
+@pytest.mark.parametrize("table", [symmetric_group(4), left_zero_semigroup(24)],
+                         ids=["s4", "lz24"])
+def test_mean_lp_stores_only_its_integer_rows(table):
+    p = left_invariance_problem(from_semigroup(table))
+    assert set(vars(p)) == {"integer_rows", "nonneg"}
+    assert len(p.rows) == p.n_rows and set(vars(p)) == {"integer_rows", "nonneg", "rows"}
 
 
 @settings(max_examples=300, deadline=None)

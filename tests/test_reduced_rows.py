@@ -150,7 +150,7 @@ def test_mean_lp_posed_in_integers_is_the_fraction_lp(shg):
     # and so are the rows and right-hand sides derived back from them
     zeros = (F(0),) * shg.n
     posed = fixed_point_problem(Simplex(shg.n), (
-        (translation_transpose(shg.table, s), zeros) for s in shg.kept_points))
+        (translation_transpose(shg.table.supports[s], shg.n), zeros) for s in shg.kept_points))
     old = LPProblem(posed.rows, posed.rhs, posed.nonneg)
     new = left_invariance_problem(shg)
     assert [list(v.items()) for _, v in new.integer_rows] == [
